@@ -2,7 +2,6 @@
 
 Subcommands: index, gap, degree, acm, sweep, verify-bound, selftest.
 Exit codes: 0 ok, 1 usage error, 2 singular operator, 3 selftest failure.
-WILSON_THREADS caps sweep fan-out (0 or unset = auto).
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 
 import numpy as np
@@ -20,6 +18,7 @@ from .clifford import clifford_rep
 from .gauge import FluxMatrix, constant_flux_field, make_geometry, trivial_field
 from .ktheory import (
     SIGMA,
+    ParameterRangeError,
     SingularOperatorError,
     acm_invariant,
     bott_index_tuple,
@@ -84,7 +83,7 @@ def _index_row(d, N, flux, m, mode):
         if mode == "cutoff" and m in (0.0, 2.0):
             raise SingularOperatorError("gap closes at the window boundary")
         r = lattice_index(f, m, mode)
-    except (SingularOperatorError, ValueError) as exc:
+    except (SingularOperatorError, ParameterRangeError) as exc:
         status = "singular" if isinstance(exc, SingularOperatorError) \
             else "out-of-range"
         return {
@@ -200,7 +199,7 @@ def _parse_sweep(spec: str):
 
 def cmd_sweep(args) -> int:
     var, values = _parse_sweep(args.sweep)
-    jobs = []
+    rows = []
     for v in values:
         d, N, m = args.d, args.N, args.m
         entries = list(args.flux or [])
@@ -212,15 +211,8 @@ def cmd_sweep(args) -> int:
             plane = var.split(":", 1)[1]
             entries = [e for e in entries if not e.startswith(plane + "=")]
             entries.append(f"{plane}={v}")
-        jobs.append((v, d, N, _parse_flux_entries(d, entries), m, args.mode))
-
-    max_workers = int(os.environ.get("WILSON_THREADS", "0")) or None
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(
-            lambda j: _index_row(j[1], j[2], j[3], j[4], j[5]), jobs))
-    rows = [row for row, _ in results]  # pool.map preserves job order
+        flux = _parse_flux_entries(d, entries)
+        rows.append(_index_row(d, N, flux, m, args.mode)[0])
     _write_rows(rows, args.out)
     return EXIT_OK
 

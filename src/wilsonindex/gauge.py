@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,17 @@ def _new_links(geom: LatticeGeometry, rank: int) -> np.ndarray:
     return links
 
 
+def _dag(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a stack of matrices."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _neighbour(geom: LatticeGeometry, j: int) -> np.ndarray:
+    """Site index of x + e_j for every site x (periodic, lexicographic)."""
+    sites = np.arange(geom.n_sites).reshape((geom.N,) * geom.d)
+    return np.roll(sites, -1, axis=j).ravel()
+
+
 def trivial_field(geom: LatticeGeometry, rank: int = 1) -> GaugeField:
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -133,18 +144,18 @@ def constant_flux_field(geom: LatticeGeometry, flux: FluxMatrix) -> GaugeField:
     if flux.d != geom.d:
         raise ValueError("flux dimension mismatch")
     N = geom.N
+    coords = np.indices((N,) * geom.d).reshape(geom.d, -1)
+    theta = np.zeros((geom.n_sites, geom.d))
+    for j in range(geom.d):
+        for l in range(j + 1, geom.d):
+            k = flux.K[j, l]
+            if k == 0:
+                continue
+            theta[:, l] += 2 * np.pi * k * coords[j] / N ** 2
+            edge = coords[j] == N - 1
+            theta[edge, j] -= 2 * np.pi * k * coords[l, edge] / N
     links = _new_links(geom, 1)
-    for site, coords in enumerate(geom.all_sites()):
-        theta = np.zeros(geom.d)
-        for j in range(geom.d):
-            for l in range(j + 1, geom.d):
-                k = flux.K[j, l]
-                if k == 0:
-                    continue
-                theta[l] += 2 * np.pi * k * coords[j] / N ** 2
-                if coords[j] == N - 1:
-                    theta[j] -= 2 * np.pi * k * coords[l] / N
-        links[site, :, 0, 0] = np.exp(1j * theta)
+    links[:, :, 0, 0] = np.exp(1j * theta)
     return GaugeField(geom, 1, links, (flux,))
 
 
@@ -182,33 +193,33 @@ def perturb_field(f: GaugeField, strength: float, seed: int) -> GaugeField:
     if strength == 0:
         return f
     rng = np.random.default_rng(seed)
-    r = f.rank
-    links = f.links.copy()
-    for site in range(f.geometry.n_sites):
-        for j in range(f.geometry.d):
-            raw = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-            herm = (raw + raw.conj().T) / 2
-            norm = np.linalg.norm(herm, 2)
-            if norm > 0:
-                herm *= strength / norm
-            links[site, j] = links[site, j] @ expm(1j * herm)
-    return GaugeField(f.geometry, r, links, None)
+    n, d, r = f.geometry.n_sites, f.geometry.d, f.rank
+    raw = rng.standard_normal((n, d, 2, r, r))
+    raw = raw[:, :, 0] + 1j * raw[:, :, 1]
+    w, v = np.linalg.eigh((raw + _dag(raw)) / 2)
+    # ||H||_2 = max |eigenvalue|; the floor only guards an all-zero draw
+    norm = np.maximum(np.abs(w).max(axis=-1, keepdims=True), np.finfo(float).tiny)
+    expih = (v * np.exp(1j * w * (strength / norm))[..., None, :]) @ _dag(v)
+    return GaugeField(f.geometry, r, f.links @ expih, None)
+
+
+def _plaquettes(f: GaugeField, j: int, l: int, x=slice(None)) -> np.ndarray:
+    """P_jl(x) = U_l(x)* U_j(x+e_l)* U_l(x+e_j) U_j(x) at the sites x
+    (all by default), as a stack of r x r matrices."""
+    U = f.links
+    xj = _neighbour(f.geometry, j)[x]
+    xl = _neighbour(f.geometry, l)[x]
+    return _dag(U[x, l]) @ _dag(U[xl, j]) @ U[xj, l] @ U[x, j]
 
 
 def plaquette(f: GaugeField, coords, j: int, l: int) -> np.ndarray:
-    """Ordered transport around the elementary (j,l) square at x,
-    first along l then along j: U_l(x)^-1 U_j(x+e_l)^-1 U_l(x+e_j) U_j(x)
-    read right to left.  For the constant-flux field this has phase
-    +2*pi*K_jl/N^2 (0-based directions j < l)."""
-    coords = np.asarray(coords)
-    ej = np.eye(f.geometry.d, dtype=int)[j]
-    el = np.eye(f.geometry.d, dtype=int)[l]
-    return (
-        f.link(coords, j)
-        @ f.link(coords + ej, l)
-        @ f.link(coords + el, j).conj().T
-        @ f.link(coords, l).conj().T
-    )
+    """Ordered transport around the elementary (j,l) square at x: along
+    e_j, then e_l, then back along e_j and e_l,
+    U_l(x)^-1 U_j(x+e_l)^-1 U_l(x+e_j) U_j(x) read right to left.  It
+    transforms as P -> g(x) P g(x)* under `gauge_transform`.  For the
+    constant-flux field this has phase +2*pi*K_jl/N^2 (0-based
+    directions j < l)."""
+    return _plaquettes(f, j, l, f.geometry.site_index(coords))
 
 
 def estimate_curvature_norm(f: GaugeField) -> float:
@@ -216,12 +227,10 @@ def estimate_curvature_norm(f: GaugeField) -> float:
     geom = f.geometry
     eye = np.eye(f.rank)
     worst = 0.0
-    for coords in geom.all_sites():
-        for j in range(geom.d):
-            for l in range(j + 1, geom.d):
-                dev = np.linalg.norm(plaquette(f, coords, j, l) - eye, 2)
-                if dev > worst:
-                    worst = dev
+    for j in range(geom.d):
+        for l in range(j + 1, geom.d):
+            dev = np.linalg.norm(_plaquettes(f, j, l) - eye, 2, axis=(-2, -1))
+            worst = max(worst, float(dev.max()))
     return worst * geom.N ** 2
 
 
@@ -244,28 +253,22 @@ def gauge_transform(f: GaugeField, g) -> GaugeField:
     geom = f.geometry
     g = np.asarray(g)
     links = np.empty_like(f.links)
-    for site, coords in enumerate(geom.all_sites()):
-        for j in range(geom.d):
-            ej = np.eye(geom.d, dtype=int)[j]
-            nbr = geom.site_index(np.asarray(coords) + ej)
-            links[site, j] = g[nbr] @ f.links[site, j] @ g[site].conj().T
+    for j in range(geom.d):
+        links[:, j] = g[_neighbour(geom, j)] @ f.links[:, j] @ _dag(g)
     return GaugeField(geom, f.rank, links, f.flux_sectors)
 
 
-def shift_unitaries(f: GaugeField):
-    """The big link-times-shift unitaries U_j acting on sites (x) C^r.
+def link_shift(f: GaugeField, j: int) -> sp.csr_matrix:
+    """Sparse link-times-shift unitary U_j on sites (x) C^r:
+    (U_j psi)(x + e_j) = U_j(x) psi(x)."""
+    n, r = f.geometry.n_sites, f.rank
+    # block row y holds U_j(x) in block column x, where y = x + e_j
+    src = np.argsort(_neighbour(f.geometry, j))
+    return sp.bsr_matrix((f.links[src, j], src, np.arange(n + 1)),
+                         shape=(n * r, n * r)).tocsr()
 
-    (U_j psi)(x + e_j) = U_j(x) psi(x); returned as dense arrays of size
-    (n_sites*r, n_sites*r), one per direction.
-    """
-    geom = f.geometry
-    n, r = geom.n_sites, f.rank
-    out = []
-    for j in range(geom.d):
-        ej = np.eye(geom.d, dtype=int)[j]
-        U = np.zeros((n * r, n * r), dtype=complex)
-        for site, coords in enumerate(geom.all_sites()):
-            tgt = geom.site_index(np.asarray(coords) + ej)
-            U[tgt * r : (tgt + 1) * r, site * r : (site + 1) * r] = f.links[site, j]
-        out.append(U)
-    return out
+
+def shift_unitaries(f: GaugeField):
+    """The link-times-shift unitaries U_j as dense arrays of size
+    (n_sites*r, n_sites*r), one per direction (see `link_shift`)."""
+    return [link_shift(f, j).toarray() for j in range(f.geometry.d)]

@@ -21,7 +21,7 @@ from .spectral import (
     inertia_bunch_kaufman,
     min_abs_eigenvalue,
 )
-from .wilson import assemble, symbol_gap_function
+from .wilson import assemble, symbol_gap_function, wilson_matrix
 
 # Global orientation sign relating the lattice invariant to the Pfaffian
 # index, calibrated once from the d=2, N=16, K_12=1, m=1 instance under
@@ -33,6 +33,10 @@ _DENSE_LIMIT = 4096
 
 class SingularOperatorError(RuntimeError):
     pass
+
+
+class ParameterRangeError(ValueError):
+    """A mass parameter outside the window its mass mode allows."""
 
 
 @dataclass(frozen=True)
@@ -119,11 +123,11 @@ def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:
     curvature = estimate_curvature_norm(f)
     if mode == "cutoff":
         if not 0 < m < 2:
-            raise ValueError("parameter out of range: cutoff mode needs 0 < m < 2")
+            raise ParameterRangeError("parameter out of range: cutoff mode needs 0 < m < 2")
         mu = m
     elif mode == "constant":
         if m <= 0:
-            raise ValueError("parameter out of range: constant mode needs m > 0")
+            raise ParameterRangeError("parameter out of range: constant mode needs m > 0")
         if m ** 2 <= 4 * d ** 2 * curvature:
             warnings.warn(
                 "constant mass below the invertibility threshold "
@@ -315,14 +319,7 @@ def acm_invariant(t: UnitaryTuple, m: float) -> int:
         raise ValueError("even dimension required")
     if not 0 < m < 2:
         raise ValueError("mass must lie in (0, 2)")
-    cl = clifford_rep(t.d)
-    n = t.n
-    H = np.zeros((n * cl.dim_s, n * cl.dim_s), dtype=complex)
-    wterm = -t.d * np.eye(n, dtype=complex) + m * np.eye(n)
-    for j, U in enumerate(t.unitaries):
-        H += np.kron((U - U.conj().T) / 2, cl.generators[j])
-        wterm += (U + U.conj().T) / 2
-    H += np.kron(wterm, cl.grading)
+    H = wilson_matrix(t.unitaries, clifford_rep(t.d), m)
     inert = _inertia_auto(H)
     if inert.n_zero > 0:
         raise SingularOperatorError(

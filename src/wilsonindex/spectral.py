@@ -214,8 +214,9 @@ def min_abs_eigenvalue(H, method: str = "bisection") -> float:
             if resid > 1e-6 * max(scale, 1.0):
                 raise RuntimeError("unconverged")
             return abs(lam)
-        except Exception:
-            # singular or unconverged shift-invert: fall back to bisection
+        except (RuntimeError, spla.ArpackError):
+            # singular LU, ArpackNoConvergence or the residual check above:
+            # fall back to bisection; anything else (e.g. MemoryError) is raised
             return min_abs_eigenvalue(_as_dense(H), method="bisection")
     raise ValueError(f"unknown method {method!r}")
 

@@ -5,20 +5,23 @@ Everything is assembled in dimensionless form:
 
     H = sum_j (U_j - U_j*)/2 (x) c_j + [sum_j ((U_j + U_j*)/2 - 1) + mu] (x) gamma
 
-where U_j is the link-times-shift unitary of the gauge field.  H equals
+where U_j is the link-times-shift unitary of the gauge field
+(`gauge.link_shift`) or, for an almost-commuting tuple, the tuple's own
+unitaries; `wilson_matrix` builds it for both.  H equals
 a * (D_W + (mu/a) gamma), and positive scaling preserves inertia, so the
 cutoff-mass regime is mu = m and the constant-mass regime is mu = a*m.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .clifford import CliffordRep
-from .gauge import GaugeField
+from .gauge import GaugeField, link_shift
 
 
 @dataclass(frozen=True)
@@ -35,34 +38,24 @@ class WilsonOperator:
         return self.matrix.shape[0]
 
 
-def _shift_matrix(geom, j: int) -> sp.csr_matrix:
-    """Permutation matrix of the cyclic shift x -> x + e_j on sites."""
-    n = geom.n_sites
-    ej = np.eye(geom.d, dtype=int)[j]
-    rows = np.empty(n, dtype=int)
-    for site, coords in enumerate(geom.all_sites()):
-        rows[site] = geom.site_index(np.asarray(coords) + ej)
-    return sp.csr_matrix((np.ones(n), (rows, np.arange(n))), shape=(n, n))
-
-
-def _big_shift(f: GaugeField, j: int) -> sp.csr_matrix:
-    """Sparse link-times-shift unitary on sites (x) C^r."""
-    geom, r = f.geometry, f.rank
-    if r == 1:
-        shift = _shift_matrix(geom, j)
-        return shift.multiply(f.links[:, j, 0, 0][np.newaxis, :]).tocsr()
-    n = geom.n_sites
-    ej = np.eye(geom.d, dtype=int)[j]
-    rows, cols, vals = [], [], []
-    for site, coords in enumerate(geom.all_sites()):
-        tgt = geom.site_index(np.asarray(coords) + ej)
-        blk = f.links[site, j]
-        for a in range(r):
-            for b in range(r):
-                rows.append(tgt * r + a)
-                cols.append(site * r + b)
-                vals.append(blk[a, b])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n * r, n * r))
+def wilson_matrix(unitaries, cl: CliffordRep, mu: float):
+    """sum_j (U_j - U_j*)/2 (x) c_j + [sum_j ((U_j + U_j*)/2 - 1) + mu] (x) gamma
+    for a d-tuple of unitaries U_j: CSR if they are sparse, else dense."""
+    if sp.issparse(unitaries[0]):
+        kron = functools.partial(sp.kron, format="csr")
+        ident = sp.identity(unitaries[0].shape[0], dtype=complex, format="csr")
+    else:
+        kron, ident = np.kron, np.eye(unitaries[0].shape[0])
+    # += adds in place for dense H (one full-size temporary, not two);
+    # sparse matrices fall back to H = H + term
+    H = 0
+    wilson = -len(unitaries) * ident
+    for U, c in zip(unitaries, cl.generators):
+        Udag = U.conj().T
+        H += kron((U - Udag) * 0.5, c)
+        wilson = wilson + (U + Udag) * 0.5
+    H += kron(wilson + mu * ident, cl.grading)
+    return H
 
 
 def assemble(f: GaugeField, cl: CliffordRep, mu: float,
@@ -70,17 +63,8 @@ def assemble(f: GaugeField, cl: CliffordRep, mu: float,
     """Build the dimensionless massive hermitian Wilson-Dirac matrix."""
     if f.geometry.d != cl.d:
         raise ValueError("gauge field and Clifford representation dimension mismatch")
-    n_site = f.geometry.n_sites * f.rank
-    ident = sp.identity(n_site, dtype=complex, format="csr")
-    H = sp.csr_matrix((n_site * cl.dim_s, n_site * cl.dim_s), dtype=complex)
-    wilson = -f.geometry.d * ident
-    for j in range(f.geometry.d):
-        U = _big_shift(f, j)
-        Udag = U.conj().T.tocsr()
-        H = H + sp.kron((U - Udag) * 0.5, cl.generators[j], format="csr")
-        wilson = wilson + (U + Udag) * 0.5
-    H = H + sp.kron(wilson + mu * ident, cl.grading, format="csr")
-    return WilsonOperator(f.geometry, f.rank, cl, float(mu), mass_mode, H.tocsr())
+    H = wilson_matrix([link_shift(f, j) for j in range(cl.d)], cl, mu)
+    return WilsonOperator(f.geometry, f.rank, cl, float(mu), mass_mode, H)
 
 
 def matvec(H: WilsonOperator, v: np.ndarray) -> np.ndarray:

@@ -46,6 +46,14 @@ def test_usage_errors(capsys):
     assert run([]) == 1
 
 
+def test_index_reports_the_real_error(capsys):
+    # odd d fails in the Clifford module, not in the mass range check
+    assert run(["index", "--d", "3", "--N", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "even dimension required" in err
+    assert "out of range" not in err
+
+
 def test_gap_command(capsys):
     assert run(["gap", "--d", "2", "--m", "1", "--grid", "512"]) == 0
     assert capsys.readouterr().out.strip() == "1.000000"
@@ -117,8 +125,7 @@ def test_sweep_records_singular_rows(tmp_path):
     assert lines[2].endswith("singular")
 
 
-def test_sweep_thread_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("WILSON_THREADS", "1")
+def test_sweep_N_variable(tmp_path):
     out = tmp_path / "t.csv"
     rc = run(["sweep", "--d", "2", "--N", "8", "--flux", "1,2=1",
               "--sweep", "N=4,8", "--out", str(out)])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ from wilsonindex import (
     trivial_field,
     wilson_loop,
 )
-from wilsonindex.gauge import shift_unitaries
+from wilsonindex.gauge import link_shift, shift_unitaries
 
 
 def test_geometry_rejects_coarse_lattice():
@@ -158,3 +159,57 @@ def test_constant_flux_plaquette_property(k, x, y):
     f = constant_flux_field(make_geometry(2, N), FluxMatrix.from_entries(2, [(1, 2, k)]))
     p = plaquette(f, (x, y), 0, 1)[0, 0]
     assert abs(p - np.exp(2j * np.pi * k / N ** 2)) < 1e-12
+
+
+def _random_unitaries(n, r, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, r, r))
+                        + 1j * rng.standard_normal((n, r, r)))
+    return q
+
+
+def _non_abelian_field(d, N, seed=3):
+    g = make_geometry(d, N)
+    K1 = FluxMatrix.from_entries(d, [(1, 2, 1)])
+    K2 = FluxMatrix.from_entries(d, [(1, 2, 2)])
+    f = direct_sum_field(constant_flux_field(g, K1), constant_flux_field(g, K2))
+    return perturb_field(f, 0.05, seed=seed)
+
+
+def test_plaquette_and_curvature_gauge_covariant_non_abelian():
+    f = _non_abelian_field(2, 6)
+    g = _random_unitaries(f.geometry.n_sites, 2, seed=11)
+    ft = gauge_transform(f, g)
+    assert abs(estimate_curvature_norm(ft) - estimate_curvature_norm(f)) < 1e-9
+    for site, coords in enumerate(f.geometry.all_sites()):
+        want = g[site] @ plaquette(f, coords, 0, 1) @ g[site].conj().T
+        assert np.max(np.abs(plaquette(ft, coords, 0, 1) - want)) < 1e-12
+
+
+def test_link_shift_matches_site_loop():
+    # (U_j psi)(x + e_j) = U_j(x) psi(x), written out site by site
+    f = _non_abelian_field(3, 3)
+    geom, r = f.geometry, f.rank
+    n = geom.n_sites
+    dense = shift_unitaries(f)
+    for j in range(3):
+        want = np.zeros((n * r, n * r), dtype=complex)
+        for x, coords in enumerate(geom.all_sites()):
+            y = geom.site_index(np.asarray(coords) + np.eye(3, dtype=int)[j])
+            want[y * r:(y + 1) * r, x * r:(x + 1) * r] = f.links[x, j]
+        assert np.array_equal(link_shift(f, j).toarray(), want)
+        assert np.array_equal(dense[j], want)
+
+
+def test_perturb_field_matches_per_link_expm():
+    # one (r, r) real then one (r, r) imaginary draw per (site, direction)
+    f = _non_abelian_field(2, 4, seed=0)
+    got = perturb_field(f, 0.1, seed=9)
+    rng = np.random.default_rng(9)
+    for site in range(f.geometry.n_sites):
+        for j in range(2):
+            raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            herm = (raw + raw.conj().T) / 2
+            herm *= 0.1 / np.linalg.norm(herm, 2)
+            want = f.links[site, j] @ expm(1j * herm)
+            assert np.max(np.abs(got.links[site, j] - want)) < 1e-12

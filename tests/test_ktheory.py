@@ -231,6 +231,12 @@ def test_clock_shift_invariant_matches_independent_oracle(n):
 def test_tuple_form_matches_lattice_form():
     f = constant_flux_field(make_geometry(2, 4), _flux2(1))
     assert acm_invariant(gauge_tuple(f), 1.0) == lattice_index(f, 1.0).invariant
+    # non-abelian: the dense tuple path against the sparse lattice path
+    g = make_geometry(2, 6)
+    f = perturb_field(direct_sum_field(constant_flux_field(g, _flux2(1)),
+                                       constant_flux_field(g, _flux2(2))), 0.05, seed=3)
+    assert lattice_index(f, 1.0).invariant == 3
+    assert acm_invariant(gauge_tuple(f), 1.0) == 3
 
 
 def test_commuting_tuple_has_zero_invariant():

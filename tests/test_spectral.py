@@ -126,6 +126,27 @@ def test_iterative_gap_agrees_with_bisection():
         min_abs_eigenvalue(H, method="nope")
 
 
+def test_iterative_gap_falls_back_only_on_arpack_failures(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    f = constant_flux_field(make_geometry(2, 6), FluxMatrix.from_entries(2, [(1, 2, 1)]))
+    H = assemble(f, clifford_rep(2), 1.0).matrix
+    want = min_abs_eigenvalue(H, method="bisection")
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    assert min_abs_eigenvalue(H, method="iterative") == want
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(spla, "eigsh", out_of_memory)
+    with pytest.raises(MemoryError):
+        min_abs_eigenvalue(H, method="iterative")
+
+
 def test_momentum_oracle_requires_trivial_field():
     f = constant_flux_field(make_geometry(2, 4), FluxMatrix.from_entries(2, [(1, 2, 1)]))
     with pytest.raises(ValueError, match="translation invariance"):
