@@ -129,7 +129,7 @@ def cmd_index(args) -> int:
         return EXIT_USAGE
     print(f"I = {r.invariant}")
     print(f"inertia: n+ = {r.inertia.n_plus}, n- = {r.inertia.n_minus}, "
-          f"n0 = {r.inertia.n_zero}")
+          f"n0 = {r.inertia.n_zero} ({r.inertia.method})")
     print(f"gap = {r.inertia.gap:.6e}")
     print(f"curvature estimate = {r.curvature_estimate:.6e}")
     if r.continuum_index is not None:

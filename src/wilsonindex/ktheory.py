@@ -18,7 +18,7 @@ from .spectral import (
     Inertia,
     half_signature,
     inertia,
-    inertia_bunch_kaufman,
+    inertia_ldl,
     min_abs_eigenvalue,
 )
 from .wilson import assemble, symbol_gap_function, wilson_matrix
@@ -108,7 +108,7 @@ def _pfaffian(K: np.ndarray, idx) -> int:
 def _inertia_auto(H, tol=None) -> Inertia:
     if H.shape[0] <= _DENSE_LIMIT:
         return inertia(H, tol)
-    return inertia_bunch_kaufman(H, tol)
+    return inertia_ldl(H, tol)
 
 
 def _continuum_from_sectors(sectors) -> int:

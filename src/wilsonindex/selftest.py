@@ -31,7 +31,12 @@ from .ktheory import (
     symbol_degree,
     verify_gap_bound,
 )
-from .spectral import fourier_diagonalize, inertia, inertia_bunch_kaufman
+from .spectral import (
+    fourier_diagonalize,
+    inertia,
+    inertia_bunch_kaufman,
+    inertia_ldl,
+)
 from .wilson import assemble, symbol_gap
 
 
@@ -153,6 +158,11 @@ def run_selftest(csv_path=None, verbose: bool = True) -> bool:
     A = A + A.conj().T
     i1, i2 = inertia(A), inertia_bunch_kaufman(A)
     ok = ok and (i1.n_plus, i1.n_minus) == (i2.n_plus, i2.n_minus)
+    H = assemble(constant_flux_field(make_geometry(2, 6), _flux2(1)),
+                 clifford_rep(2), 1.0).matrix
+    i1, i3 = inertia(H), inertia_ldl(H)
+    ok = ok and i3.method.startswith("ldl") and (i1.n_plus, i1.n_minus) \
+        == (i3.n_plus, i3.n_minus)
     f = constant_flux_field(make_geometry(2, 4), _flux2(1))
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, f.geometry.n_sites))
     g = gauge_transform(f, phases.reshape(-1, 1, 1))

@@ -1,20 +1,24 @@
 """Exact inertia of Hermitian matrices and supporting spectral routines.
 
-Two independent algorithms are provided:
+Three algorithms are provided:
 
 * dense path (reference): Householder tridiagonalization followed by
   Sturm-sequence counting, which yields exact eigenvalue-sign counts
   without computing any eigenvalue;
-* factorization path (performance): Bunch-Kaufman symmetric-indefinite
-  triangular factorization with diagonal pivoting, inertia read off the
-  1x1/2x2 pivot blocks (Sylvester's law of inertia).
+* sparse path (performance): one sparse LDL* factorization (SuperLU with
+  a symmetric minimum-degree ordering and no off-diagonal pivoting),
+  inertia read off the pivots (Sylvester's law of inertia) and the gap
+  found by shift-invert Arnoldi on the same factor;
+* Bunch-Kaufman symmetric-indefinite LDL* with diagonal pivoting on the
+  dense matrix, inertia read off the 1x1/2x2 pivot blocks: the fallback
+  when the sparse factor is rejected, and a second reference.
 
-The two must agree wherever both run.
+They must agree wherever they run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +27,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 _TINY = np.finfo(float).tiny
+# copies of an n x n complex matrix the dense paths may hold at once
+_DENSE_COPIES = 3
+
+
+class ResourceError(MemoryError):
+    """A dense copy of the operator would not fit in available memory."""
 
 
 @dataclass(frozen=True)
@@ -30,7 +40,8 @@ class Inertia:
     """Counts of positive / negative / zero eigenvalues.
 
     gap is the smallest |eigenvalue| (0 if singular up to tol); tol is the
-    zero-classification threshold that was used.
+    zero-classification threshold that was used; method names the
+    algorithm that produced the counts, any fallback taken and why.
     """
 
     n_plus: int
@@ -38,6 +49,7 @@ class Inertia:
     n_zero: int
     gap: float
     tol: float
+    method: str = ""
 
     @property
     def dim(self) -> int:
@@ -52,22 +64,49 @@ def half_signature(i: Inertia):
     return int(v) if v.denominator == 1 else v
 
 
+def _available_memory() -> int | None:
+    """Bytes the kernel reports as MemAvailable, None where it is unknown."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 def _as_dense(H) -> np.ndarray:
-    if sp.issparse(H):
-        return H.toarray()
-    return np.asarray(H, dtype=complex)
+    n = np.shape(H)[0]
+    need = _DENSE_COPIES * n * n * 16
+    avail = _available_memory()
+    if avail is not None and need > avail:
+        raise ResourceError(
+            f"dense dim-{n} operator needs {need / 2 ** 30:.2f} GiB "
+            f"({_DENSE_COPIES} copies), {avail / 2 ** 30:.2f} GiB available")
+    return np.asarray(H.toarray() if sp.issparse(H) else H, dtype=complex)
 
 
-def _check_hermitian(H, htol: float = 1e-10) -> np.ndarray:
-    A = _as_dense(H)
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
-    if np.max(np.abs(A - A.conj().T)) > htol * scale:
+def _absmax(A) -> float:
+    if sp.issparse(A):
+        return float(abs(A).max()) if A.nnz else 0.0
+    return float(np.max(np.abs(A))) if A.size else 0.0
+
+
+def _check_hermitian(A, htol: float = 1e-10) -> None:
+    """Raise unless A = A* to htol * max(1, max |A_ij|); sparse A stays sparse."""
+    if _absmax(A - A.conj().T) > htol * max(1.0, _absmax(A)):
         raise ValueError("input matrix is not Hermitian")
+
+
+def _dense_hermitian(H) -> np.ndarray:
+    A = _as_dense(H)
+    _check_hermitian(A)
     return A
 
 
-def _default_tol(A: np.ndarray) -> float:
-    norm_inf = float(np.max(np.sum(np.abs(A), axis=1))) if A.size else 1.0
+def _default_tol(A) -> float:
+    norm_inf = float(abs(A).sum(axis=1).max()) if A.shape[0] else 1.0
     return 1e-8 * max(norm_inf, 1.0)
 
 
@@ -128,7 +167,7 @@ def _sturm_gap(d: np.ndarray, e: np.ndarray, tol: float) -> float:
 
 def inertia(H, tol: float | None = None) -> Inertia:
     """Reference dense inertia: tridiagonalize, then Sturm counts at +-tol."""
-    A = _check_hermitian(H)
+    A = _dense_hermitian(H)
     n = A.shape[0]
     if tol is None:
         tol = _default_tol(A)
@@ -141,7 +180,7 @@ def inertia(H, tol: float | None = None) -> Inertia:
     n_zero = n_below_plus - n_below_minus
     n_plus = n - n_below_plus
     gap = 0.0 if n_zero > 0 else _sturm_gap(d, e, tol)
-    return Inertia(n_plus, n_minus, n_zero, gap, tol)
+    return Inertia(n_plus, n_minus, n_zero, gap, tol, "sturm")
 
 
 def _pivot_eigs(D: np.ndarray):
@@ -169,10 +208,10 @@ def inertia_bunch_kaufman(H, tol: float | None = None,
     """Inertia via Bunch-Kaufman LDL* with diagonal pivoting.
 
     Sylvester's law: inertia(H) = inertia(D).  The gap, when requested,
-    comes from shift-invert iteration on the sparse matrix (falls back to
-    the dense Sturm bisection on failure).
+    comes from shift-invert iteration on the sparse LDL* factor (falls
+    back to the dense Sturm bisection on failure).
     """
-    A = _check_hermitian(H)
+    A = _dense_hermitian(H)
     n = A.shape[0]
     if tol is None:
         tol = _default_tol(A)
@@ -181,43 +220,132 @@ def inertia_bunch_kaufman(H, tol: float | None = None,
     n_plus = int(np.sum(eigs > tol))
     n_minus = int(np.sum(eigs < -tol))
     n_zero = n - n_plus - n_minus
-    gap = 0.0
+    gap, note = 0.0, ""
     if n_zero == 0 and compute_gap:
-        gap = min_abs_eigenvalue(H, method="iterative")
-    return Inertia(n_plus, n_minus, n_zero, gap, tol)
+        gap, note = _factored_gap(_sparse(A))
+    return Inertia(n_plus, n_minus, n_zero, gap, tol, "bunch-kaufman" + note)
+
+
+def _sparse(H) -> sp.csc_matrix:
+    return sp.csc_matrix(H, dtype=complex)
+
+
+def _ldl(M: sp.csc_matrix, tol: float):
+    """Pivot-free sparse LDL* of Hermitian M: (factor, real pivots, "") if
+    the factor is accepted, (None, None, reason) if not.
+
+    SuperLU factors P M P^T = L U under a symmetric minimum-degree
+    ordering; without off-diagonal pivoting U = D L*, so by Sylvester's
+    law the pivots diag U carry the signs of the eigenvalues of M.  That
+    holds only if the row and column permutations agree and the pivots are
+    real; small pivots and a bad solve residual mean the factor is too
+    unstable to trust.
+    """
+    try:
+        lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:  # exactly singular pivot
+        return None, None, f"factorization failed: {exc}"
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None, None, "row pivoting made the permutation non-symmetric"
+    piv = lu.U.diagonal()
+    scale = max(1.0, _absmax(M))
+    im = float(np.max(np.abs(piv.imag)))
+    if im > 1e-8 * scale:
+        return None, None, f"complex pivot (|Im| = {im:.1e})"
+    piv = piv.real
+    small = float(np.min(np.abs(piv)))
+    if small <= tol:
+        return None, None, f"pivot {small:.1e} within tol {tol:.1e}"
+    # fixed seed: the probe, and so the accept decision, is reproducible
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
+    y = lu.solve(b)
+    resid = float(np.linalg.norm(M @ y - b))
+    if resid > tol * float(np.linalg.norm(y)):
+        return None, None, f"probe residual {resid:.1e}"
+    return lu, piv, ""
+
+
+def _shift_invert_gap(M: sp.csc_matrix, solve) -> tuple[float, str]:
+    """Smallest |eigenvalue| of Hermitian M by shift-invert Arnoldi at 0,
+    where solve(b) = M^-1 b.  Returns (gap, note); the note is empty, or
+    names why the gap came from the dense Sturm bisection instead."""
+    if M.shape[0] < 64:
+        return min_abs_eigenvalue(M, method="bisection"), ""
+    try:
+        # k=2: the spectrum near 0 is typically a symmetric +-lambda
+        # pair, which shift-invert ARPACK cannot separate with k=1
+        # modest maxiter: the assembled operators have dense spectrum
+        # at the gap edge, where ARPACK stalls; fall back quickly
+        op = spla.LinearOperator(M.shape, matvec=solve, dtype=M.dtype)
+        vals, vecs = spla.eigsh(M, k=2, sigma=0.0, which="LM", OPinv=op,
+                                maxiter=300)
+        i = int(np.argmin(np.abs(vals)))
+        lam = float(vals[i])
+        resid = float(np.linalg.norm(M @ vecs[:, i] - lam * vecs[:, i]))
+        if resid > 1e-6 * max(_absmax(M), 1.0):
+            raise RuntimeError(f"unconverged (residual {resid:.1e})")
+        return abs(lam), ""
+    except (RuntimeError, spla.ArpackError) as exc:
+        # ArpackNoConvergence or the residual check above: fall back to
+        # bisection; anything else (e.g. MemoryError) is raised
+        return (min_abs_eigenvalue(M, method="bisection"),
+                f"; gap by bisection: {exc}")
+
+
+def _factored_gap(M: sp.csc_matrix) -> tuple[float, str]:
+    """Gap of Hermitian M by shift-invert on its sparse LDL* factor."""
+    lu, _, reason = _ldl(M, _default_tol(M))
+    if lu is None:
+        return (min_abs_eigenvalue(M, method="bisection"),
+                f"; gap by bisection: ldl rejected: {reason}")
+    return _shift_invert_gap(M, lu.solve)
+
+
+def inertia_ldl(H, tol: float | None = None) -> Inertia:
+    """Inertia and gap of a sparse Hermitian matrix from one sparse LDL*
+    factorization, without a dense copy.
+
+    The counts are the signs of the pivots (see `_ldl`) and the gap comes
+    from shift-invert Arnoldi on the same factor.  Every accepted pivot
+    exceeds tol in modulus, so n_zero is 0.  If the factor is rejected,
+    the result is the dense `inertia_bunch_kaufman` with the gap by Sturm
+    bisection, and method records the reason.
+    """
+    M = _sparse(H)
+    _check_hermitian(M)
+    if tol is None:
+        tol = _default_tol(M)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    lu, piv, reason = _ldl(M, tol)
+    if lu is None:
+        bk = inertia_bunch_kaufman(H, tol, compute_gap=False)
+        gap = 0.0 if bk.n_zero else min_abs_eigenvalue(H, method="bisection")
+        return replace(bk, gap=gap,
+                       method=f"bunch-kaufman (ldl rejected: {reason})")
+    n_plus = int(np.sum(piv > 0))
+    gap, note = _shift_invert_gap(M, lu.solve)
+    return Inertia(n_plus, len(piv) - n_plus, 0, gap, tol, "ldl" + note)
 
 
 def min_abs_eigenvalue(H, method: str = "bisection") -> float:
-    """Smallest |eigenvalue| of a Hermitian matrix, relative accuracy 1e-6."""
+    """Smallest |eigenvalue| of a Hermitian matrix, relative accuracy 1e-6.
+
+    "bisection": Sturm counts on the dense tridiagonal form.
+    "iterative": shift-invert Arnoldi on the sparse LDL* factor, with
+    bisection as the fallback.
+    """
     if method == "bisection":
-        A = _check_hermitian(H)
+        A = _dense_hermitian(H)
         d, e = _tridiagonalize(A)
         tol = _default_tol(A)
         g = _sturm_gap(d, e, tol)
         # _sturm_gap returns 'hi' of the bracket; below tol means zero mode
         return 0.0 if g <= tol else g
     if method == "iterative":
-        M = H if sp.issparse(H) else sp.csr_matrix(_as_dense(H))
-        if M.shape[0] < 64:
-            return min_abs_eigenvalue(_as_dense(M), method="bisection")
-        try:
-            # k=2: the spectrum near 0 is typically a symmetric +-lambda
-            # pair, which shift-invert ARPACK cannot separate with k=1
-            # modest maxiter: the assembled operators have dense spectrum
-            # at the gap edge, where ARPACK stalls; fall back quickly
-            vals, vecs = spla.eigsh(M.tocsc(), k=2, sigma=0.0, which="LM",
-                                    maxiter=300)
-            i = int(np.argmin(np.abs(vals)))
-            lam = float(vals[i])
-            resid = float(np.linalg.norm(M @ vecs[:, i] - lam * vecs[:, i]))
-            scale = float(abs(M).max())
-            if resid > 1e-6 * max(scale, 1.0):
-                raise RuntimeError("unconverged")
-            return abs(lam)
-        except (RuntimeError, spla.ArpackError):
-            # singular LU, ArpackNoConvergence or the residual check above:
-            # fall back to bisection; anything else (e.g. MemoryError) is raised
-            return min_abs_eigenvalue(_as_dense(H), method="bisection")
+        return _factored_gap(_sparse(H))[0]
     raise ValueError(f"unknown method {method!r}")
 
 

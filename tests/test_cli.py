@@ -18,6 +18,7 @@ def test_index_trivial(capsys):
     assert run(["index", "--d", "2", "--N", "8", "--m", "1.0"]) == 0
     out = capsys.readouterr().out
     assert "I = 0" in out
+    assert "n0 = 0 (sturm)" in out
 
 
 def test_index_flux_with_csv(tmp_path, capsys):

@@ -21,6 +21,7 @@ from wilsonindex import (
     make_geometry,
     mass_mode_equivalence,
     perturb_field,
+    spectral,
     symbol_degree,
     tensor_field,
     trivial_field,
@@ -96,6 +97,18 @@ def test_index_is_half_signature_identity():
     f = constant_flux_field(make_geometry(2, 6), _flux2(2))
     r = lattice_index(f, 1.0)
     assert r.invariant == r.inertia.n_plus - r.inertia.dim // 2
+
+
+def test_large_index_never_densifies(monkeypatch):
+    # dim 5184 > _DENSE_LIMIT: one sparse LDL* factor gives inertia and gap
+    def no_dense(H):
+        raise AssertionError(f"dense copy of a dim-{H.shape[0]} operator")
+
+    monkeypatch.setattr(spectral, "_as_dense", no_dense)
+    K = FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 2)])
+    r = lattice_index(constant_flux_field(make_geometry(4, 6), K), 1.0)
+    assert r.invariant == 2 and r.agrees
+    assert r.inertia.method == "ldl"
 
 
 def test_index_gauge_covariant():

@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wilsonindex import (
     FluxMatrix,
+    ResourceError,
     assemble,
     clifford_rep,
     constant_flux_field,
+    direct_sum_field,
     half_signature,
     inertia,
     inertia_bunch_kaufman,
+    inertia_ldl,
     make_geometry,
     min_abs_eigenvalue,
+    perturb_field,
+    spectral,
     trivial_field,
 )
 from wilsonindex.spectral import Inertia, fourier_diagonalize
@@ -49,13 +55,57 @@ def test_dense_and_factorization_paths_agree(seed):
     assert (i1.n_plus, i1.n_minus, i1.n_zero) == (i2.n_plus, i2.n_minus, i2.n_zero)
 
 
-@pytest.mark.parametrize("N", [3, 4])
-def test_paths_agree_on_assembled_operators(N):
-    f = constant_flux_field(make_geometry(2, N), FluxMatrix.from_entries(2, [(1, 2, 1)]))
-    H = assemble(f, clifford_rep(2), 1.0).matrix
-    i1, i2 = inertia(H), inertia_bunch_kaufman(H)
-    assert (i1.n_plus, i1.n_minus, i1.n_zero) == (i2.n_plus, i2.n_minus, i2.n_zero)
+def _flux_field(d, N, entries):
+    return constant_flux_field(make_geometry(d, N), FluxMatrix.from_entries(d, entries))
+
+
+@pytest.mark.parametrize("field", [
+    pytest.param(lambda: _flux_field(2, 3, [(1, 2, 1)]), id="3"),
+    # an exactly zero pivot: the sparse factor is rejected, Bunch-Kaufman runs
+    pytest.param(lambda: _flux_field(2, 4, [(1, 2, 1)]), id="4"),
+    pytest.param(lambda: trivial_field(make_geometry(2, 6)), id="d2-N6-trivial"),
+    pytest.param(lambda: perturb_field(direct_sum_field(
+        _flux_field(2, 6, [(1, 2, 1)]), _flux_field(2, 6, [(1, 2, -2)])), 0.05, seed=3),
+        id="d2-N6-rank2-perturbed"),
+    # the criterion-2 fields at N=4
+    *(pytest.param(lambda k=k: _flux_field(4, 4, [(1, 2, k[0]), (3, 4, k[1])]),
+                   id=f"d4-N4-K{k[0]},{k[1]}") for k in ((1, 1), (1, 2), (2, -1))),
+])
+def test_paths_agree_on_assembled_operators(field):
+    f = field()
+    H = assemble(f, clifford_rep(f.geometry.d), 1.0).matrix
+    i1, i2, i3 = inertia(H), inertia_bunch_kaufman(H), inertia_ldl(H)
+    counts = (i1.n_plus, i1.n_minus, i1.n_zero)
+    assert (i2.n_plus, i2.n_minus, i2.n_zero) == counts
+    assert (i3.n_plus, i3.n_minus, i3.n_zero) == counts
     assert abs(i1.gap - i2.gap) < 1e-5 * max(i1.gap, 1e-12)
+    assert abs(i1.gap - i3.gap) < 1e-6 * max(i1.gap, 1e-12)
+    assert i1.method == "sturm" and i2.method.startswith("bunch-kaufman")
+    assert i3.method == "ldl" or f.geometry.N == 4
+
+
+def test_ldl_rejects_a_row_pivoted_factor():
+    # SuperLU swaps rows at the zero pivot, so P A P^T = L D L* no longer holds
+    i = inertia_ldl(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    assert (i.n_plus, i.n_minus, i.n_zero) == (1, 1, 0)
+    assert abs(i.gap - 1.0) < 1e-6
+    assert i.method == ("bunch-kaufman (ldl rejected: row pivoting made the "
+                        "permutation non-symmetric)")
+
+
+def test_dense_paths_refuse_what_does_not_fit(monkeypatch):
+    f = _flux_field(2, 6, [(1, 2, 1)])
+    H = assemble(f, clifford_rep(2), 1.0).matrix
+    want = inertia(H)
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 3 * 72 * 72 * 16 - 1)
+    with pytest.raises(ResourceError, match="dim-72"):
+        inertia(H)
+    with pytest.raises(ResourceError):
+        min_abs_eigenvalue(H)
+    i = inertia_ldl(H)
+    assert (i.n_plus, i.n_minus, i.n_zero, i.method) \
+        == (want.n_plus, want.n_minus, want.n_zero, "ldl")
+    assert abs(i.gap - want.gap) < 1e-6 * want.gap
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -104,6 +154,14 @@ def test_non_hermitian_rejected():
         inertia(A)
     with pytest.raises(ValueError, match="not Hermitian"):
         inertia_bunch_kaufman(A)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        inertia_ldl(sp.csr_matrix(A))
+    # real pivots and dim >= 64: the factor is accepted and the gap needs no
+    # dense copy, so only the sparse check can reject it
+    B = sp.diags(np.where(np.arange(64) % 2, 1.0, -2.0)).tolil()
+    B[0, 5] = 0.5
+    with pytest.raises(ValueError, match="not Hermitian"):
+        inertia_ldl(B.tocsr())
 
 
 def test_gap_matches_smallest_abs_eigenvalue():
@@ -138,6 +196,9 @@ def test_iterative_gap_falls_back_only_on_arpack_failures(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", no_convergence)
     assert min_abs_eigenvalue(H, method="iterative") == want
+    i = inertia_ldl(H)
+    assert i.gap == want
+    assert i.method == "ldl; gap by bisection: ARPACK error -1: no convergence"
 
     def out_of_memory(*args, **kwargs):
         raise MemoryError
@@ -145,6 +206,8 @@ def test_iterative_gap_falls_back_only_on_arpack_failures(monkeypatch):
     monkeypatch.setattr(spla, "eigsh", out_of_memory)
     with pytest.raises(MemoryError):
         min_abs_eigenvalue(H, method="iterative")
+    with pytest.raises(MemoryError):
+        inertia_ldl(H)
 
 
 def test_momentum_oracle_requires_trivial_field():
