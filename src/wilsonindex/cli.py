@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Subcommands: index, gap, degree, acm, sweep, verify-bound, selftest.
-Exit codes: 0 ok, 1 usage error, 2 singular operator, 3 selftest failure.
+Exit codes: 0 ok, 1 usage error, 2 singular operator, 3 selftest failure,
+4 out of memory for a dense copy (ResourceError).
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ from .ktheory import (
     symbol_degree,
     verify_gap_bound,
 )
+from .spectral import ResourceError
 from .wilson import symbol_gap
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SINGULAR = 2
 EXIT_SELFTEST = 3
+EXIT_RESOURCE = 4
 
 CSV_HEADER = "d,N,flux,m,mode,I,gap,curvature,continuum,agrees,status"
 
@@ -52,6 +55,7 @@ def _parse_flux_entries(d: int, entries) -> FluxMatrix:
             j, l = (int(p) for p in pos.split(","))
             triples.append((j, l, int(val)))
         except ValueError:
+            print(f"error: bad flux entry {item!r}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
         if not 1 <= j < l <= d:
             print(f"error: flux plane {pos} out of range", file=sys.stderr)
@@ -292,6 +296,9 @@ def main(argv=None) -> int:
         print("singular operator: decrease a (increase N) or adjust m",
               file=sys.stderr)
         return EXIT_SINGULAR
+    except ResourceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

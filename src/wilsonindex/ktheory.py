@@ -14,21 +14,13 @@ import scipy.sparse as sp
 
 from .clifford import CliffordRep, clifford_rep
 from .gauge import FluxMatrix, GaugeField, estimate_curvature_norm, shift_unitaries
-from .spectral import (
-    Inertia,
-    half_signature,
-    inertia,
-    inertia_ldl,
-    min_abs_eigenvalue,
-)
+from .spectral import Inertia, half_signature, inertia, min_abs_eigenvalue
 from .wilson import assemble, symbol_gap_function, wilson_matrix
 
 # Global orientation sign relating the lattice invariant to the Pfaffian
 # index, calibrated once from the d=2, N=16, K_12=1, m=1 instance under
 # the fixed Clifford basis of clifford_rep().  Never adjusted afterwards.
 SIGMA = 1
-
-_DENSE_LIMIT = 4096
 
 
 class SingularOperatorError(RuntimeError):
@@ -105,12 +97,6 @@ def _pfaffian(K: np.ndarray, idx) -> int:
     return total
 
 
-def _inertia_auto(H, tol=None) -> Inertia:
-    if H.shape[0] <= _DENSE_LIMIT:
-        return inertia(H, tol)
-    return inertia_ldl(H, tol)
-
-
 def _continuum_from_sectors(sectors) -> int:
     return sum(continuum_index(K) for K in sectors)
 
@@ -136,7 +122,7 @@ def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:
     else:
         raise ValueError(f"unknown mass mode {mode!r}")
     op = assemble(f, cl, mu, mass_mode=mode)
-    inert = _inertia_auto(op.matrix)
+    inert = inertia(op.matrix)
     if inert.n_zero > 0:
         raise SingularOperatorError("singular operator: shrink a or change m")
     invariant = half_signature(inert)
@@ -292,8 +278,7 @@ def verify_gap_bound(f: GaugeField, cl: CliffordRep, m: float,
     n_site = f.geometry.n_sites * f.rank
     gamma_big = sp.kron(sp.identity(n_site, format="csr"), cl.grading, format="csr")
     A = (kappa * op.matrix + m * gamma_big).tocsr()
-    method = "bisection" if A.shape[0] <= _DENSE_LIMIT else "iterative"
-    lam = min_abs_eigenvalue(A, method=method)
+    lam = min_abs_eigenvalue(A)
     curvature = estimate_curvature_norm(f)
     # curvature error terms total 4 d^2 ||R|| a^2 kappa^2 <= 4 d^2 ||R||
     rhs = m ** 2 - 4 * d ** 2 * curvature * f.geometry.spacing ** 2 * kappa ** 2
@@ -320,7 +305,7 @@ def acm_invariant(t: UnitaryTuple, m: float) -> int:
     if not 0 < m < 2:
         raise ValueError("mass must lie in (0, 2)")
     H = wilson_matrix(t.unitaries, clifford_rep(t.d), m)
-    inert = _inertia_auto(H)
+    inert = inertia(H)
     if inert.n_zero > 0:
         raise SingularOperatorError(
             "invariant undefined at this (tuple, m); "

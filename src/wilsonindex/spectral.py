@@ -1,19 +1,20 @@
 """Exact inertia of Hermitian matrices and supporting spectral routines.
 
-Three algorithms are provided:
+`inertia` is the one entry point; it picks the path by dimension:
 
-* dense path (reference): Householder tridiagonalization followed by
-  Sturm-sequence counting, which yields exact eigenvalue-sign counts
-  without computing any eigenvalue;
-* sparse path (performance): one sparse LDL* factorization (SuperLU with
-  a symmetric minimum-degree ordering and no off-diagonal pivoting),
+* up to `_DENSE_LIMIT` (the oracle): Householder tridiagonalization
+  followed by Sturm-sequence counting, which yields exact eigenvalue-sign
+  counts and the gap by bisection without computing any eigenvalue;
+* above it (`inertia_ldl`): one sparse LDL* factorization (SuperLU with a
+  symmetric minimum-degree ordering and no off-diagonal pivoting),
   inertia read off the pivots (Sylvester's law of inertia) and the gap
-  found by shift-invert Arnoldi on the same factor;
-* Bunch-Kaufman symmetric-indefinite LDL* with diagonal pivoting on the
-  dense matrix, inertia read off the 1x1/2x2 pivot blocks: the fallback
-  when the sparse factor is rejected, and a second reference.
+  found by shift-invert Arnoldi on the same factor.  If the factor is
+  rejected or the gap does not converge, the dense oracle's result is
+  returned instead.
 
-They must agree wherever they run.
+`inertia_bunch_kaufman` (dense LDL* with diagonal pivoting) is a
+counts-only second reference that no production path calls.  The paths
+must agree wherever they run.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 _TINY = np.finfo(float).tiny
+# largest dimension `inertia` handles on the dense path
+_DENSE_LIMIT = 4096
 # copies of an n x n complex matrix the dense paths may hold at once
 _DENSE_COPIES = 3
 
@@ -39,9 +42,11 @@ class ResourceError(MemoryError):
 class Inertia:
     """Counts of positive / negative / zero eigenvalues.
 
-    gap is the smallest |eigenvalue| (0 if singular up to tol); tol is the
-    zero-classification threshold that was used; method names the
-    algorithm that produced the counts, any fallback taken and why.
+    gap is the smallest |eigenvalue| (0 if singular up to tol, nan from
+    the counts-only `inertia_bunch_kaufman`); tol is the
+    zero-classification threshold that was used; method names the path:
+    "sturm", "bunch-kaufman", "ldl", or "sturm (ldl rejected: <reason>)"
+    when the sparse factor or its gap was not accepted.
     """
 
     n_plus: int
@@ -97,12 +102,6 @@ def _check_hermitian(A, htol: float = 1e-10) -> None:
     """Raise unless A = A* to htol * max(1, max |A_ij|); sparse A stays sparse."""
     if _absmax(A - A.conj().T) > htol * max(1.0, _absmax(A)):
         raise ValueError("input matrix is not Hermitian")
-
-
-def _dense_hermitian(H) -> np.ndarray:
-    A = _as_dense(H)
-    _check_hermitian(A)
-    return A
 
 
 def _default_tol(A) -> float:
@@ -165,9 +164,10 @@ def _sturm_gap(d: np.ndarray, e: np.ndarray, tol: float) -> float:
     return hi
 
 
-def inertia(H, tol: float | None = None) -> Inertia:
-    """Reference dense inertia: tridiagonalize, then Sturm counts at +-tol."""
-    A = _dense_hermitian(H)
+def _sturm_inertia(H, tol: float | None = None) -> Inertia:
+    """Dense oracle: tridiagonalize, then Sturm counts at +-tol."""
+    A = _as_dense(H)
+    _check_hermitian(A)
     n = A.shape[0]
     if tol is None:
         tol = _default_tol(A)
@@ -181,6 +181,14 @@ def inertia(H, tol: float | None = None) -> Inertia:
     n_plus = n - n_below_plus
     gap = 0.0 if n_zero > 0 else _sturm_gap(d, e, tol)
     return Inertia(n_plus, n_minus, n_zero, gap, tol, "sturm")
+
+
+def inertia(H, tol: float | None = None) -> Inertia:
+    """Inertia and gap of a Hermitian matrix: the dense Sturm oracle up to
+    dimension `_DENSE_LIMIT`, one sparse LDL* factor (`inertia_ldl`) above."""
+    if np.shape(H)[0] > _DENSE_LIMIT:
+        return inertia_ldl(H, tol)
+    return _sturm_inertia(H, tol)
 
 
 def _pivot_eigs(D: np.ndarray):
@@ -203,15 +211,15 @@ def _pivot_eigs(D: np.ndarray):
     return np.array(out)
 
 
-def inertia_bunch_kaufman(H, tol: float | None = None,
-                          compute_gap: bool = True) -> Inertia:
-    """Inertia via Bunch-Kaufman LDL* with diagonal pivoting.
+def inertia_bunch_kaufman(H, tol: float | None = None) -> Inertia:
+    """Counts-only reference: inertia via dense Bunch-Kaufman LDL* with
+    diagonal pivoting, by Sylvester's law inertia(H) = inertia(D).
 
-    Sylvester's law: inertia(H) = inertia(D).  The gap, when requested,
-    comes from shift-invert iteration on the sparse LDL* factor (falls
-    back to the dense Sturm bisection on failure).
+    The gap is not computed (nan).  No production path calls this; it
+    cross-checks the other two paths.
     """
-    A = _dense_hermitian(H)
+    A = _as_dense(H)
+    _check_hermitian(A)
     n = A.shape[0]
     if tol is None:
         tol = _default_tol(A)
@@ -220,19 +228,12 @@ def inertia_bunch_kaufman(H, tol: float | None = None,
     n_plus = int(np.sum(eigs > tol))
     n_minus = int(np.sum(eigs < -tol))
     n_zero = n - n_plus - n_minus
-    gap, note = 0.0, ""
-    if n_zero == 0 and compute_gap:
-        gap, note = _factored_gap(_sparse(A))
-    return Inertia(n_plus, n_minus, n_zero, gap, tol, "bunch-kaufman" + note)
-
-
-def _sparse(H) -> sp.csc_matrix:
-    return sp.csc_matrix(H, dtype=complex)
+    return Inertia(n_plus, n_minus, n_zero, float("nan"), tol, "bunch-kaufman")
 
 
 def _ldl(M: sp.csc_matrix, tol: float):
-    """Pivot-free sparse LDL* of Hermitian M: (factor, real pivots, "") if
-    the factor is accepted, (None, None, reason) if not.
+    """Pivot-free sparse LDL* of Hermitian M: (factor, real pivots), or
+    RuntimeError naming why the factor is rejected.
 
     SuperLU factors P M P^T = L U under a symmetric minimum-degree
     ordering; without off-diagonal pivoting U = D L*, so by Sylvester's
@@ -245,62 +246,45 @@ def _ldl(M: sp.csc_matrix, tol: float):
         lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:  # exactly singular pivot
-        return None, None, f"factorization failed: {exc}"
+        raise RuntimeError(f"factorization failed: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None, None, "row pivoting made the permutation non-symmetric"
+        raise RuntimeError("row pivoting made the permutation non-symmetric")
     piv = lu.U.diagonal()
     scale = max(1.0, _absmax(M))
     im = float(np.max(np.abs(piv.imag)))
     if im > 1e-8 * scale:
-        return None, None, f"complex pivot (|Im| = {im:.1e})"
+        raise RuntimeError(f"complex pivot (|Im| = {im:.1e})")
     piv = piv.real
     small = float(np.min(np.abs(piv)))
     if small <= tol:
-        return None, None, f"pivot {small:.1e} within tol {tol:.1e}"
+        raise RuntimeError(f"pivot {small:.1e} within tol {tol:.1e}")
     # fixed seed: the probe, and so the accept decision, is reproducible
     rng = np.random.default_rng(0)
     b = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
     y = lu.solve(b)
     resid = float(np.linalg.norm(M @ y - b))
     if resid > tol * float(np.linalg.norm(y)):
-        return None, None, f"probe residual {resid:.1e}"
-    return lu, piv, ""
+        raise RuntimeError(f"probe residual {resid:.1e}")
+    return lu, piv
 
 
-def _shift_invert_gap(M: sp.csc_matrix, solve) -> tuple[float, str]:
+def _shift_invert_gap(M: sp.csc_matrix, solve) -> float:
     """Smallest |eigenvalue| of Hermitian M by shift-invert Arnoldi at 0,
-    where solve(b) = M^-1 b.  Returns (gap, note); the note is empty, or
-    names why the gap came from the dense Sturm bisection instead."""
-    if M.shape[0] < 64:
-        return min_abs_eigenvalue(M, method="bisection"), ""
-    try:
-        # k=2: the spectrum near 0 is typically a symmetric +-lambda
-        # pair, which shift-invert ARPACK cannot separate with k=1
-        # modest maxiter: the assembled operators have dense spectrum
-        # at the gap edge, where ARPACK stalls; fall back quickly
-        op = spla.LinearOperator(M.shape, matvec=solve, dtype=M.dtype)
-        vals, vecs = spla.eigsh(M, k=2, sigma=0.0, which="LM", OPinv=op,
-                                maxiter=300)
-        i = int(np.argmin(np.abs(vals)))
-        lam = float(vals[i])
-        resid = float(np.linalg.norm(M @ vecs[:, i] - lam * vecs[:, i]))
-        if resid > 1e-6 * max(_absmax(M), 1.0):
-            raise RuntimeError(f"unconverged (residual {resid:.1e})")
-        return abs(lam), ""
-    except (RuntimeError, spla.ArpackError) as exc:
-        # ArpackNoConvergence or the residual check above: fall back to
-        # bisection; anything else (e.g. MemoryError) is raised
-        return (min_abs_eigenvalue(M, method="bisection"),
-                f"; gap by bisection: {exc}")
-
-
-def _factored_gap(M: sp.csc_matrix) -> tuple[float, str]:
-    """Gap of Hermitian M by shift-invert on its sparse LDL* factor."""
-    lu, _, reason = _ldl(M, _default_tol(M))
-    if lu is None:
-        return (min_abs_eigenvalue(M, method="bisection"),
-                f"; gap by bisection: ldl rejected: {reason}")
-    return _shift_invert_gap(M, lu.solve)
+    where solve(b) = M^-1 b.  Raises RuntimeError (ArpackError is one) if
+    the iteration does not converge."""
+    # k=2: the spectrum near 0 is typically a symmetric +-lambda pair,
+    # which shift-invert ARPACK cannot separate with k=1
+    # modest maxiter: the assembled operators have dense spectrum at the
+    # gap edge, where ARPACK stalls; give up quickly
+    op = spla.LinearOperator(M.shape, matvec=solve, dtype=M.dtype)
+    vals, vecs = spla.eigsh(M, k=2, sigma=0.0, which="LM", OPinv=op,
+                            maxiter=300)
+    i = int(np.argmin(np.abs(vals)))
+    lam = float(vals[i])
+    resid = float(np.linalg.norm(M @ vecs[:, i] - lam * vecs[:, i]))
+    if resid > 1e-6 * max(_absmax(M), 1.0):
+        raise RuntimeError(f"unconverged gap (residual {resid:.1e})")
+    return abs(lam)
 
 
 def inertia_ldl(H, tol: float | None = None) -> Inertia:
@@ -308,45 +292,34 @@ def inertia_ldl(H, tol: float | None = None) -> Inertia:
     factorization, without a dense copy.
 
     The counts are the signs of the pivots (see `_ldl`) and the gap comes
-    from shift-invert Arnoldi on the same factor.  Every accepted pivot
-    exceeds tol in modulus, so n_zero is 0.  If the factor is rejected,
-    the result is the dense `inertia_bunch_kaufman` with the gap by Sturm
-    bisection, and method records the reason.
+    from shift-invert Arnoldi on the same factor (below dimension 64, from
+    the dense tridiagonal).  Every accepted pivot exceeds tol in modulus,
+    so n_zero is 0.  If the factor is rejected or the gap does not
+    converge, the result is the dense Sturm oracle's and method records
+    the reason.
     """
-    M = _sparse(H)
+    M = sp.csc_matrix(H, dtype=complex)
     _check_hermitian(M)
     if tol is None:
         tol = _default_tol(M)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lu, piv, reason = _ldl(M, tol)
-    if lu is None:
-        bk = inertia_bunch_kaufman(H, tol, compute_gap=False)
-        gap = 0.0 if bk.n_zero else min_abs_eigenvalue(H, method="bisection")
-        return replace(bk, gap=gap,
-                       method=f"bunch-kaufman (ldl rejected: {reason})")
+    try:
+        lu, piv = _ldl(M, tol)
+        gap = (_sturm_inertia(M, tol).gap if M.shape[0] < 64
+               else _shift_invert_gap(M, lu.solve))
+    except RuntimeError as exc:
+        # a rejected factor or an unconverged gap; MemoryError propagates
+        return replace(_sturm_inertia(M, tol),
+                       method=f"sturm (ldl rejected: {exc})")
     n_plus = int(np.sum(piv > 0))
-    gap, note = _shift_invert_gap(M, lu.solve)
-    return Inertia(n_plus, len(piv) - n_plus, 0, gap, tol, "ldl" + note)
+    return Inertia(n_plus, len(piv) - n_plus, 0, gap, tol, "ldl")
 
 
-def min_abs_eigenvalue(H, method: str = "bisection") -> float:
-    """Smallest |eigenvalue| of a Hermitian matrix, relative accuracy 1e-6.
-
-    "bisection": Sturm counts on the dense tridiagonal form.
-    "iterative": shift-invert Arnoldi on the sparse LDL* factor, with
-    bisection as the fallback.
-    """
-    if method == "bisection":
-        A = _dense_hermitian(H)
-        d, e = _tridiagonalize(A)
-        tol = _default_tol(A)
-        g = _sturm_gap(d, e, tol)
-        # _sturm_gap returns 'hi' of the bracket; below tol means zero mode
-        return 0.0 if g <= tol else g
-    if method == "iterative":
-        return _factored_gap(_sparse(H))[0]
-    raise ValueError(f"unknown method {method!r}")
+def min_abs_eigenvalue(H) -> float:
+    """Smallest |eigenvalue| of a Hermitian matrix, relative accuracy 1e-6:
+    the gap of `inertia(H)` (0 if H is singular up to the default tol)."""
+    return inertia(H).gap
 
 
 def fourier_diagonalize(f, cl, mu: float) -> np.ndarray:

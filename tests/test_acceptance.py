@@ -215,7 +215,7 @@ def test_criterion_9_invariant_suites():
         ok = ok and (ia.n_plus, ia.n_minus, ia.n_zero) \
             == (ic.n_plus, ic.n_minus, ic.n_zero)
         # dense vs factorization path agreement
-        ibk = wi.inertia_bunch_kaufman(A, compute_gap=False)
+        ibk = wi.inertia_bunch_kaufman(A)
         ok = ok and (ia.n_plus, ia.n_minus, ia.n_zero) \
             == (ibk.n_plus, ibk.n_minus, ibk.n_zero)
     # half-signature identity on assembled operators

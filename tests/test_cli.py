@@ -45,6 +45,19 @@ def test_usage_errors(capsys):
     assert run(["index", "--d", "2", "--flux", "1,3=1"]) == 1
     assert run(["sweep", "--sweep", "zzz"]) == 1
     assert run([]) == 1
+    capsys.readouterr()
+    assert run(["index", "--flux", "1,2=x"]) == 1
+    assert "error: bad flux entry '1,2=x'" in capsys.readouterr().err
+    assert run(["sweep", "--sweep", "flux:12=1,2"]) == 1
+    assert "error: bad flux entry '12=1'" in capsys.readouterr().err
+
+
+def test_resource_error_exit_code(monkeypatch, capsys):
+    from wilsonindex import spectral
+
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
+    assert run(["index", "--d", "2", "--N", "4"]) == cli.EXIT_RESOURCE == 4
+    assert "error: dense dim-32 operator needs" in capsys.readouterr().err
 
 
 def test_index_reports_the_real_error(capsys):

@@ -8,6 +8,7 @@ from wilsonindex import (
     SIGMA,
     SingularOperatorError,
     acm_invariant,
+    assemble,
     bott_index_tuple,
     clifford_rep,
     clock_shift,
@@ -20,6 +21,7 @@ from wilsonindex import (
     lattice_index,
     make_geometry,
     mass_mode_equivalence,
+    min_abs_eigenvalue,
     perturb_field,
     spectral,
     symbol_degree,
@@ -100,15 +102,19 @@ def test_index_is_half_signature_identity():
 
 
 def test_large_index_never_densifies(monkeypatch):
-    # dim 5184 > _DENSE_LIMIT: one sparse LDL* factor gives inertia and gap
+    # dim 5184 > spectral._DENSE_LIMIT: one sparse LDL* factor gives
+    # inertia and gap, for the index and for the gap alone
     def no_dense(H):
         raise AssertionError(f"dense copy of a dim-{H.shape[0]} operator")
 
     monkeypatch.setattr(spectral, "_as_dense", no_dense)
     K = FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 2)])
-    r = lattice_index(constant_flux_field(make_geometry(4, 6), K), 1.0)
+    f = constant_flux_field(make_geometry(4, 6), K)
+    r = lattice_index(f, 1.0)
     assert r.invariant == 2 and r.agrees
     assert r.inertia.method == "ldl"
+    gap = min_abs_eigenvalue(assemble(f, clifford_rep(4), 1.0).matrix)
+    assert abs(gap - r.inertia.gap) < 1e-6 * r.inertia.gap
 
 
 def test_index_gauge_covariant():
