@@ -160,59 +160,59 @@ def mass_mode_equivalence(f: GaugeField, m_cutoff: float, m_const: float) -> boo
 
 def _symbol_map(k: np.ndarray, mu: float):
     """F(k) = ((W + mu)/f, sin_1/f, ..., sin_d/f) and the Jacobian of its
-    sphere part with respect to k."""
-    d = len(k)
+    sphere part with respect to k, for n momenta k of shape (n, d):
+    F0 (n,), Fv (n, d) and J (n, d, d)."""
     s = np.sin(2 * np.pi * k)
     c = np.cos(2 * np.pi * k)
-    w = float(np.sum(c - 1.0) + mu)
-    f = float(np.sqrt(np.sum(s ** 2) + w ** 2))
+    w = np.sum(c - 1.0, axis=-1) + mu
+    f = np.sqrt(np.sum(s ** 2, axis=-1) + w ** 2)
     F0 = w / f
-    Fv = s / f
+    Fv = s / f[:, None]
     # df/dk_l = 2 pi s_l (c_l - w)/f
-    dfdk = 2 * np.pi * s * (c - w) / f
-    J = np.zeros((d, d))
-    for j in range(d):
-        for l in range(d):
-            J[j, l] = (-s[j] * dfdk[l]) / f ** 2
-            if j == l:
-                J[j, l] += 2 * np.pi * c[j] / f
+    dfdk = 2 * np.pi * s * (c - w[:, None]) / f[:, None]
+    J = (-s[:, :, None] * dfdk[:, None, :]) / (f ** 2)[:, None, None]
+    diag = np.arange(k.shape[1])
+    J[:, diag, diag] += 2 * np.pi * c / f[:, None]
     return F0, Fv, J
 
 
 def _newton_roots(d: int, mu: float, target_vec: np.ndarray, target_sign: float,
                   resolution: int):
-    roots = []
-    seeds = np.stack(
+    """(key, det J) of each distinct preimage, in the order of the first
+    seed reaching it; all resolution^d seeds take damped Newton steps at once."""
+    k = np.stack(
         np.meshgrid(*([np.arange(resolution) / resolution] * d), indexing="ij"),
         axis=-1,
     ).reshape(-1, d)
-    for seed in seeds:
-        k = seed.astype(float).copy()
-        ok = False
-        for _ in range(60):
-            F0, Fv, J = _symbol_map(k, mu)
-            r = Fv - target_vec
-            if np.linalg.norm(r) < 1e-12:
-                ok = True
-                break
-            try:
-                step = np.linalg.solve(J, r)
-            except np.linalg.LinAlgError:
-                break
-            if np.linalg.norm(step) > 0.25:
-                step *= 0.25 / np.linalg.norm(step)
-            k = (k - step) % 1.0
-        if not ok:
-            continue
-        F0, Fv, J = _symbol_map(k, mu)
-        if F0 * target_sign <= 0:
-            continue
-        key = tuple(np.round(k % 1.0, 6) % 1.0)
-        if any(np.all(np.abs((np.array(key) - np.array(r0) + 0.5) % 1.0 - 0.5)
-                      < 1e-5) for r0, _ in roots):
-            continue
-        det = float(np.linalg.det(J))
-        roots.append((key, det))
+    active = np.ones(len(k), dtype=bool)
+    converged = np.zeros(len(k), dtype=bool)
+    for _ in range(60):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        _, Fv, J = _symbol_map(k[idx], mu)
+        r = Fv - target_vec
+        done = np.linalg.norm(r, axis=-1) < 1e-12
+        converged[idx[done]] = True
+        # an exactly singular Jacobian drops its seed; masked before the
+        # stacked solve, which would raise for the whole batch
+        step_ok = ~done & (np.linalg.det(J) != 0)
+        active[idx[~step_ok]] = False
+        idx, J, r = idx[step_ok], J[step_ok], r[step_ok]
+        step = np.linalg.solve(J, r[:, :, None])[:, :, 0]
+        norm = np.linalg.norm(step, axis=-1)
+        clip = norm > 0.25
+        step[clip] *= (0.25 / norm[clip])[:, None]
+        k[idx] = (k[idx] - step) % 1.0
+    k = k[converged]
+    F0, _, J = _symbol_map(k, mu)
+    chart = F0 * target_sign > 0
+    keys, J = np.round(k[chart] % 1.0, 6) % 1.0, J[chart]
+    roots = []
+    while len(keys):
+        roots.append((tuple(keys[0]), float(np.linalg.det(J[0]))))
+        far = ~np.all(np.abs((keys - keys[0] + 0.5) % 1.0 - 0.5) < 1e-5, axis=-1)
+        keys, J = keys[far], J[far]
     return roots
 
 

@@ -114,8 +114,10 @@ def _tridiagonalize(A: np.ndarray):
     n = A.shape[0]
     if n == 1:
         return np.array([A[0, 0].real]), np.zeros(0)
-    (hetrd,) = sla.get_lapack_funcs(("hetrd",), (A,))
-    _, d, e, _, info = hetrd(A, lower=0)
+    hetrd, hetrd_lwork = sla.get_lapack_funcs(("hetrd", "hetrd_lwork"), (A,))
+    # the optimal workspace lets LAPACK run its blocked reduction
+    lwork, _ = hetrd_lwork(n, lower=0)
+    _, d, e, _, info = hetrd(A, lower=0, lwork=int(lwork.real))
     if info != 0:
         raise RuntimeError(f"tridiagonalization failed (info={info})")
     return d, e
@@ -332,16 +334,9 @@ def fourier_diagonalize(f, cl, mu: float) -> np.ndarray:
     """
     from .wilson import symbol
 
-    eye = np.eye(f.rank)
-    if not all(
-        np.array_equal(f.links[s, j], eye)
-        for s in range(f.geometry.n_sites)
-        for j in range(f.geometry.d)
-    ):
+    if not np.all(f.links == np.eye(f.rank)):
         raise ValueError("oracle requires translation invariance")
     N, d = f.geometry.N, f.geometry.d
-    vals = []
-    for coords in f.geometry.all_sites():
-        k = np.array(coords) / N
-        vals.append(np.tile(np.linalg.eigvalsh(symbol(cl, k, mu)), f.rank))
-    return np.sort(np.concatenate(vals))
+    k = np.indices((N,) * d).reshape(d, -1).T / N
+    vals = np.linalg.eigvalsh(symbol(cl, k, mu))
+    return np.sort(np.tile(vals, f.rank).ravel())

@@ -82,15 +82,12 @@ def to_matrix_market(H: WilsonOperator, path) -> None:
 
 
 def symbol(cl: CliffordRep, k, mu: float) -> np.ndarray:
-    """The symbol D_hat_W(k) + mu*gamma at momentum k in [0,1)^d."""
+    """The symbol D_hat_W(k) + mu*gamma at momenta k in [0,1)^d: k of shape
+    (..., d) gives (..., s, s), a single k one s x s matrix."""
     k = np.asarray(k, dtype=float)
-    mat = np.zeros((cl.dim_s, cl.dim_s), dtype=complex)
-    w = 0.0
-    for j in range(cl.d):
-        mat += cl.generators[j] * (1j * np.sin(2 * np.pi * k[j]))
-        w += np.cos(2 * np.pi * k[j]) - 1.0
-    mat += (w + mu) * cl.grading
-    return mat
+    w = np.sum(np.cos(2 * np.pi * k) - 1.0, axis=-1) + mu
+    mat = np.tensordot(1j * np.sin(2 * np.pi * k), np.array(cl.generators), axes=1)
+    return mat + w[..., None, None] * cl.grading
 
 
 def symbol_gap_function(d: int, k_grid: np.ndarray, mu: float) -> np.ndarray:

@@ -18,6 +18,7 @@ from wilsonindex import (
     direct_sum_field,
     gauge_transform,
     gauge_tuple,
+    ktheory,
     lattice_index,
     make_geometry,
     mass_mode_equivalence,
@@ -194,6 +195,100 @@ def test_degree_window_boundary_rejected():
         symbol_degree(2, 2.0)
     with pytest.raises(ValueError, match="even dimension"):
         symbol_degree(3, 1.0)
+
+
+def _reference_symbol_map(k, mu):
+    """F0, Fv and J at one momentum k of shape (d,), entry by entry."""
+    d = len(k)
+    s = np.sin(2 * np.pi * k)
+    c = np.cos(2 * np.pi * k)
+    w = float(np.sum(c - 1.0) + mu)
+    f = float(np.sqrt(np.sum(s ** 2) + w ** 2))
+    dfdk = 2 * np.pi * s * (c - w) / f
+    J = np.zeros((d, d))
+    for j in range(d):
+        for l in range(d):
+            J[j, l] = (-s[j] * dfdk[l]) / f ** 2
+            if j == l:
+                J[j, l] += 2 * np.pi * c[j] / f
+    return w / f, s / f, J
+
+
+def _reference_newton_roots(seeds, mu, target_vec, target_sign):
+    """One damped Newton loop per seed, roots deduplicated in seed order."""
+    roots = []
+    for seed in seeds:
+        k = seed.astype(float).copy()
+        ok = False
+        for _ in range(60):
+            F0, Fv, J = _reference_symbol_map(k, mu)
+            r = Fv - target_vec
+            if np.linalg.norm(r) < 1e-12:
+                ok = True
+                break
+            try:
+                step = np.linalg.solve(J, r)
+            except np.linalg.LinAlgError:
+                break
+            if np.linalg.norm(step) > 0.25:
+                step *= 0.25 / np.linalg.norm(step)
+            k = (k - step) % 1.0
+        if not ok:
+            continue
+        F0, Fv, J = _reference_symbol_map(k, mu)
+        if F0 * target_sign <= 0:
+            continue
+        key = tuple(np.round(k % 1.0, 6) % 1.0)
+        if any(np.all(np.abs((np.array(key) - np.array(r0) + 0.5) % 1.0 - 0.5)
+                      < 1e-5) for r0, _ in roots):
+            continue
+        roots.append((key, float(np.linalg.det(J))))
+    return roots
+
+
+def _seed_grid(d, resolution):
+    axes = [np.arange(resolution) / resolution] * d
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+
+
+# odd resolutions put no seed on the half-period corners, so which seed
+# reaches a root first, and the root order, depends on every Newton step
+@pytest.mark.parametrize("d,mu,res,target", [
+    (2, 1.0, 8, None), (2, 3.0, 8, None), (4, 1.0, 4, None), (4, 5.0, 4, None),
+    (2, 3.0, 5, None), (4, 3.0, 3, (0.02, -0.045, -0.065, 0.0)),
+])
+def test_batched_newton_matches_per_seed_loop(d, mu, res, target):
+    target_vec = np.zeros(d) if target is None else np.array(target)
+    want = _reference_newton_roots(_seed_grid(d, res), mu, target_vec, 1.0)
+    got = ktheory._newton_roots(d, mu, target_vec, 1.0, res)
+    assert [key for key, _ in got] == [key for key, _ in want]
+    assert [np.sign(det) for _, det in got] == [np.sign(det) for _, det in want]
+    np.testing.assert_allclose([det for _, det in got],
+                               [det for _, det in want], rtol=1e-9)
+
+
+def test_batched_newton_drops_a_singular_seed(monkeypatch):
+    # at res=2 with this target each corner seed finds its own root, so
+    # the seed at (0, 1/2) dropping out removes exactly its root
+    d, mu, res = 2, 3.0, 2
+    target_vec = np.array([0.1, 0.05])
+    singular = np.array([0.0, 0.5])
+    seeds = _seed_grid(d, res)
+    full = ktheory._newton_roots(d, mu, target_vec, 1.0, res)
+    symbol_map = ktheory._symbol_map
+
+    def one_singular(k, mu):
+        F0, Fv, J = symbol_map(k, mu)
+        J[np.all(k == singular, axis=-1)] = 0.0
+        return F0, Fv, J
+
+    monkeypatch.setattr(ktheory, "_symbol_map", one_singular)
+    got = ktheory._newton_roots(d, mu, target_vec, 1.0, res)
+    rest = seeds[~np.all(seeds == singular, axis=-1)]
+    want = _reference_newton_roots(rest, mu, target_vec, 1.0)
+    assert [key for key, _ in got] == [key for key, _ in want]
+    assert len(got) == len(full) - 1
+    assert all(root in full for root in got)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,26 @@ def test_trivial_field_eigenvalues_match_momentum_sampling(d, N, mu):
     assert np.max(np.abs(got - want)) < 1e-10
 
 
+def test_symbol_takes_stacked_momenta():
+    rng = np.random.default_rng(4)
+    for d in (2, 4):
+        cl = clifford_rep(d)
+        k = rng.uniform(0, 1, (3, 5, d))
+        shape = (3, 5, cl.dim_s, cl.dim_s)
+        stacked = np.stack([symbol(cl, q, 0.7) for q in k.reshape(-1, d)])
+        assert symbol(cl, k, 0.7).shape == shape
+        np.testing.assert_allclose(symbol(cl, k, 0.7), stacked.reshape(shape),
+                                   rtol=0, atol=1e-14)
+
+
+def test_momentum_oracle_repeats_each_level_rank_times():
+    cl = clifford_rep(2)
+    f = trivial_field(make_geometry(2, 4), rank=2)
+    got = np.sort(np.linalg.eigvalsh(assemble(f, cl, 1.0).matrix.toarray()))
+    want = fourier_diagonalize(f, cl, 1.0)
+    assert np.max(np.abs(got - want)) < 1e-10
+
+
 def _brute_gap(d, mu, g=400):
     axes = [np.arange(g) / g] * d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
