@@ -90,5 +90,4 @@ def read_unitary_tuple(path) -> UnitaryTuple:
         d, n = map(int, fh.readline().split())
         fh.readline()  # comment
         mats = _decode(fh.read(), (d, n, n))
-    _check_unitary(mats, "tuple matrices")
     return UnitaryTuple.from_matrices(list(mats), utol=_UNITARITY_TOL)

@@ -8,9 +8,10 @@
 * above it (`inertia_ldl`): one sparse LDL* factorization (SuperLU with a
   symmetric minimum-degree ordering and no off-diagonal pivoting),
   inertia read off the pivots (Sylvester's law of inertia) and the gap
-  found by shift-invert Arnoldi on the same factor.  If the factor is
-  rejected or the gap does not converge, the dense oracle's result is
-  returned instead.
+  found by ARPACK's complex Arnoldi (what `eigsh` runs for complex input)
+  in shift-invert mode on the same factor.  If the factor is rejected or
+  the gap does not converge, the dense oracle's result is returned
+  instead.
 
 `inertia_bunch_kaufman` (dense LDL* with diagonal pivoting) is a
 counts-only second reference that no production path calls.  The paths
@@ -234,8 +235,8 @@ def inertia_bunch_kaufman(H, tol: float | None = None) -> Inertia:
 
 
 def _ldl(M: sp.csc_matrix, tol: float):
-    """Pivot-free sparse LDL* of Hermitian M: (factor, real pivots), or
-    RuntimeError naming why the factor is rejected.
+    """Pivot-free sparse LDL* of Hermitian M: (factor, real pivots, seeded
+    probe vector), or RuntimeError naming why the factor is rejected.
 
     SuperLU factors P M P^T = L U under a symmetric minimum-degree
     ordering; without off-diagonal pivoting U = D L*, so by Sylvester's
@@ -260,30 +261,33 @@ def _ldl(M: sp.csc_matrix, tol: float):
     small = float(np.min(np.abs(piv)))
     if small <= tol:
         raise RuntimeError(f"pivot {small:.1e} within tol {tol:.1e}")
-    # fixed seed: the probe, and so the accept decision, is reproducible
+    # fixed seed: the probe, and so the accept decision, is reproducible;
+    # it is also the gap's start vector
     rng = np.random.default_rng(0)
     b = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
     y = lu.solve(b)
     resid = float(np.linalg.norm(M @ y - b))
     if resid > tol * float(np.linalg.norm(y)):
         raise RuntimeError(f"probe residual {resid:.1e}")
-    return lu, piv
+    return lu, piv, b
 
 
-def _shift_invert_gap(M: sp.csc_matrix, solve) -> float:
-    """Smallest |eigenvalue| of Hermitian M by shift-invert Arnoldi at 0,
-    where solve(b) = M^-1 b.  Raises RuntimeError (ArpackError is one) if
-    the iteration does not converge."""
-    # k=2: the spectrum near 0 is typically a symmetric +-lambda pair,
-    # which shift-invert ARPACK cannot separate with k=1
+def _shift_invert_gap(M: sp.csc_matrix, solve, v0: np.ndarray) -> float:
+    """Smallest |eigenvalue| of Hermitian M by ARPACK in shift-invert mode
+    at 0, where solve(b) = M^-1 b, from the start vector v0.  Raises
+    RuntimeError (ArpackError is one) if the iteration does not converge."""
+    # k=1: the lowest level is often degenerate, and k=2 converges a copy
+    # that only rounding brings in, at several times the cost, or stalls;
+    # one value of a +-lambda pair has the modulus.  tol=1e-8 is relative
+    # to 1/|lambda| (ARPACK's stopping test), inside the promised 1e-6.
+    # v0 is seeded, unlike scipy's default, so the gap is reproducible.
     # modest maxiter: the assembled operators have dense spectrum at the
     # gap edge, where ARPACK stalls; give up quickly
     op = spla.LinearOperator(M.shape, matvec=solve, dtype=M.dtype)
-    vals, vecs = spla.eigsh(M, k=2, sigma=0.0, which="LM", OPinv=op,
-                            maxiter=300)
-    i = int(np.argmin(np.abs(vals)))
-    lam = float(vals[i])
-    resid = float(np.linalg.norm(M @ vecs[:, i] - lam * vecs[:, i]))
+    vals, vecs = spla.eigsh(M, k=1, sigma=0.0, which="LM", OPinv=op,
+                            tol=1e-8, v0=v0, maxiter=300)
+    lam, x = float(vals[0]), vecs[:, 0]
+    resid = float(np.linalg.norm(M @ x - lam * x))
     if resid > 1e-6 * max(_absmax(M), 1.0):
         raise RuntimeError(f"unconverged gap (residual {resid:.1e})")
     return abs(lam)
@@ -294,11 +298,11 @@ def inertia_ldl(H, tol: float | None = None) -> Inertia:
     factorization, without a dense copy.
 
     The counts are the signs of the pivots (see `_ldl`) and the gap comes
-    from shift-invert Arnoldi on the same factor (below dimension 64, from
-    the dense tridiagonal).  Every accepted pivot exceeds tol in modulus,
-    so n_zero is 0.  If the factor is rejected or the gap does not
-    converge, the result is the dense Sturm oracle's and method records
-    the reason.
+    from ARPACK's complex Arnoldi in shift-invert mode on the same factor
+    (below dimension 64, from the dense tridiagonal).  Every accepted
+    pivot exceeds tol in modulus, so n_zero is 0.  If the factor is
+    rejected or the gap does not converge, the result is the dense Sturm
+    oracle's and method records the reason.
     """
     M = sp.csc_matrix(H, dtype=complex)
     _check_hermitian(M)
@@ -307,9 +311,9 @@ def inertia_ldl(H, tol: float | None = None) -> Inertia:
     if tol <= 0:
         raise ValueError("tol must be positive")
     try:
-        lu, piv = _ldl(M, tol)
+        lu, piv, v0 = _ldl(M, tol)
         gap = (_sturm_inertia(M, tol).gap if M.shape[0] < 64
-               else _shift_invert_gap(M, lu.solve))
+               else _shift_invert_gap(M, lu.solve, v0))
     except RuntimeError as exc:
         # a rejected factor or an unconverged gap; MemoryError propagates
         return replace(_sturm_inertia(M, tol),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,16 @@ def test_nonunitary_links_rejected(tmp_path):
     write_gauge_field(f, path)
     with pytest.raises(ValueError, match="unitarity"):
         read_gauge_field(path)
+
+
+def test_nonunitary_tuple_rejected(tmp_path):
+    t = clock_shift(6)
+    bad = np.array(t.unitaries)
+    bad[0, 0, 0] *= 1.5
+    path = tmp_path / "pair.wut"
+    write_unitary_tuple(replace(t, unitaries=tuple(bad)), path)
+    with pytest.raises(ValueError, match="unitar"):
+        read_unitary_tuple(path)
 
 
 def test_comment_newlines_flattened(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +72,9 @@ def _flux_field(d, N, entries):
     # the criterion-2 fields at N=4
     *(pytest.param(lambda k=k: _flux_field(4, 4, [(1, 2, k[0]), (3, 4, k[1])]),
                    id=f"d4-N4-K{k[0]},{k[1]}") for k in ((1, 1), (1, 2), (2, -1))),
+    # a non-degenerate lowest level
+    pytest.param(lambda: perturb_field(_flux_field(4, 4, [(1, 2, 1), (3, 4, 2)]),
+                                       0.2, seed=3), id="d4-N4-K1,2-perturbed"),
 ])
 def test_paths_agree_on_assembled_operators(field):
     f = field()
@@ -82,6 +86,29 @@ def test_paths_agree_on_assembled_operators(field):
     assert abs(i1.gap - i3.gap) < 1e-6 * max(i1.gap, 1e-12)
     assert i1.method == "sturm" and i2.method.startswith("bunch-kaufman")
     assert i3.method == "ldl" or f.geometry.N == 4
+
+
+def test_sparse_gap_is_reproducible():
+    # the start vector is seeded, so an ARPACK call in between changes no bit
+    H = assemble(_flux_field(4, 4, [(1, 2, 1), (3, 4, 2)]), clifford_rep(4), 1.0).matrix
+    first = inertia_ldl(H)
+    spla.eigsh(sp.diags(np.arange(1.0, 101.0)), k=2)
+    second = inertia_ldl(H)
+    assert first.method == second.method == "ldl"
+    assert first.gap == second.gap
+
+
+@pytest.mark.parametrize("d, N, m", [(4, 6, 1.0), (2, 46, 0.5)])
+def test_sparse_gap_on_degenerate_trivial_field(d, N, m):
+    # closed form: with a_j = 1 - cos(2 pi k_j) and w = sum_j a_j the symbol
+    # gap squared is m^2 + 2(1 - m) w + w^2 - sum_j a_j^2 >= m^2 for
+    # 0 < m <= 1, with equality at k = 0, where the symbol m*gamma has the
+    # +-m pair; at m = 1 the corners with one k_j = 1/2 reach it too
+    H = assemble(trivial_field(make_geometry(d, N)), clifford_rep(d), m).matrix
+    assert H.shape[0] > spectral._DENSE_LIMIT
+    i = inertia(H)
+    assert i.method == "ldl"
+    assert abs(i.gap - m) < 1e-6 * m
 
 
 def test_ldl_rejects_a_row_pivoted_factor():
@@ -198,8 +225,6 @@ def test_gap_matches_smallest_abs_eigenvalue():
 
 
 def test_iterative_gap_falls_back_only_on_arpack_failures(monkeypatch):
-    import scipy.sparse.linalg as spla
-
     f = constant_flux_field(make_geometry(2, 6), FluxMatrix.from_entries(2, [(1, 2, 1)]))
     H = assemble(f, clifford_rep(2), 1.0).matrix
     want = inertia(H)
