@@ -79,6 +79,20 @@ def _build_field(d: int, N: int, flux: FluxMatrix):
     return trivial_field(make_geometry(d, N), rank=1)
 
 
+def _row(d, N, flux, m, mode, r=None, status="ok") -> dict:
+    """One CSV row: the measurements of the `lattice_index` report r, or
+    blanks where there is none."""
+    row = dict.fromkeys(CSV_HEADER.split(","), "")
+    row.update(d=d, N=N, flux=_flux_label(flux), m=m, mode=mode, status=status)
+    if r is not None:
+        row.update(
+            I=r.invariant, gap=f"{r.inertia.gap:.9e}",
+            curvature=f"{r.curvature_estimate:.9e}",
+            continuum="" if r.continuum_index is None else r.continuum_index,
+            agrees="" if r.agrees is None else str(r.agrees).lower())
+    return row
+
+
 def _index_row(d, N, flux, m, mode):
     f = _build_field(d, N, flux)
     try:
@@ -90,19 +104,8 @@ def _index_row(d, N, flux, m, mode):
     except (SingularOperatorError, ParameterRangeError) as exc:
         status = "singular" if isinstance(exc, SingularOperatorError) \
             else "out-of-range"
-        return {
-            "d": d, "N": N, "flux": _flux_label(flux), "m": m, "mode": mode,
-            "I": "", "gap": "", "curvature": "", "continuum": "",
-            "agrees": "", "status": status,
-        }, None
-    return {
-        "d": d, "N": N, "flux": _flux_label(flux), "m": m, "mode": mode,
-        "I": r.invariant, "gap": f"{r.inertia.gap:.9e}",
-        "curvature": f"{r.curvature_estimate:.9e}",
-        "continuum": "" if r.continuum_index is None else r.continuum_index,
-        "agrees": "" if r.agrees is None else str(r.agrees).lower(),
-        "status": "ok",
-    }, r
+        return _row(d, N, flux, m, mode, status=status), None
+    return _row(d, N, flux, m, mode, r), r
 
 
 def _write_rows(rows, out_path):

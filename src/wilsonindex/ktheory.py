@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from .clifford import CliffordRep, clifford_rep
 from .gauge import FluxMatrix, GaugeField, estimate_curvature_norm, shift_unitaries
 from .spectral import Inertia, half_signature, inertia, min_abs_eigenvalue
-from .wilson import assemble, symbol_gap_function, wilson_matrix
+from .wilson import assemble, wilson_matrix
 
 # Global orientation sign relating the lattice invariant to the Pfaffian
 # index, calibrated once from the d=2, N=16, K_12=1, m=1 instance under

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cli import _row, _write_rows
 from .clifford import clifford_rep
 from .gauge import (
     FluxMatrix,
@@ -44,16 +45,9 @@ def _flux2(k: int) -> FluxMatrix:
     return FluxMatrix.from_entries(2, [(1, 2, k)])
 
 
-def _row(d, N, flux_label, m, r):
-    return (f"{d},{N},{flux_label},{m},{r.mass_mode},{r.invariant},"
-            f"{r.inertia.gap:.9e},{r.curvature_estimate:.9e},"
-            f"{'' if r.continuum_index is None else r.continuum_index},"
-            f"{'' if r.agrees is None else str(r.agrees).lower()},ok")
-
-
 def run_selftest(csv_path=None, verbose: bool = True) -> bool:
     checks = []
-    rows = ["d,N,flux,m,mode,I,gap,curvature,continuum,agrees,status"]
+    rows = []
 
     def record(name, ok, detail=""):
         checks.append(ok)
@@ -68,7 +62,7 @@ def run_selftest(csv_path=None, verbose: bool = True) -> bool:
         f = (constant_flux_field(make_geometry(2, 8), _flux2(k))
              if k else trivial_field(make_geometry(2, 8), rank=1))
         r = lattice_index(f, 1.0)
-        rows.append(_row(2, 8, f"1,2={k}", 1.0, r))
+        rows.append(_row(2, 8, _flux2(k), 1.0, r.mass_mode, r))
         vals.append(r.invariant)
         ok = ok and r.invariant == k
     record("index theorem d=2 (N=8, K=-2..2)", ok, f"I={vals}")
@@ -79,7 +73,7 @@ def run_selftest(csv_path=None, verbose: bool = True) -> bool:
     for k12, k34 in ((1, 1), (1, 2)):
         K = FluxMatrix.from_entries(4, [(1, 2, k12), (3, 4, k34)])
         r = lattice_index(constant_flux_field(make_geometry(4, 4), K), 1.0)
-        rows.append(_row(4, 4, f"1,2={k12};3,4={k34}", 1.0, r))
+        rows.append(_row(4, 4, K, 1.0, r.mass_mode, r))
         vals.append(r.invariant)
         ok = ok and r.invariant == k12 * k34
     record("index theorem d=4 (N=4)", ok, f"I={vals}")
@@ -175,11 +169,9 @@ def run_selftest(csv_path=None, verbose: bool = True) -> bool:
     record("structural invariants (Clifford, inertia, covariance)", ok)
 
     # 10. determinism: the CSV text is a pure function of the fixed inputs
-    text = "\n".join(rows) + "\n"
     if csv_path:
-        with open(csv_path, "w", newline="") as fh:
-            fh.write(text)
-    record("deterministic CSV emission", True, f"{len(rows) - 1} rows")
+        _write_rows(rows, csv_path)
+    record("deterministic CSV emission", True, f"{len(rows)} rows")
 
     n_pass = sum(checks)
     if verbose:

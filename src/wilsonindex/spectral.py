@@ -2,9 +2,9 @@
 
 `inertia` is the one entry point; it picks the path by dimension:
 
-* up to `_DENSE_LIMIT` (the oracle): Householder tridiagonalization
-  followed by Sturm-sequence counting, which yields exact eigenvalue-sign
-  counts and the gap by bisection without computing any eigenvalue;
+* up to `_DENSE_LIMIT` (the oracle): one backward-stable LAPACK
+  Hermitian eigensolve (`heevr`: Householder tridiagonalization, then
+  `sterf`), whose eigenvalues give the sign counts and the gap;
 * above it (`inertia_ldl`): one sparse LDL* factorization (SuperLU with a
   symmetric minimum-degree ordering and no off-diagonal pivoting),
   inertia read off the pivots (Sylvester's law of inertia) and the gap
@@ -28,7 +28,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-_TINY = np.finfo(float).tiny
 # largest dimension `inertia` handles on the dense path
 _DENSE_LIMIT = 4096
 # copies of an n x n complex matrix the dense paths may hold at once
@@ -46,7 +45,7 @@ class Inertia:
     gap is the smallest |eigenvalue| (0 if singular up to tol, nan from
     the counts-only `inertia_bunch_kaufman`); tol is the
     zero-classification threshold that was used; method names the path:
-    "sturm", "bunch-kaufman", "ldl", or "sturm (ldl rejected: <reason>)"
+    "dense", "bunch-kaufman", "ldl", or "dense (ldl rejected: <reason>)"
     when the sparse factor or its gap was not accepted.
     """
 
@@ -105,93 +104,37 @@ def _check_hermitian(A, htol: float = 1e-10) -> None:
         raise ValueError("input matrix is not Hermitian")
 
 
-def _default_tol(A) -> float:
-    norm_inf = float(abs(A).sum(axis=1).max()) if A.shape[0] else 1.0
-    return 1e-8 * max(norm_inf, 1.0)
-
-
-def _tridiagonalize(A: np.ndarray):
-    """Householder reduction to real symmetric tridiagonal (d, e)."""
-    n = A.shape[0]
-    if n == 1:
-        return np.array([A[0, 0].real]), np.zeros(0)
-    hetrd, hetrd_lwork = sla.get_lapack_funcs(("hetrd", "hetrd_lwork"), (A,))
-    # the optimal workspace lets LAPACK run its blocked reduction
-    lwork, _ = hetrd_lwork(n, lower=0)
-    _, d, e, _, info = hetrd(A, lower=0, lwork=int(lwork.real))
-    if info != 0:
-        raise RuntimeError(f"tridiagonalization failed (info={info})")
-    return d, e
-
-
-def _sturm_count(d: np.ndarray, e: np.ndarray, x: float) -> int:
-    """Number of eigenvalues of tridiag(d, e) strictly below x."""
-    count = 0
-    q = d[0] - x
-    if q < 0:
-        count += 1
-    for i in range(1, len(d)):
-        denom = q if q != 0.0 else -_TINY
-        q = d[i] - x - e[i - 1] ** 2 / denom
-        if q < 0:
-            count += 1
-    return count
-
-
-def _sturm_gap(d: np.ndarray, e: np.ndarray, tol: float) -> float:
-    """Smallest |eigenvalue| by bisection on Sturm counts around 0."""
-    n = len(d)
-    hi = float(np.max(np.abs(d)) + 2 * (np.max(np.abs(e)) if len(e) else 0.0)) + 1.0
-
-    def inside(t):
-        return _sturm_count(d, e, t) - _sturm_count(d, e, -t)
-
-    if inside(tol) > 0:
-        # something within (-tol, tol): refine below tol anyway
-        hi = tol
-    lo = 0.0
-    if inside(hi) == 0:
-        # count at x is "strictly below x": an eigenvalue exactly at +hi
-        # can be missed, widen once
-        hi *= 2
-        if inside(hi) == 0:
-            return hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if inside(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-9 * max(hi, 1.0) + 1e-300:
-            break
-    return hi
-
-
-def _sturm_inertia(H, tol: float | None = None) -> Inertia:
-    """Dense oracle: tridiagonalize, then Sturm counts at +-tol."""
-    A = _as_dense(H)
-    _check_hermitian(A)
-    n = A.shape[0]
+def _tol(A, tol: float | None) -> float:
+    """tol, which must be positive, or by default 1e-8 * max(||A||_inf, 1)."""
     if tol is None:
-        tol = _default_tol(A)
+        norm_inf = float(abs(A).sum(axis=1).max()) if A.shape[0] else 1.0
+        return 1e-8 * max(norm_inf, 1.0)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    d, e = _tridiagonalize(A)
-    n_below_minus = _sturm_count(d, e, -tol)
-    n_below_plus = _sturm_count(d, e, tol)
-    n_minus = n_below_minus
-    n_zero = n_below_plus - n_below_minus
-    n_plus = n - n_below_plus
-    gap = 0.0 if n_zero > 0 else _sturm_gap(d, e, tol)
-    return Inertia(n_plus, n_minus, n_zero, gap, tol, "sturm")
+    return tol
+
+
+def _dense_inertia(H, tol: float | None) -> Inertia:
+    """Dense oracle: every eigenvalue from one Hermitian LAPACK eigensolve
+    (heevr), classified as below -tol, at or above tol, or zero."""
+    A = _as_dense(H)
+    _check_hermitian(A)
+    tol = _tol(A, tol)
+    # overwrite only our own copy, never the caller's array
+    w = sla.eigvalsh(A, overwrite_a=A is not H, check_finite=False)
+    n_minus = int(np.sum(w < -tol))
+    n_plus = int(np.sum(w >= tol))
+    n_zero = len(w) - n_plus - n_minus
+    gap = 0.0 if n_zero > 0 else float(np.min(np.abs(w)))
+    return Inertia(n_plus, n_minus, n_zero, gap, tol, "dense")
 
 
 def inertia(H, tol: float | None = None) -> Inertia:
-    """Inertia and gap of a Hermitian matrix: the dense Sturm oracle up to
+    """Inertia and gap of a Hermitian matrix: the dense oracle up to
     dimension `_DENSE_LIMIT`, one sparse LDL* factor (`inertia_ldl`) above."""
     if np.shape(H)[0] > _DENSE_LIMIT:
         return inertia_ldl(H, tol)
-    return _sturm_inertia(H, tol)
+    return _dense_inertia(H, tol)
 
 
 def _pivot_eigs(D: np.ndarray):
@@ -224,8 +167,7 @@ def inertia_bunch_kaufman(H, tol: float | None = None) -> Inertia:
     A = _as_dense(H)
     _check_hermitian(A)
     n = A.shape[0]
-    if tol is None:
-        tol = _default_tol(A)
+    tol = _tol(A, tol)
     _, D, _ = sla.ldl(A, hermitian=True)
     eigs = _pivot_eigs(D)
     n_plus = int(np.sum(eigs > tol))
@@ -299,25 +241,22 @@ def inertia_ldl(H, tol: float | None = None) -> Inertia:
 
     The counts are the signs of the pivots (see `_ldl`) and the gap comes
     from ARPACK's complex Arnoldi in shift-invert mode on the same factor
-    (below dimension 64, from the dense tridiagonal).  Every accepted
+    (below dimension 64, from the dense eigenvalues).  Every accepted
     pivot exceeds tol in modulus, so n_zero is 0.  If the factor is
-    rejected or the gap does not converge, the result is the dense Sturm
+    rejected or the gap does not converge, the result is the dense
     oracle's and method records the reason.
     """
     M = sp.csc_matrix(H, dtype=complex)
     _check_hermitian(M)
-    if tol is None:
-        tol = _default_tol(M)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = _tol(M, tol)
     try:
         lu, piv, v0 = _ldl(M, tol)
-        gap = (_sturm_inertia(M, tol).gap if M.shape[0] < 64
+        gap = (_dense_inertia(M, tol).gap if M.shape[0] < 64
                else _shift_invert_gap(M, lu.solve, v0))
     except RuntimeError as exc:
         # a rejected factor or an unconverged gap; MemoryError propagates
-        return replace(_sturm_inertia(M, tol),
-                       method=f"sturm (ldl rejected: {exc})")
+        return replace(_dense_inertia(M, tol),
+                       method=f"dense (ldl rejected: {exc})")
     n_plus = int(np.sum(piv > 0))
     return Inertia(n_plus, len(piv) - n_plus, 0, gap, tol, "ldl")
 

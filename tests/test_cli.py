@@ -18,7 +18,7 @@ def test_index_trivial(capsys):
     assert run(["index", "--d", "2", "--N", "8", "--m", "1.0"]) == 0
     out = capsys.readouterr().out
     assert "I = 0" in out
-    assert "n0 = 0 (sturm)" in out
+    assert "n0 = 0 (dense)" in out
 
 
 def test_index_flux_with_csv(tmp_path, capsys):
@@ -152,3 +152,19 @@ def test_selftest_failure_exit_code(monkeypatch):
 
     monkeypatch.setattr(st, "run_selftest", lambda **kw: False)
     assert run(["selftest"]) == 3
+
+
+def test_selftest_csv_rows_match_header(tmp_path):
+    from wilsonindex.selftest import run_selftest
+
+    path = tmp_path / "selftest.csv"
+    assert run_selftest(csv_path=path, verbose=False)
+    with path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == cli.CSV_HEADER.split(",")
+    assert len(rows) == 7
+    for row in rows:
+        # a flux label with commas must not spill into extra fields
+        assert None not in row and None not in row.values()
+        assert row["I"] == row["continuum"]

@@ -62,7 +62,7 @@ def _flux_field(d, N, entries):
 
 @pytest.mark.parametrize("field", [
     pytest.param(lambda: _flux_field(2, 3, [(1, 2, 1)]), id="3"),
-    # an exactly zero pivot: the sparse factor is rejected, Sturm runs
+    # an exactly zero pivot: the sparse factor is rejected, the dense oracle runs
     pytest.param(lambda: _flux_field(2, 4, [(1, 2, 1)]), id="4"),
     pytest.param(lambda: trivial_field(make_geometry(2, 6)), id="d2-N6-trivial"),
     pytest.param(lambda: _flux_field(2, 6, [(1, 2, 1)]), id="d2-N6-flux1"),
@@ -84,7 +84,7 @@ def test_paths_agree_on_assembled_operators(field):
     assert (i2.n_plus, i2.n_minus, i2.n_zero) == counts
     assert (i3.n_plus, i3.n_minus, i3.n_zero) == counts
     assert abs(i1.gap - i3.gap) < 1e-6 * max(i1.gap, 1e-12)
-    assert i1.method == "sturm" and i2.method.startswith("bunch-kaufman")
+    assert i1.method == "dense" and i2.method.startswith("bunch-kaufman")
     assert i3.method == "ldl" or f.geometry.N == 4
 
 
@@ -111,12 +111,27 @@ def test_sparse_gap_on_degenerate_trivial_field(d, N, m):
     assert abs(i.gap - m) < 1e-6 * m
 
 
+@pytest.mark.parametrize("N, m", [(24, 1.0), (32, 0.5)])
+def test_dense_gap_on_trivial_field(N, m):
+    # the closed form above: gap m, here on the dense path
+    H = assemble(trivial_field(make_geometry(2, N)), clifford_rep(2), m).matrix
+    i = inertia(H)
+    assert i.method == "dense"
+    assert abs(i.gap - m) < 1e-12
+
+
+def test_dense_gap_is_even_in_the_flux():
+    gaps = [inertia(assemble(_flux_field(2, 24, [(1, 2, k)]), clifford_rep(2),
+                             1.0).matrix).gap for k in (1, -1)]
+    assert abs(gaps[0] - gaps[1]) < 1e-12
+
+
 def test_ldl_rejects_a_row_pivoted_factor():
     # SuperLU swaps rows at the zero pivot, so P A P^T = L D L* no longer holds
     i = inertia_ldl(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
     assert (i.n_plus, i.n_minus, i.n_zero) == (1, 1, 0)
     assert abs(i.gap - 1.0) < 1e-6
-    assert i.method == ("sturm (ldl rejected: row pivoting made the "
+    assert i.method == ("dense (ldl rejected: row pivoting made the "
                         "permutation non-symmetric)")
 
 
@@ -137,7 +152,7 @@ def test_rejected_factor_costs_one_dense_pass(monkeypatch):
     monkeypatch.setattr(spectral, "_as_dense", counted)
     monkeypatch.setattr(spectral, "inertia_bunch_kaufman", no_bunch_kaufman)
     i = inertia_ldl(H)
-    assert i.method.startswith("sturm (ldl rejected: ")
+    assert i.method.startswith("dense (ldl rejected: ")
     assert (i.n_plus, i.n_minus, i.n_zero, i.gap) \
         == (want.n_plus, want.n_minus, want.n_zero, want.gap)
     assert copies == [(32, 32)]
@@ -236,7 +251,7 @@ def test_iterative_gap_falls_back_only_on_arpack_failures(monkeypatch):
     i = inertia_ldl(H)
     assert (i.n_plus, i.n_minus, i.n_zero, i.gap) \
         == (want.n_plus, want.n_minus, want.n_zero, want.gap)
-    assert i.method == "sturm (ldl rejected: ARPACK error -1: no convergence)"
+    assert i.method == "dense (ldl rejected: ARPACK error -1: no convergence)"
 
     def out_of_memory(*args, **kwargs):
         raise MemoryError
@@ -250,6 +265,14 @@ def test_momentum_oracle_requires_trivial_field():
     f = constant_flux_field(make_geometry(2, 4), FluxMatrix.from_entries(2, [(1, 2, 1)]))
     with pytest.raises(ValueError, match="translation invariance"):
         fourier_diagonalize(f, clifford_rep(2), 1.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+@pytest.mark.parametrize("path", [inertia, inertia_ldl, inertia_bunch_kaufman])
+def test_every_path_rejects_a_non_positive_tol(path, tol):
+    A = np.diag(np.where(np.arange(20) % 2, 1.0, -2.0))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        path(A, tol=tol)
 
 
 def test_invalid_tolerance_rejected():
