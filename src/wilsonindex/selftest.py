@@ -152,11 +152,16 @@ def run_selftest(csv_path=None, verbose: bool = True) -> bool:
     A = A + A.conj().T
     i1, i2 = inertia(A), inertia_bunch_kaufman(A)
     ok = ok and (i1.n_plus, i1.n_minus) == (i2.n_plus, i2.n_minus)
-    H = assemble(constant_flux_field(make_geometry(2, 6), _flux2(1)),
-                 clifford_rep(2), 1.0).matrix
-    i1, i3 = inertia(H), inertia_ldl(H)
-    ok = ok and i3.method.startswith("ldl") and (i1.n_plus, i1.n_minus) \
-        == (i3.n_plus, i3.n_minus)
+    # the second operator: odd N and rank 2, so the eliminated rows are
+    # not the even sites and the pattern has two components
+    g5 = make_geometry(2, 5)
+    for fld in (constant_flux_field(make_geometry(2, 6), _flux2(1)),
+                direct_sum_field(constant_flux_field(g5, _flux2(1)),
+                                 constant_flux_field(g5, _flux2(-2)))):
+        H = assemble(fld, clifford_rep(2), 1.0).matrix
+        i1, i3 = inertia(H), inertia_ldl(H)
+        ok = ok and i3.method == "ldl" and (i1.n_plus, i1.n_minus) \
+            == (i3.n_plus, i3.n_minus)
     f = constant_flux_field(make_geometry(2, 4), _flux2(1))
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, f.geometry.n_sites))
     g = gauge_transform(f, phases.reshape(-1, 1, 1))

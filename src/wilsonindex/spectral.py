@@ -5,13 +5,18 @@
 * up to `_DENSE_LIMIT` (the oracle): one backward-stable LAPACK
   Hermitian eigensolve (`heevr`: Householder tridiagonalization, then
   `sterf`), whose eigenvalues give the sign counts and the gap;
-* above it (`inertia_ldl`): one sparse LDL* factorization (SuperLU with a
-  symmetric minimum-degree ordering and no off-diagonal pivoting),
-  inertia read off the pivots (Sylvester's law of inertia) and the gap
-  found by ARPACK's complex Arnoldi (what `eigsh` runs for complex input)
-  in shift-invert mode on the same factor.  If the factor is rejected or
-  the gap does not converge, the dense oracle's result is returned
-  instead.
+* above it (`inertia_ldl`): an exact block elimination, then one dense
+  Bunch-Kaufman LDL* of what is left.  An independent set I of rows with
+  large real diagonal is eliminated first; those rows meet each other
+  only on the diagonal h_I, so by Haynsworth's inertia additivity
+  inertia(H) = inertia(diag(h_I)) + inertia(S) for the Schur complement
+  S = H_CC - H_CI diag(h_I)^-1 H_IC of the other rows C.  S is densified
+  once and factored by LAPACK `hetrf` (Bunch and Kaufman's diagonal
+  pivoting), whose 1x1 and 2x2 pivot blocks carry the signs of S
+  (Sylvester's law of inertia).  The gap is found by ARPACK's complex Arnoldi (what
+  `eigsh` runs for complex input) in shift-invert mode on the same
+  factor.  If the factor is rejected or the gap does not converge, the
+  dense oracle's result is returned instead.
 
 `inertia_bunch_kaufman` (dense LDL* with diagonal pivoting) is a
 counts-only second reference that no production path calls.  The paths
@@ -32,6 +37,10 @@ import scipy.sparse.linalg as spla
 _DENSE_LIMIT = 4096
 # copies of an n x n complex matrix the dense paths may hold at once
 _DENSE_COPIES = 3
+# a row is eliminated before the dense factor only if its real diagonal
+# has modulus at least _THETA * ||H||_inf; then ||S||_inf is at most
+# (1 + 1/_THETA) ||H||_inf, a growth the probe residual check still sees
+_THETA = 0.01
 
 
 class ResourceError(MemoryError):
@@ -45,8 +54,10 @@ class Inertia:
     gap is the smallest |eigenvalue| (0 if singular up to tol, nan from
     the counts-only `inertia_bunch_kaufman`); tol is the
     zero-classification threshold that was used; method names the path:
-    "dense", "bunch-kaufman", "ldl", or "dense (ldl rejected: <reason>)"
-    when the sparse factor or its gap was not accepted.
+    "dense" (the eigensolve oracle), "bunch-kaufman" (the counts-only
+    reference), "ldl" (diagonal elimination plus Bunch-Kaufman on the
+    Schur complement, `inertia_ldl`), or "dense (ldl rejected: <reason>)"
+    when that factor or its gap was not accepted.
     """
 
     n_plus: int
@@ -81,14 +92,19 @@ def _available_memory() -> int | None:
     return None
 
 
-def _as_dense(H) -> np.ndarray:
-    n = np.shape(H)[0]
-    need = _DENSE_COPIES * n * n * 16
+def _reserve(n: int, copies: int, what: str) -> None:
+    """Raise ResourceError unless `copies` dense n x n complex matrices fit
+    in available memory."""
+    need = copies * n * n * 16
     avail = _available_memory()
     if avail is not None and need > avail:
         raise ResourceError(
-            f"dense dim-{n} operator needs {need / 2 ** 30:.2f} GiB "
-            f"({_DENSE_COPIES} copies), {avail / 2 ** 30:.2f} GiB available")
+            f"dense dim-{n} {what} needs {need / 2 ** 30:.2f} GiB "
+            f"({copies} x {n}^2 complex), {avail / 2 ** 30:.2f} GiB available")
+
+
+def _as_dense(H) -> np.ndarray:
+    _reserve(np.shape(H)[0], _DENSE_COPIES, "operator")
     return np.asarray(H.toarray() if sp.issparse(H) else H, dtype=complex)
 
 
@@ -104,11 +120,14 @@ def _check_hermitian(A, htol: float = 1e-10) -> None:
         raise ValueError("input matrix is not Hermitian")
 
 
+def _norm_inf(A) -> float:
+    return float(abs(A).sum(axis=1).max()) if A.shape[0] else 0.0
+
+
 def _tol(A, tol: float | None) -> float:
     """tol, which must be positive, or by default 1e-8 * max(||A||_inf, 1)."""
     if tol is None:
-        norm_inf = float(abs(A).sum(axis=1).max()) if A.shape[0] else 1.0
-        return 1e-8 * max(norm_inf, 1.0)
+        return 1e-8 * max(_norm_inf(A), 1.0)
     if tol <= 0:
         raise ValueError("tol must be positive")
     return tol
@@ -117,9 +136,10 @@ def _tol(A, tol: float | None) -> float:
 def _dense_inertia(H, tol: float | None) -> Inertia:
     """Dense oracle: every eigenvalue from one Hermitian LAPACK eigensolve
     (heevr), classified as below -tol, at or above tol, or zero."""
+    # checked as given, so a sparse H is checked sparse
+    _check_hermitian(H)
+    tol = _tol(H, tol)
     A = _as_dense(H)
-    _check_hermitian(A)
-    tol = _tol(A, tol)
     # overwrite only our own copy, never the caller's array
     w = sla.eigvalsh(A, overwrite_a=A is not H, check_finite=False)
     n_minus = int(np.sum(w < -tol))
@@ -131,30 +151,22 @@ def _dense_inertia(H, tol: float | None) -> Inertia:
 
 def inertia(H, tol: float | None = None) -> Inertia:
     """Inertia and gap of a Hermitian matrix: the dense oracle up to
-    dimension `_DENSE_LIMIT`, one sparse LDL* factor (`inertia_ldl`) above."""
+    dimension `_DENSE_LIMIT`, one block LDL* factor (`inertia_ldl`) above."""
     if np.shape(H)[0] > _DENSE_LIMIT:
         return inertia_ldl(H, tol)
     return _dense_inertia(H, tol)
 
 
-def _pivot_eigs(D: np.ndarray):
-    """Eigenvalues of the 1x1/2x2 pivot block diagonal from Bunch-Kaufman."""
-    n = D.shape[0]
-    out = []
-    i = 0
-    while i < n:
-        if i + 1 < n and D[i + 1, i] != 0:
-            a = D[i, i].real
-            b = D[i + 1, i + 1].real
-            c = abs(D[i + 1, i])
-            mid = 0.5 * (a + b)
-            rad = np.hypot(0.5 * (a - b), c)
-            out.extend([mid - rad, mid + rad])
-            i += 2
-        else:
-            out.append(D[i, i].real)
-            i += 1
-    return np.array(out)
+def _pivot_eigs(diag: np.ndarray, sub: np.ndarray, starts: np.ndarray):
+    """Eigenvalues of a Hermitian block diagonal D with 1x1 and 2x2 blocks,
+    from its diagonal, its subdiagonal and the first rows of the 2x2
+    blocks (the subdiagonal is read only there)."""
+    w = diag.real.copy()
+    a, b = w[starts], w[starts + 1]
+    mid = 0.5 * (a + b)
+    rad = np.hypot(0.5 * (a - b), np.abs(sub[starts]))
+    w[starts], w[starts + 1] = mid - rad, mid + rad
+    return w
 
 
 def inertia_bunch_kaufman(H, tol: float | None = None) -> Inertia:
@@ -164,57 +176,43 @@ def inertia_bunch_kaufman(H, tol: float | None = None) -> Inertia:
     The gap is not computed (nan).  No production path calls this; it
     cross-checks the other two paths.
     """
-    A = _as_dense(H)
-    _check_hermitian(A)
-    n = A.shape[0]
-    tol = _tol(A, tol)
-    _, D, _ = sla.ldl(A, hermitian=True)
-    eigs = _pivot_eigs(D)
+    _check_hermitian(H)
+    tol = _tol(H, tol)
+    _, D, _ = sla.ldl(_as_dense(H), hermitian=True)
+    sub = np.diagonal(D, -1)
+    eigs = _pivot_eigs(np.diagonal(D), sub, np.flatnonzero(sub))
     n_plus = int(np.sum(eigs > tol))
     n_minus = int(np.sum(eigs < -tol))
-    n_zero = n - n_plus - n_minus
+    n_zero = len(eigs) - n_plus - n_minus
     return Inertia(n_plus, n_minus, n_zero, float("nan"), tol, "bunch-kaufman")
 
 
-def _ldl(M: sp.csc_matrix, tol: float):
-    """Pivot-free sparse LDL* of Hermitian M: (factor, real pivots, seeded
-    probe vector), or RuntimeError naming why the factor is rejected.
-
-    SuperLU factors P M P^T = L U under a symmetric minimum-degree
-    ordering; without off-diagonal pivoting U = D L*, so by Sylvester's
-    law the pivots diag U carry the signs of the eigenvalues of M.  That
-    holds only if the row and column permutations agree and the pivots are
-    real; small pivots and a bad solve residual mean the factor is too
-    unstable to trust.
-    """
-    try:
-        lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:  # exactly singular pivot
-        raise RuntimeError(f"factorization failed: {exc}") from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise RuntimeError("row pivoting made the permutation non-symmetric")
-    piv = lu.U.diagonal()
-    scale = max(1.0, _absmax(M))
-    im = float(np.max(np.abs(piv.imag)))
-    if im > 1e-8 * scale:
-        raise RuntimeError(f"complex pivot (|Im| = {im:.1e})")
-    piv = piv.real
-    small = float(np.min(np.abs(piv)))
-    if small <= tol:
-        raise RuntimeError(f"pivot {small:.1e} within tol {tol:.1e}")
-    # fixed seed: the probe, and so the accept decision, is reproducible;
-    # it is also the gap's start vector
-    rng = np.random.default_rng(0)
-    b = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
-    y = lu.solve(b)
-    resid = float(np.linalg.norm(M @ y - b))
-    if resid > tol * float(np.linalg.norm(y)):
-        raise RuntimeError(f"probe residual {resid:.1e}")
-    return lu, piv, b
+def _independent_rows(M: sp.csr_matrix, floor: float) -> np.ndarray:
+    """Rows I of M, no two coupled by an off-diagonal entry, each with a
+    diagonal whose real part has modulus at least floor (the Hermitian
+    check bounds the imaginary part): the set a greedy scan in index
+    order picks, found in rounds without a per-row loop.  In each round
+    every undecided row whose undecided neighbours all have larger index
+    joins I, and its neighbours leave."""
+    coo = M.tocoo()
+    off = coo.row != coo.col
+    # both directions, so a pattern that is only Hermitian to tol is covered
+    r = np.concatenate([coo.row[off], coo.col[off]])
+    c = np.concatenate([coo.col[off], coo.row[off]])
+    # 0 undecided, 1 in I, 2 out
+    state = np.where(np.abs(M.diagonal().real) >= floor, 0, 2)
+    while np.any(state == 0):
+        live = (state[r] == 0) & (state[c] == 0)
+        r, c = r[live], c[live]
+        blocked = np.zeros(len(state), dtype=bool)
+        blocked[r[c < r]] = True
+        join = (state == 0) & ~blocked
+        state[join] = 1
+        state[c[join[r]]] = 2
+    return np.flatnonzero(state == 1)
 
 
-def _shift_invert_gap(M: sp.csc_matrix, solve, v0: np.ndarray) -> float:
+def _shift_invert_gap(M: sp.csr_matrix, solve, v0: np.ndarray) -> float:
     """Smallest |eigenvalue| of Hermitian M by ARPACK in shift-invert mode
     at 0, where solve(b) = M^-1 b, from the start vector v0.  Raises
     RuntimeError (ArpackError is one) if the iteration does not converge."""
@@ -235,30 +233,87 @@ def _shift_invert_gap(M: sp.csc_matrix, solve, v0: np.ndarray) -> float:
     return abs(lam)
 
 
-def inertia_ldl(H, tol: float | None = None) -> Inertia:
-    """Inertia and gap of a sparse Hermitian matrix from one sparse LDL*
-    factorization, without a dense copy.
+def _ldl(M: sp.csr_matrix, tol: float):
+    """(pivot eigenvalues, gap) of Hermitian M, whose signs are those of
+    its eigenvalues, or RuntimeError naming why the factor is rejected.
 
-    The counts are the signs of the pivots (see `_ldl`) and the gap comes
-    from ARPACK's complex Arnoldi in shift-invert mode on the same factor
-    (below dimension 64, from the dense eigenvalues).  Every accepted
-    pivot exceeds tol in modulus, so n_zero is 0.  If the factor is
-    rejected or the gap does not converge, the result is the dense
-    oracle's and method records the reason.
+    The rows I of `_independent_rows` (floor _THETA * ||M||_inf) meet M
+    only on the diagonal h_I, so eliminating them is exact; by Haynsworth
+    inertia(M) = inertia(diag(h_I)) + inertia(S) with S the Schur
+    complement of the other rows C.  S is densified once, factored in place
+    by LAPACK hetrf (Bunch-Kaufman, backward stable) into L D L*, and the
+    signs of S are those of D's 1x1 and 2x2 blocks.  A pivot within tol
+    or a bad solve residual on a seeded probe means the factor is not
+    trusted.
     """
-    M = sp.csc_matrix(H, dtype=complex)
+    n = M.shape[0]
+    I = _independent_rows(M, _THETA * _norm_inf(M))
+    C = np.setdiff1d(np.arange(n), I)
+    h = M.diagonal()[I].real
+    M_C = M[C]
+    M_CI, M_IC = M_C[:, I], M[I][:, C]
+    S = M_C[:, C] - M_CI @ sp.diags(1.0 / h) @ M_IC
+    _reserve(len(C), 1, "Schur complement")
+    S = S.toarray(order="F")
+    hetrf, hetrf_lwork, hetrs = sla.get_lapack_funcs(
+        ("hetrf", "hetrf_lwork", "hetrs"), (S,))
+    lwork, _ = hetrf_lwork(len(C), lower=1)
+    # info > 0 flags an exactly zero block of D, which the tol test rejects
+    LD, ipiv, _ = hetrf(S, lower=1, lwork=int(lwork.real), overwrite_a=1)
+    # ipiv < 0 marks both rows of each 2x2 block of D, so every other one
+    # starts a block
+    starts = np.flatnonzero(ipiv < 0)[::2]
+    piv = np.concatenate(
+        [h, _pivot_eigs(np.diagonal(LD), np.diagonal(LD, -1), starts)])
+    small = float(np.min(np.abs(piv)))
+    if small <= tol:
+        raise RuntimeError(f"pivot {small:.1e} within tol {tol:.1e}")
+
+    def solve(b):
+        x = np.empty_like(b, dtype=complex)
+        y = b[I] / h
+        x[C] = hetrs(LD, ipiv, b[C] - M_CI @ y, lower=1)[0]
+        x[I] = y - (M_IC @ x[C]) / h
+        return x
+
+    # fixed seed: the probe, and so the accept decision, is reproducible;
+    # it is also the gap's start vector
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    y = solve(b)
+    resid = float(np.linalg.norm(M @ y - b))
+    if resid > tol * float(np.linalg.norm(y)):
+        raise RuntimeError(f"probe residual {resid:.1e}")
+    gap = (_dense_inertia(M, tol).gap if n < 64
+           else _shift_invert_gap(M, solve, b))
+    return piv, gap
+
+
+def inertia_ldl(H, tol: float | None = None) -> Inertia:
+    """Inertia and gap of a sparse Hermitian matrix from one block LDL*
+    factorization (see `_ldl`), with a dense copy of only the Schur
+    complement.
+
+    The counts are the signs of the pivots and the gap comes from ARPACK's
+    complex Arnoldi in shift-invert mode on the same factor (below
+    dimension 64, from the dense eigenvalues).  Every accepted pivot
+    exceeds tol in modulus, so n_zero is 0.  If the factor is rejected or
+    the gap does not converge, the result is the dense oracle's and
+    method records the reason.
+    """
+    M = sp.csr_matrix(H, dtype=complex)
     _check_hermitian(M)
     tol = _tol(M, tol)
     try:
-        lu, piv, v0 = _ldl(M, tol)
-        gap = (_dense_inertia(M, tol).gap if M.shape[0] < 64
-               else _shift_invert_gap(M, lu.solve, v0))
+        piv, gap = _ldl(M, tol)
     except RuntimeError as exc:
         # a rejected factor or an unconverged gap; MemoryError propagates
-        return replace(_dense_inertia(M, tol),
-                       method=f"dense (ldl rejected: {exc})")
-    n_plus = int(np.sum(piv > 0))
-    return Inertia(n_plus, len(piv) - n_plus, 0, gap, tol, "ldl")
+        reason = str(exc)
+    else:
+        n_plus = int(np.sum(piv > 0))
+        return Inertia(n_plus, len(piv) - n_plus, 0, gap, tol, "ldl")
+    # outside the handler, so the traceback no longer holds the factor
+    return replace(_dense_inertia(M, tol), method=f"dense (ldl rejected: {reason})")
 
 
 def min_abs_eigenvalue(H) -> float:

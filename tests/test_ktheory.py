@@ -103,8 +103,9 @@ def test_index_is_half_signature_identity():
 
 
 def test_large_index_never_densifies(monkeypatch):
-    # dim 5184 > spectral._DENSE_LIMIT: one sparse LDL* factor gives
-    # inertia and gap, for the index and for the gap alone
+    # dim 5184 > spectral._DENSE_LIMIT: one block LDL* factor gives
+    # inertia and gap, for the index and for the gap alone; only the
+    # half-size Schur complement is densified, never the full operator
     def no_dense(H):
         raise AssertionError(f"dense copy of a dim-{H.shape[0]} operator")
 

@@ -17,6 +17,7 @@ from wilsonindex import (
     inertia,
     inertia_bunch_kaufman,
     inertia_ldl,
+    lattice_index,
     make_geometry,
     min_abs_eigenvalue,
     perturb_field,
@@ -62,8 +63,15 @@ def _flux_field(d, N, entries):
 
 @pytest.mark.parametrize("field", [
     pytest.param(lambda: _flux_field(2, 3, [(1, 2, 1)]), id="3"),
-    # an exactly zero pivot: the sparse factor is rejected, the dense oracle runs
     pytest.param(lambda: _flux_field(2, 4, [(1, 2, 1)]), id="4"),
+    # odd N: the torus is not bipartite, so the eliminated rows are not
+    # simply the even sites
+    pytest.param(lambda: _flux_field(2, 5, [(1, 2, 1)]), id="d2-N5-flux1"),
+    pytest.param(lambda: _flux_field(4, 3, [(1, 2, 1), (3, 4, 1)]), id="d4-N3-K1,1"),
+    # two uncoupled bundles: the pattern of H is a disconnected graph
+    pytest.param(lambda: direct_sum_field(
+        _flux_field(2, 6, [(1, 2, 1)]), _flux_field(2, 6, [(1, 2, -2)])),
+        id="d2-N6-rank2"),
     pytest.param(lambda: trivial_field(make_geometry(2, 6)), id="d2-N6-trivial"),
     pytest.param(lambda: _flux_field(2, 6, [(1, 2, 1)]), id="d2-N6-flux1"),
     pytest.param(lambda: perturb_field(direct_sum_field(
@@ -85,7 +93,7 @@ def test_paths_agree_on_assembled_operators(field):
     assert (i3.n_plus, i3.n_minus, i3.n_zero) == counts
     assert abs(i1.gap - i3.gap) < 1e-6 * max(i1.gap, 1e-12)
     assert i1.method == "dense" and i2.method.startswith("bunch-kaufman")
-    assert i3.method == "ldl" or f.geometry.N == 4
+    assert i3.method == "ldl"
 
 
 def test_sparse_gap_is_reproducible():
@@ -126,19 +134,85 @@ def test_dense_gap_is_even_in_the_flux():
     assert abs(gaps[0] - gaps[1]) < 1e-12
 
 
-def test_ldl_rejects_a_row_pivoted_factor():
-    # SuperLU swaps rows at the zero pivot, so P A P^T = L D L* no longer holds
-    i = inertia_ldl(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+def _greedy_rows(M, floor):
+    # reference: the scan in index order that _independent_rows reproduces
+    M = sp.csr_matrix(M)
+    chosen = np.zeros(M.shape[0], dtype=bool)
+    for i in range(M.shape[0]):
+        cols = M.indices[M.indptr[i]:M.indptr[i + 1]]
+        if abs(M[i, i].real) >= floor and not chosen[cols[cols != i]].any():
+            chosen[i] = True
+    return np.flatnonzero(chosen)
+
+
+@pytest.mark.parametrize("field", [
+    pytest.param(lambda: _flux_field(2, 5, [(1, 2, 1)]), id="d2-N5"),
+    pytest.param(lambda: _flux_field(4, 3, [(1, 2, 1), (3, 4, 1)]), id="d4-N3"),
+    pytest.param(lambda: perturb_field(_flux_field(2, 6, [(1, 2, 2)]), 0.3, seed=1),
+                 id="d2-N6-perturbed"),
+])
+@pytest.mark.parametrize("m", [1.0, 1.9])
+def test_independent_rows_match_the_greedy_scan(field, m):
+    f = field()
+    H = assemble(f, clifford_rep(f.geometry.d), m).matrix
+    floor = spectral._THETA * spectral._norm_inf(H)
+    got = spectral._independent_rows(H.tocsr(), floor)
+    assert np.array_equal(got, _greedy_rows(H, floor))
+    # no two chosen rows are coupled: H restricted to them is diagonal
+    block = H.tocsr()[got][:, got]
+    assert block.nnz == np.count_nonzero(block.diagonal())
+
+
+def test_independent_rows_are_the_even_sites_at_d4_N6():
+    H = assemble(_flux_field(4, 6, [(1, 2, 1), (3, 4, 2)]), clifford_rep(4), 1.0).matrix
+    floor = spectral._THETA * spectral._norm_inf(H)
+    rows = spectral._independent_rows(H.tocsr(), floor)
+    sites = rows // 4  # four spinor components per site, site-major
+    assert len(rows) == H.shape[0] // 2
+    assert np.all(np.indices((6,) * 4).reshape(4, -1).sum(axis=0)[sites] % 2 == 0)
+
+
+def test_ldl_factors_a_zero_diagonal_with_a_2x2_pivot(monkeypatch):
+    # no row has a usable diagonal, so nothing is eliminated and hetrf
+    # takes the whole matrix as one 2x2 pivot block
+    blocks = []
+    pivot_eigs = spectral._pivot_eigs
+
+    def recorded(diag, sub, starts):
+        blocks.append((len(diag), list(starts)))
+        return pivot_eigs(diag, sub, starts)
+
+    monkeypatch.setattr(spectral, "_pivot_eigs", recorded)
+    A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert len(spectral._independent_rows(A, 1e-2)) == 0
+    i = inertia_ldl(A)
     assert (i.n_plus, i.n_minus, i.n_zero) == (1, 1, 0)
     assert abs(i.gap - 1.0) < 1e-6
-    assert i.method == ("dense (ldl rejected: row pivoting made the "
-                        "permutation non-symmetric)")
+    assert i.method == "ldl"
+    assert blocks == [(2, [0])]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ldl_reads_runs_of_2x2_pivots(seed):
+    # a zero diagonal leaves all rows to hetrf, which then takes many 2x2
+    # pivots, some of them adjacent: n = 80 >= 64, so the gap is iterative
+    rng = np.random.default_rng(seed)
+    A = sp.random(80, 80, density=0.05, random_state=rng) * (1 + 1j)
+    A = A + A.conj().T
+    A.setdiag(0)
+    A = sp.csr_matrix(A + sp.kron(sp.identity(40), [[0, 1], [1, 0]]))
+    want, got = inertia(A.toarray()), inertia_ldl(A)
+    assert (got.n_plus, got.n_minus, got.n_zero, got.method) \
+        == (want.n_plus, want.n_minus, want.n_zero, "ldl")
+    assert abs(got.gap - want.gap) < 1e-6 * want.gap
 
 
 def test_rejected_factor_costs_one_dense_pass(monkeypatch):
-    # d=2 N=4 flux 1: an exactly zero pivot makes _ldl reject the factor
-    H = assemble(_flux_field(2, 4, [(1, 2, 1)]), clifford_rep(2), 1.0).matrix
+    # the trivial field at m = 0 is singular (the symbol vanishes at k = 0):
+    # the Schur complement has a zero pivot, so _ldl rejects the factor
+    H = assemble(trivial_field(make_geometry(2, 4)), clifford_rep(2), 0.0).matrix
     want = inertia(H)
+    assert want.n_zero > 0
     copies = []
     as_dense = spectral._as_dense
 
@@ -152,10 +226,27 @@ def test_rejected_factor_costs_one_dense_pass(monkeypatch):
     monkeypatch.setattr(spectral, "_as_dense", counted)
     monkeypatch.setattr(spectral, "inertia_bunch_kaufman", no_bunch_kaufman)
     i = inertia_ldl(H)
-    assert i.method.startswith("dense (ldl rejected: ")
+    assert i.method.startswith("dense (ldl rejected: pivot ")
     assert (i.n_plus, i.n_minus, i.n_zero, i.gap) \
         == (want.n_plus, want.n_minus, want.n_zero, want.gap)
     assert copies == [(32, 32)]
+
+
+def test_schur_copy_that_does_not_fit_raises(monkeypatch):
+    # dim 72: 36 rows are eliminated, the rest is a dense 36 x 36 copy
+    H = assemble(_flux_field(2, 6, [(1, 2, 1)]), clifford_rep(2), 1.0).matrix
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 36 * 36 * 16 - 1)
+    with pytest.raises(ResourceError, match="dim-36 Schur complement"):
+        inertia_ldl(H)
+
+
+def test_ldl_on_small_on_site_entries():
+    # d=2 at m = 1.9: the diagonal -+0.1 is 2.4% of ||H||_inf = 4.1, just
+    # above the elimination floor; ||S||_inf = 88 grows ~20x, within 1 + 1/theta
+    r = lattice_index(_flux_field(2, 48, [(1, 2, 3)]), 1.9)
+    assert r.inertia.dim > spectral._DENSE_LIMIT
+    assert r.inertia.method == "ldl"
+    assert r.invariant == r.continuum_index == 3
 
 
 def test_dense_paths_refuse_what_does_not_fit(monkeypatch):
