@@ -18,6 +18,13 @@
   factor.  If the factor is rejected or the gap does not converge, the
   dense oracle's result is returned instead.
 
+  Only rows whose diagonal reaches _THETA * ||H||_inf are eliminated.
+  For the assembled operator, whose on-site entries are +-(mu - d), that
+  is half the rows unless |mu - d| < _THETA * ||H||_inf; then I is empty
+  and the whole operator is densified and factored.  The dense S holds
+  16 |C|^2 bytes, and its factor costs O(|C|^3) and each solve O(|C|^2),
+  however sparse H is: this, not the sparsity of H, bounds the size.
+
 `inertia_bunch_kaufman` (dense LDL* with diagonal pivoting) is a
 counts-only second reference that no production path calls.  The paths
 must agree wherever they run.
@@ -233,6 +240,25 @@ def _shift_invert_gap(M: sp.csr_matrix, solve, v0: np.ndarray) -> float:
     return abs(lam)
 
 
+def _bunch_kaufman(S: np.ndarray):
+    """(pivot eigenvalues, solve) of dense Hermitian S, factored in place
+    by LAPACK hetrf into L D L*; the eigenvalues of D's 1x1 and 2x2
+    blocks carry the signs of S (Sylvester), and solve(b) = S^-1 b."""
+    if not len(S):
+        # LAPACK takes no empty matrix; S is empty when M is diagonal
+        return np.empty(0), lambda b: b
+    hetrf, hetrf_lwork, hetrs = sla.get_lapack_funcs(
+        ("hetrf", "hetrf_lwork", "hetrs"), (S,))
+    lwork, _ = hetrf_lwork(len(S), lower=1)
+    # info > 0 flags an exactly zero block of D, which the tol test rejects
+    LD, ipiv, _ = hetrf(S, lower=1, lwork=int(lwork.real), overwrite_a=1)
+    # ipiv < 0 marks both rows of each 2x2 block of D, so every other one
+    # starts a block
+    starts = np.flatnonzero(ipiv < 0)[::2]
+    eigs = _pivot_eigs(np.diagonal(LD), np.diagonal(LD, -1), starts)
+    return eigs, lambda b: hetrs(LD, ipiv, b, lower=1)[0]
+
+
 def _ldl(M: sp.csr_matrix, tol: float):
     """(pivot eigenvalues, gap) of Hermitian M, whose signs are those of
     its eigenvalues, or RuntimeError naming why the factor is rejected.
@@ -244,7 +270,7 @@ def _ldl(M: sp.csr_matrix, tol: float):
     by LAPACK hetrf (Bunch-Kaufman, backward stable) into L D L*, and the
     signs of S are those of D's 1x1 and 2x2 blocks.  A pivot within tol
     or a bad solve residual on a seeded probe means the factor is not
-    trusted.
+    trusted.  If no row reaches the floor, I is empty and S is all of M.
     """
     n = M.shape[0]
     I = _independent_rows(M, _THETA * _norm_inf(M))
@@ -254,17 +280,8 @@ def _ldl(M: sp.csr_matrix, tol: float):
     M_CI, M_IC = M_C[:, I], M[I][:, C]
     S = M_C[:, C] - M_CI @ sp.diags(1.0 / h) @ M_IC
     _reserve(len(C), 1, "Schur complement")
-    S = S.toarray(order="F")
-    hetrf, hetrf_lwork, hetrs = sla.get_lapack_funcs(
-        ("hetrf", "hetrf_lwork", "hetrs"), (S,))
-    lwork, _ = hetrf_lwork(len(C), lower=1)
-    # info > 0 flags an exactly zero block of D, which the tol test rejects
-    LD, ipiv, _ = hetrf(S, lower=1, lwork=int(lwork.real), overwrite_a=1)
-    # ipiv < 0 marks both rows of each 2x2 block of D, so every other one
-    # starts a block
-    starts = np.flatnonzero(ipiv < 0)[::2]
-    piv = np.concatenate(
-        [h, _pivot_eigs(np.diagonal(LD), np.diagonal(LD, -1), starts)])
+    eigs_S, solve_S = _bunch_kaufman(S.toarray(order="F"))
+    piv = np.concatenate([h, eigs_S])
     small = float(np.min(np.abs(piv)))
     if small <= tol:
         raise RuntimeError(f"pivot {small:.1e} within tol {tol:.1e}")
@@ -272,7 +289,7 @@ def _ldl(M: sp.csr_matrix, tol: float):
     def solve(b):
         x = np.empty_like(b, dtype=complex)
         y = b[I] / h
-        x[C] = hetrs(LD, ipiv, b[C] - M_CI @ y, lower=1)[0]
+        x[C] = solve_S(b[C] - M_CI @ y)
         x[I] = y - (M_IC @ x[C]) / h
         return x
 
@@ -292,7 +309,8 @@ def _ldl(M: sp.csr_matrix, tol: float):
 def inertia_ldl(H, tol: float | None = None) -> Inertia:
     """Inertia and gap of a sparse Hermitian matrix from one block LDL*
     factorization (see `_ldl`), with a dense copy of only the Schur
-    complement.
+    complement (of all of H if no diagonal entry reaches the elimination
+    floor).
 
     The counts are the signs of the pivots and the gap comes from ARPACK's
     complex Arnoldi in shift-invert mode on the same factor (below

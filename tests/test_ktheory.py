@@ -104,8 +104,12 @@ def test_index_is_half_signature_identity():
 
 def test_large_index_never_densifies(monkeypatch):
     # dim 5184 > spectral._DENSE_LIMIT: one block LDL* factor gives
-    # inertia and gap, for the index and for the gap alone; only the
-    # half-size Schur complement is densified, never the full operator
+    # inertia and gap, for the index and for the gap alone.  At m = 1 the
+    # on-site entries -+3 are far above the elimination floor, so only the
+    # half-size Schur complement is densified, never the full operator.
+    # Below the floor (|m - d| < 1% of ||H||_inf) no row is eliminated and
+    # the whole operator would be densified for hetrf, though not by
+    # _as_dense (test_spectral's test_ldl_below_the_elimination_floor)
     def no_dense(H):
         raise AssertionError(f"dense copy of a dim-{H.shape[0]} operator")
 

@@ -249,6 +249,37 @@ def test_ldl_on_small_on_site_entries():
     assert r.invariant == r.continuum_index == 3
 
 
+@pytest.mark.parametrize("N", [24, 48])
+def test_ldl_below_the_elimination_floor(N):
+    # d=2 at m = 1.98: the on-site entries -+0.02 are below _THETA * ||H||_inf
+    # = 0.04, so no row is eliminated and the whole operator is densified
+    # and factored by hetrf.  N=24 is checked against the dense oracle;
+    # N=48 (dim 4608, where the oracle takes ~20 s) runs through `inertia`
+    # and is checked against the index theorem, I = 1 for flux 1, whose
+    # counts the oracle reproduces
+    f = _flux_field(2, N, [(1, 2, 1)])
+    H = assemble(f, clifford_rep(2), 1.98).matrix
+    floor = spectral._THETA * spectral._norm_inf(H)
+    assert len(spectral._independent_rows(H.tocsr(), floor)) == 0
+    n = H.shape[0]
+    if n <= spectral._DENSE_LIMIT:
+        want, got = inertia(H), inertia_ldl(H)
+        assert abs(got.gap - want.gap) < 1e-6 * want.gap
+    else:
+        want, got = Inertia(n // 2 + 1, n // 2 - 1, 0, 0.0, 0.0), inertia(H)
+    assert (got.n_plus, got.n_minus, got.n_zero, got.method) \
+        == (want.n_plus, want.n_minus, want.n_zero, "ldl")
+
+
+def test_ldl_on_a_diagonal_matrix():
+    # every row is eliminated, so the Schur complement is empty and
+    # LAPACK is not called
+    d = np.where(np.arange(5000) % 3 == 0, -1.0, 1.0) * (1 + np.arange(5000) / 5000)
+    i = inertia(sp.diags(d))
+    assert (i.n_plus, i.n_minus, i.n_zero, i.method) == (3333, 1667, 0, "ldl")
+    assert abs(i.gap - 1.0) < 1e-6
+
+
 def test_dense_paths_refuse_what_does_not_fit(monkeypatch):
     f = _flux_field(2, 6, [(1, 2, 1)])
     H = assemble(f, clifford_rep(2), 1.0).matrix
