@@ -148,7 +148,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    g = symbol_gap(clifford_rep(args.d), args.m, grid=args.grid)
+    g = symbol_gap(clifford_rep(args.d), args.m)
     print(f"{g:.6f}")
     return EXIT_OK
 
@@ -253,7 +253,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("gap", help="symbol gap over the Brillouin torus")
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--m", type=float, default=1.0)
-    sp.add_argument("--grid", type=int, default=64)
     sp.set_defaults(func=cmd_gap)
 
     sp = sub.add_parser("degree", help="degree of the normalized symbol map")

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from .clifford import CliffordRep, clifford_rep
 from .gauge import FluxMatrix, GaugeField, estimate_curvature_norm, shift_unitaries
 from .spectral import Inertia, half_signature, inertia, min_abs_eigenvalue
-from .wilson import assemble, wilson_matrix
+from .wilson import assemble, symbol_gap, wilson_matrix
 
 # Global orientation sign relating the lattice invariant to the Pfaffian
 # index, calibrated once from the d=2, N=16, K_12=1, m=1 instance under
@@ -236,9 +236,8 @@ def symbol_degree(d: int, mu: float, resolution: int = 8) -> int:
     the same integer."""
     if d % 2 != 0 or d < 2:
         raise ValueError("even dimension required")
-    for boundary in range(0, 2 * d + 1, 2):
-        if abs(mu - boundary) < 1e-9:
-            raise ValueError("mass sits on a window boundary")
+    if symbol_gap(clifford_rep(d), mu) < 1e-9:
+        raise ValueError("mass sits on a window boundary")
     rng = np.random.default_rng(20240801)
     deg1 = _degree_once(d, mu, resolution, rng)
     deg2 = _degree_once(d, mu, 2 * resolution, rng)
@@ -321,10 +320,7 @@ def clock_shift(n: int) -> UnitaryTuple:
         raise ValueError("n must be >= 2")
     zeta = np.exp(2j * np.pi / n)
     clock = np.diag(zeta ** np.arange(n))
-    shift = np.zeros((n, n), dtype=complex)
-    shift[0, n - 1] = 1
-    for k in range(1, n):
-        shift[k, k - 1] = 1
+    shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
     return UnitaryTuple.from_matrices([clock, shift])
 
 

@@ -93,13 +93,19 @@ def run_selftest(csv_path=None, verbose: bool = True) -> bool:
             ok = ok and dev < 1e-10
     record("Fourier diagonalization oracle", ok, f"max dev {worst:.2e}")
 
-    # 4. symbol gap
-    g = symbol_gap(clifford_rep(2), 1.0, grid=512)
-    ok = abs(g - 1.0) < 1e-6
-    for d in (2, 4):
+    # 4. symbol gap vs the trivial-field spectrum: at even N the lattice
+    # momenta include the corners {0, 1/2}^d, where the gap is attained
+    ok = True
+    worst = 0.0
+    for d, N in ((2, 4), (4, 2)):
+        cl = clifford_rep(d)
+        f = trivial_field(make_geometry(d, N), rank=1)
         for mu in (0.1, 1.0, 1.9):
-            ok = ok and symbol_gap(clifford_rep(d), mu, grid=48) > 0
-    record("symbol gap (closed form + positivity)", ok, f"gap(2,1)={g:.8f}")
+            g = symbol_gap(cl, mu)
+            dev = abs(inertia(assemble(f, cl, mu).matrix).gap - g)
+            worst = max(worst, dev)
+            ok = ok and g > 0 and dev < 1e-10
+    record("symbol gap vs trivial-field spectrum", ok, f"max dev {worst:.2e}")
 
     # 5. degree of the normalized symbol vs corner-count oracle
     ok = True

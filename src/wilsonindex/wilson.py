@@ -98,46 +98,17 @@ def symbol_gap_function(d: int, k_grid: np.ndarray, mu: float) -> np.ndarray:
     return np.sqrt(s2 + (w + mu) ** 2)
 
 
-def _scan_box(d: int, center: np.ndarray, half: float, g: int, mu: float):
-    axes = [center[j] + np.linspace(-half, half, g) for j in range(d)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vals = symbol_gap_function(d, mesh, mu)
-    flat = int(np.argmin(vals))
-    idx = np.unravel_index(flat, vals.shape)
-    best = np.array([axes[j][idx[j]] for j in range(d)])
-    return float(vals[idx]), best
+def symbol_gap(cl: CliffordRep, mu: float) -> float:
+    """Minimum of the symbol gap over the Brillouin torus, in closed form.
 
+    With u_j = 1 - cos(2 pi k_j) in [0, 2], sin^2(2 pi k_j) = u_j (2 - u_j)
+    and the symbol squares to
 
-def symbol_gap(cl: CliffordRep, mu: float, grid: int = 64,
-               max_refinements: int = 20, rtol: float = 5e-4) -> float:
-    """Minimum of the symbol gap over the Brillouin torus.
+        |symbol(k)|^2 = mu^2 + (2 - 2 mu) sum_j u_j + 2 sum_{j<l} u_j u_l,
 
-    Scans a grid^d momentum lattice, then refines locally around the
-    minimizer with shrinking boxes until two successive refinements agree
-    to three significant digits.  The minimand is smooth, so the coarse
-    global scan is enough to locate the basin.
+    which is affine in each u_j.  Its minimum over the box [0, 2]^d lies at
+    a corner, i.e. at a momentum k in {0, 1/2}^d; with c half components it
+    equals (mu - 2c)^2.  Hence gap(d, mu) = min_{c=0..d} |mu - 2c|, which
+    closes exactly at the window boundaries mu in {0, 2, ..., 2d}.
     """
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    d = cl.d
-    g = grid
-    while g ** d > 2 * 10 ** 6 and g > 8:
-        g //= 2
-    axes = [np.arange(g) / g] * d
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vals = symbol_gap_function(d, mesh, mu)
-    flat = int(np.argmin(vals))
-    idx = np.unravel_index(flat, vals.shape)
-    best = np.array([idx[j] / g for j in range(d)])
-    cur = float(vals[idx])
-    half = 1.5 / g
-    local_g = 9 if d >= 4 else 33
-    for _ in range(max_refinements):
-        nxt, best = _scan_box(d, best, half, local_g, mu)
-        half /= 3.0
-        if abs(nxt - cur) <= rtol * max(abs(nxt), 1e-30) or (
-            nxt < 1e-12 and cur < 1e-12
-        ):
-            return min(nxt, cur)
-        cur = min(nxt, cur)
-    return cur
+    return float(min(abs(mu - 2 * c) for c in range(cl.d + 1)))

@@ -15,7 +15,6 @@ import scipy.linalg as sla
 import wilsonindex as wi
 from wilsonindex.selftest import run_selftest
 from wilsonindex.spectral import fourier_diagonalize
-from wilsonindex.wilson import symbol_gap_function
 
 
 def _report(num, name, ok, detail=""):
@@ -81,15 +80,15 @@ def test_criterion_3_momentum_space_oracle():
 
 
 def test_criterion_4_symbol_gap():
-    g0 = wi.symbol_gap(wi.clifford_rep(2), 1.0, grid=512)
+    g0 = wi.symbol_gap(wi.clifford_rep(2), 1.0)
     ok = abs(g0 - 1.0) < 1e-6
     for d in (2, 4):
         cl = wi.clifford_rep(d)
         for mu in (0.1, 0.5, 1.0, 1.5, 1.9):
-            ok = ok and wi.symbol_gap(cl, mu, grid=48) > 0
+            ok = ok and wi.symbol_gap(cl, mu) > 0
     cl2 = wi.clifford_rep(2)
-    near0 = wi.symbol_gap(cl2, 0.005, grid=1024)
-    near2 = wi.symbol_gap(cl2, 1.995, grid=1024)
+    near0 = wi.symbol_gap(cl2, 0.005)
+    near2 = wi.symbol_gap(cl2, 1.995)
     ok = ok and near0 < 1e-2 and near2 < 1e-2
     _report(4, "symbol gap closed form, positivity, boundary collapse", ok,
             f"gap(2,1)={g0:.8f}, boundary gaps {near0:.2e}/{near2:.2e}")

@@ -69,8 +69,9 @@ def test_index_reports_the_real_error(capsys):
 
 
 def test_gap_command(capsys):
-    assert run(["gap", "--d", "2", "--m", "1", "--grid", "512"]) == 0
+    assert run(["gap", "--d", "2", "--m", "1"]) == 0
     assert capsys.readouterr().out.strip() == "1.000000"
+    assert run(["gap", "--grid", "512"]) == 1
 
 
 def test_degree_command(capsys):

@@ -12,7 +12,7 @@ from wilsonindex import (
     symbol_gap,
     trivial_field,
 )
-from wilsonindex.spectral import fourier_diagonalize
+from wilsonindex.spectral import fourier_diagonalize, inertia
 from wilsonindex.wilson import symbol_gap_function, to_matrix_market
 
 
@@ -86,39 +86,54 @@ def test_momentum_oracle_repeats_each_level_rank_times():
     assert np.max(np.abs(got - want)) < 1e-10
 
 
-def _brute_gap(d, mu, g=400):
+def _brute_gap(d, mu):
+    g = 400 if d == 2 else 24
     axes = [np.arange(g) / g] * d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     return float(np.min(symbol_gap_function(d, mesh, mu)))
 
 
 def test_symbol_gap_closed_form_value():
-    assert abs(symbol_gap(clifford_rep(2), 1.0, grid=512) - 1.0) < 1e-6
+    assert abs(symbol_gap(clifford_rep(2), 1.0) - 1.0) < 1e-6
 
 
-def test_symbol_gap_agrees_with_brute_force_scan():
-    for mu in (0.3, 0.8, 1.5, 2.5, 3.7):
-        got = symbol_gap(clifford_rep(2), mu, grid=64)
-        assert got <= _brute_gap(2, mu) + 1e-9
-        assert abs(got - _brute_gap(2, mu)) < 5e-3
+# every window (0, 2), ..., (2d - 2, 2d) and both sides outside; at d=4,
+# mu=6.7668 a scan from an odd grid settles in a local basin
+@pytest.mark.parametrize("d,mu", [
+    *((2, mu) for mu in (-0.5, 0.3, 0.8, 1.5, 2.5, 3.7, 4.6)),
+    *((4, mu) for mu in (-0.5, 0.3, 1.5, 2.5, 3.7, 4.2, 5.5, 6.7668, 7.7,
+                         8.6)),
+])
+def test_symbol_gap_agrees_with_brute_force_scan(d, mu):
+    got, want = symbol_gap(clifford_rep(d), mu), _brute_gap(d, mu)
+    assert got <= want + 1e-9
+    assert abs(got - want) < 5e-3
+
+
+@pytest.mark.parametrize("d,N", [(2, 4), (2, 8), (4, 2)])
+def test_symbol_gap_is_trivial_field_gap(d, N):
+    # at even N the lattice momenta include the corners {0, 1/2}^d
+    cl = clifford_rep(d)
+    f = trivial_field(make_geometry(d, N), rank=1)
+    for mu in (0.1, 1.0, 1.9, 2.5, 3.3, 4.2, 7.7):
+        gap = inertia(assemble(f, cl, mu).matrix).gap
+        assert abs(gap - symbol_gap(cl, mu)) < 1e-10
 
 
 def test_symbol_gap_positive_inside_windows():
     for d in (2, 4):
         cl = clifford_rep(d)
         for mu in (0.1, 0.5, 1.0, 1.5, 1.9):
-            assert symbol_gap(cl, mu, grid=48) > 0
+            assert symbol_gap(cl, mu) > 0
 
 
 def test_symbol_gap_collapses_at_window_boundary():
     cl = clifford_rep(2)
-    assert symbol_gap(cl, 0.005, grid=1024) < 1e-2
-    assert symbol_gap(cl, 1.995, grid=1024) < 1e-2
-
-
-def test_symbol_gap_rejects_tiny_grid():
-    with pytest.raises(ValueError):
-        symbol_gap(clifford_rep(2), 1.0, grid=1)
+    assert symbol_gap(cl, 0.005) < 1e-2
+    assert symbol_gap(cl, 1.995) < 1e-2
+    for d in (2, 4):
+        for c in range(d + 1):
+            assert symbol_gap(clifford_rep(d), 2.0 * c) == 0
 
 
 def test_matrix_market_export_roundtrip(tmp_path):
