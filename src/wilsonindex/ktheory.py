@@ -133,7 +133,8 @@ def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:
     continuum = None
     agrees = None
     if f.flux_sectors is not None:
-        continuum = _continuum_from_sectors(f.flux_sectors)
+        # every corner k in {0, 1/2}^d with 2c < mu (a doubler) adds (-1)^c Pf
+        continuum = corner_count_degree(d, mu) * _continuum_from_sectors(f.flux_sectors)
         agrees = bool(invariant == SIGMA * continuum)
     return IndexReport(
         invariant=int(invariant),

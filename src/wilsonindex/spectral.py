@@ -13,10 +13,13 @@
   S = H_CC - H_CI diag(h_I)^-1 H_IC of the other rows C.  S is densified
   once and factored by LAPACK `hetrf` (Bunch and Kaufman's diagonal
   pivoting), whose 1x1 and 2x2 pivot blocks carry the signs of S
-  (Sylvester's law of inertia).  The gap is found by ARPACK's complex Arnoldi (what
-  `eigsh` runs for complex input) in shift-invert mode on the same
-  factor.  If the factor is rejected or the gap does not converge, the
-  dense oracle's result is returned instead.
+  (Sylvester's law of inertia).  The factor is converted in place, as
+  LAPACK's syconv does, into P S P^T = L D L* with unit lower triangular
+  L, and the gap is found by ARPACK's complex Arnoldi (what `eigsh` runs
+  for complex input) in shift-invert mode, each solve being P, two BLAS
+  trsv calls on L and the 1x1/2x2 solves of D (no hetrs).  If the
+  factor is rejected or the gap does not converge, the dense oracle's
+  result is returned instead.
 
   Only rows whose diagonal reaches _THETA * ||H||_inf are eliminated.
   For the assembled operator, whose on-site entries are +-(mu - d), that
@@ -243,20 +246,45 @@ def _shift_invert_gap(M: sp.csr_matrix, solve, v0: np.ndarray) -> float:
 def _bunch_kaufman(S: np.ndarray):
     """(pivot eigenvalues, solve) of dense Hermitian S, factored in place
     by LAPACK hetrf into L D L*; the eigenvalues of D's 1x1 and 2x2
-    blocks carry the signs of S (Sylvester), and solve(b) = S^-1 b."""
+    blocks carry the signs of S (Sylvester), and solve(b) = S^-1 b.  The
+    factor is converted in place (LAPACK's syconv) to P S P^T = L D L*
+    with unit lower triangular L, so a solve is P, two BLAS trsv and D."""
     if not len(S):
         # LAPACK takes no empty matrix; S is empty when M is diagonal
         return np.empty(0), lambda b: b
-    hetrf, hetrf_lwork, hetrs = sla.get_lapack_funcs(
-        ("hetrf", "hetrf_lwork", "hetrs"), (S,))
+    hetrf, hetrf_lwork = sla.get_lapack_funcs(("hetrf", "hetrf_lwork"), (S,))
     lwork, _ = hetrf_lwork(len(S), lower=1)
     # info > 0 flags an exactly zero block of D, which the tol test rejects
     LD, ipiv, _ = hetrf(S, lower=1, lwork=int(lwork.real), overwrite_a=1)
+    trsv = sla.get_blas_funcs("trsv", (LD,))
     # ipiv < 0 marks both rows of each 2x2 block of D, so every other one
     # starts a block
     starts = np.flatnonzero(ipiv < 0)[::2]
     eigs = _pivot_eigs(np.diagonal(LD), np.diagonal(LD, -1), starts)
-    return eigs, lambda b: hetrs(LD, ipiv, b, lower=1)[0]
+    # take D out of L: 1 stands in for the 2x2 blocks' diagonal in d
+    d = LD.diagonal().real.copy()
+    a, c, e = d[starts], d[starts + 1], LD[starts + 1, starts]
+    LD[starts + 1, starts] = 0
+    det = a * c - np.abs(e) ** 2
+    d[starts] = d[starts + 1] = 1.0
+    # block k swapped row r[k] (k, or k + 1 for a 2x2 block) with p[k] only
+    # in the columns right of k; swap the columns left of k too, in order,
+    # so L is one triangle (r = p, no swap, for a 2x2 block's second row)
+    p, r, perm = np.abs(ipiv) - 1, np.arange(len(LD)), np.arange(len(LD))
+    r[starts], r[starts + 1] = starts + 1, p[starts + 1]
+    for k in np.flatnonzero(p != r):
+        LD[[r[k], p[k]], :k] = LD[[p[k], r[k]], :k]
+        perm[[r[k], p[k]]] = perm[[p[k], r[k]]]
+    unperm = np.argsort(perm)
+
+    def solve(b):
+        y = trsv(LD, b[perm], lower=1, diag=1) / d
+        y1, y2 = y[starts], y[starts + 1]
+        y[starts] = (c * y1 - e.conj() * y2) / det
+        y[starts + 1] = (a * y2 - e * y1) / det
+        return trsv(LD, y, lower=1, trans=2, diag=1)[unperm]
+
+    return eigs, solve
 
 
 def _ldl(M: sp.csr_matrix, tol: float):
@@ -313,8 +341,9 @@ def inertia_ldl(H, tol: float | None = None) -> Inertia:
     floor).
 
     The counts are the signs of the pivots and the gap comes from ARPACK's
-    complex Arnoldi in shift-invert mode on the same factor (below
-    dimension 64, from the dense eigenvalues).  Every accepted pivot
+    complex Arnoldi in shift-invert mode on the same factor, converted in
+    place so that each solve is two triangular BLAS trsv calls and D
+    (below dimension 64, from the dense eigenvalues).  Every accepted pivot
     exceeds tol in modulus, so n_zero is 0.  If the factor is rejected or
     the gap does not converge, the result is the dense oracle's and
     method records the reason.

@@ -96,6 +96,27 @@ def test_index_equals_flux_two_dimensions(k):
     assert r.agrees
 
 
+@pytest.mark.parametrize("k", [1, -2])
+def test_constant_mode_above_the_first_window_counts_the_doublers(k):
+    # mu = m a = 2.5: the corners (1/2, 0) and (0, 1/2) add -Pf each, so
+    # the continuum prediction is deg(2, 2.5) Pf = -Pf
+    f = constant_flux_field(make_geometry(2, 8), _flux2(k))
+    r = lattice_index(f, 2.5 * 8, mode="constant")
+    assert r.mu == 2.5
+    assert r.continuum_index == -k
+    assert r.invariant == SIGMA * r.continuum_index and r.agrees
+
+
+def test_second_window_index_at_d4():
+    # d=4 at mu = 2.5: deg(4, 2.5) = 1 - 4 = -3, so I = -3 Pf = -6
+    K = FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 2)])
+    f = constant_flux_field(make_geometry(4, 4), K)
+    with pytest.warns(UserWarning, match="invertibility threshold"):
+        r = lattice_index(f, 2.5 * 4, mode="constant")
+    assert r.continuum_index == -6
+    assert r.invariant == SIGMA * r.continuum_index and r.agrees
+
+
 def test_index_is_half_signature_identity():
     f = constant_flux_field(make_geometry(2, 6), _flux2(2))
     r = lattice_index(f, 1.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -205,6 +207,42 @@ def test_ldl_reads_runs_of_2x2_pivots(seed):
     assert (got.n_plus, got.n_minus, got.n_zero, got.method) \
         == (want.n_plus, want.n_minus, want.n_zero, "ldl")
     assert abs(got.gap - want.gap) < 1e-6 * want.gap
+
+
+def test_bunch_kaufman_solve_undoes_interchanges_of_both_pivot_kinds():
+    # small and zero diagonal entries make hetrf take 1x1 and 2x2 pivots,
+    # both with row interchanges; n = 200 exceeds hetrf's block size, so
+    # its blocked path runs too
+    rng = np.random.default_rng(0)
+    A = _random_hermitian(200, 0)
+    A[np.diag_indices(200)] *= rng.choice([0.0, 0.05, 3.0], 200)
+    _, ipiv, _ = sla.get_lapack_funcs("hetrf", (A,))(A, lower=1)
+    p, two = np.abs(ipiv) - 1, ipiv < 0
+    starts = np.flatnonzero(two)[::2]
+    assert np.any(~two & (p != np.arange(200)))
+    assert np.any(p[starts] != starts + 1)
+    eigs, solve = spectral._bunch_kaufman(A.copy(order="F"))
+    assert np.sum(eigs > 0) == np.sum(np.linalg.eigvalsh(A) > 0)
+    b = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    want = np.linalg.solve(A, b)
+    assert np.linalg.norm(solve(b) - want) < 1e-12 * np.linalg.norm(want)
+
+
+def test_ldl_converts_the_factor_in_place():
+    # d=2 at m = 1.5: the 1600 x 1600 Schur complement (16 s^2 = 41 MB)
+    # has hundreds of 1x1 and 2x2 interchanges; a second copy of it, or of
+    # its factor, would double the peak
+    H = assemble(_flux_field(2, 40, [(1, 2, 1)]), clifford_rep(2), 1.5).matrix
+    s = H.shape[0] - len(spectral._independent_rows(
+        H.tocsr(), spectral._THETA * spectral._norm_inf(H)))
+    tracemalloc.start()
+    try:
+        i = inertia_ldl(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert i.method == "ldl"
+    assert peak < 1.5 * 16 * s * s
 
 
 def test_rejected_factor_costs_one_dense_pass(monkeypatch):
