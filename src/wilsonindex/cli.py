@@ -139,6 +139,7 @@ def cmd_index(args) -> int:
           f"n0 = {r.inertia.n_zero} ({r.inertia.method})")
     print(f"gap = {r.inertia.gap:.6e}")
     print(f"curvature estimate = {r.curvature_estimate:.6e}")
+    print(f"window degree = {r.degree} (mu = {r.mu:g})")
     if r.continuum_index is not None:
         print(f"continuum index = {r.continuum_index} (sigma = {SIGMA:+d}), "
               f"agrees = {str(r.agrees).lower()}")
@@ -181,7 +182,7 @@ def cmd_verify_bound(args) -> int:
     flux = _parse_flux_entries(args.d, args.flux)
     f = _build_field(args.d, args.N, flux)
     rep = verify_gap_bound(f, clifford_rep(args.d), args.m, args.kappa)
-    print(f"lambda_min = {rep.lambda_min:.6e}")
+    print(f"lambda_min = {rep.lambda_min:.6e} ({rep.method})")
     print(f"rhs = {rep.rhs:.6e}")
     print(f"margin = {rep.margin:.6e}")
     print(f"status = {rep.status}")
@@ -258,7 +259,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("degree", help="degree of the normalized symbol map")
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--m", type=float, default=1.0)
-    sp.add_argument("--resolution", type=int, default=6)
+    sp.add_argument("--resolution", type=int, default=6,
+                    help="no effect: the degree is the closed-form corner count")
     sp.set_defaults(func=cmd_degree)
 
     sp = sub.add_parser("acm", help="invariant of an almost-commuting tuple")

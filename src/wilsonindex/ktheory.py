@@ -6,6 +6,7 @@ tuples.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -14,7 +15,9 @@ import scipy.sparse as sp
 
 from .clifford import CliffordRep, clifford_rep
 from .gauge import FluxMatrix, GaugeField, estimate_curvature_norm, shift_unitaries
-from .spectral import Inertia, half_signature, inertia, min_abs_eigenvalue
+# min_abs_eigenvalue is unused here; perfbench's tracer looks it up by name
+from .spectral import (Inertia, half_signature, inertia, inertia_bunch_kaufman,  # noqa: F401
+                       min_abs_eigenvalue)
 from .wilson import assemble, symbol_gap, wilson_matrix
 
 # Global orientation sign relating the lattice invariant to the Pfaffian
@@ -39,6 +42,7 @@ class IndexReport:
     mu: float
     curvature_estimate: float
     bound_margin: float
+    degree: int  # corner_count_degree(d, mu): the window's doubler count
     continuum_index: int | None = None
     agrees: bool | None = None
 
@@ -49,6 +53,7 @@ class BoundReport:
     rhs: float
     margin: float
     status: str  # "pass" | "fail" | "vacuous"
+    method: str  # the path that found lambda_min, as in Inertia.method
 
 
 @dataclass(frozen=True)
@@ -97,10 +102,6 @@ def _pfaffian(K: np.ndarray, idx) -> int:
     return total
 
 
-def _continuum_from_sectors(sectors) -> int:
-    return sum(continuum_index(K) for K in sectors)
-
-
 def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:
     """I(D_W + m gamma) of the assembled operator, with diagnostics."""
     d = f.geometry.d
@@ -130,11 +131,11 @@ def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:
     # kappa = 1/a for constant; bound scaled by a^2 accordingly)
     rhs = mu ** 2 - 4 * d ** 2 * curvature * a ** 2
     margin = inert.gap ** 2 - rhs
-    continuum = None
-    agrees = None
+    # every corner k in {0, 1/2}^d with 2c < mu (a doubler) adds (-1)^c Pf
+    degree = corner_count_degree(d, mu)
+    continuum = agrees = None
     if f.flux_sectors is not None:
-        # every corner k in {0, 1/2}^d with 2c < mu (a doubler) adds (-1)^c Pf
-        continuum = corner_count_degree(d, mu) * _continuum_from_sectors(f.flux_sectors)
+        continuum = degree * sum(continuum_index(K) for K in f.flux_sectors)
         agrees = bool(invariant == SIGMA * continuum)
     return IndexReport(
         invariant=int(invariant),
@@ -143,6 +144,7 @@ def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:
         mu=mu,
         curvature_estimate=curvature,
         bound_margin=margin,
+        degree=degree,
         continuum_index=continuum,
         agrees=agrees,
     )
@@ -159,105 +161,34 @@ def mass_mode_equivalence(f: GaugeField, m_cutoff: float, m_const: float) -> boo
 # degree of the normalized symbol map F: T^d -> S^d
 
 
-def _symbol_map(k: np.ndarray, mu: float):
-    """F(k) = ((W + mu)/f, sin_1/f, ..., sin_d/f) and the Jacobian of its
-    sphere part with respect to k, for n momenta k of shape (n, d):
-    F0 (n,), Fv (n, d) and J (n, d, d)."""
-    s = np.sin(2 * np.pi * k)
-    c = np.cos(2 * np.pi * k)
-    w = np.sum(c - 1.0, axis=-1) + mu
-    f = np.sqrt(np.sum(s ** 2, axis=-1) + w ** 2)
-    F0 = w / f
-    Fv = s / f[:, None]
-    # df/dk_l = 2 pi s_l (c_l - w)/f
-    dfdk = 2 * np.pi * s * (c - w[:, None]) / f[:, None]
-    J = (-s[:, :, None] * dfdk[:, None, :]) / (f ** 2)[:, None, None]
-    diag = np.arange(k.shape[1])
-    J[:, diag, diag] += 2 * np.pi * c / f[:, None]
-    return F0, Fv, J
-
-
-def _newton_roots(d: int, mu: float, target_vec: np.ndarray, target_sign: float,
-                  resolution: int):
-    """(key, det J) of each distinct preimage, in the order of the first
-    seed reaching it; all resolution^d seeds take damped Newton steps at once."""
-    k = np.stack(
-        np.meshgrid(*([np.arange(resolution) / resolution] * d), indexing="ij"),
-        axis=-1,
-    ).reshape(-1, d)
-    active = np.ones(len(k), dtype=bool)
-    converged = np.zeros(len(k), dtype=bool)
-    for _ in range(60):
-        idx = np.flatnonzero(active)
-        if not idx.size:
-            break
-        _, Fv, J = _symbol_map(k[idx], mu)
-        r = Fv - target_vec
-        done = np.linalg.norm(r, axis=-1) < 1e-12
-        converged[idx[done]] = True
-        # an exactly singular Jacobian drops its seed; masked before the
-        # stacked solve, which would raise for the whole batch
-        step_ok = ~done & (np.linalg.det(J) != 0)
-        active[idx[~step_ok]] = False
-        idx, J, r = idx[step_ok], J[step_ok], r[step_ok]
-        step = np.linalg.solve(J, r[:, :, None])[:, :, 0]
-        norm = np.linalg.norm(step, axis=-1)
-        clip = norm > 0.25
-        step[clip] *= (0.25 / norm[clip])[:, None]
-        k[idx] = (k[idx] - step) % 1.0
-    k = k[converged]
-    F0, _, J = _symbol_map(k, mu)
-    chart = F0 * target_sign > 0
-    keys, J = np.round(k[chart] % 1.0, 6) % 1.0, J[chart]
-    roots = []
-    while len(keys):
-        roots.append((tuple(keys[0]), float(np.linalg.det(J[0]))))
-        far = ~np.all(np.abs((keys - keys[0] + 0.5) % 1.0 - 0.5) < 1e-5, axis=-1)
-        keys, J = keys[far], J[far]
-    return roots
-
-
-def _degree_once(d: int, mu: float, resolution: int, rng) -> int:
-    target_vec = np.zeros(d)
-    target_sign = 1.0
-    for attempt in range(5):
-        roots = _newton_roots(d, mu, target_vec, target_sign, resolution)
-        dets = [det for _, det in roots]
-        if all(abs(v) > 1e-8 for v in dets):
-            return int(sum(np.sign(v) for v in dets))
-        # degenerate preimage: nudge the target within the F0 > 0 chart
-        target_vec = 0.05 * rng.standard_normal(d)
-        target_vec /= max(1.0, 4 * np.linalg.norm(target_vec))
-    raise RuntimeError("failed to certify a regular value for the degree")
-
-
 def symbol_degree(d: int, mu: float, resolution: int = 8) -> int:
-    """Degree of F: T^d -> S^d by signed preimage counting at a regular
-    value (default (1,0,...,0)); runs two seeding resolutions and demands
-    the same integer."""
+    """Degree of F: T^d -> S^d, F(k) = (W + mu, sin 2 pi k_1, ...,
+    sin 2 pi k_d)/f with W = sum_j (cos 2 pi k_j - 1) and f the norm, as
+    the signed preimage count of the value (1, 0, ..., 0).
+
+    That value has exactly the corner preimages: sin 2 pi k_j = 0 for
+    every j puts k in {0, 1/2}^d, where W + mu = mu - 2c for c half
+    components, and F0 > 0 needs mu > 2c.  At such a corner the Jacobian
+    of (F_1, ..., F_d) is diag(2 pi cos 2 pi k_j)/|mu - 2c|, whose
+    determinant has sign (-1)^c and is never 0; so the value is regular
+    and the degree is `corner_count_degree(d, mu)`.  `resolution` has no
+    effect; it is accepted for callers of the former Newton search.
+    """
     if d % 2 != 0 or d < 2:
         raise ValueError("even dimension required")
     if symbol_gap(clifford_rep(d), mu) < 1e-9:
         raise ValueError("mass sits on a window boundary")
-    rng = np.random.default_rng(20240801)
-    deg1 = _degree_once(d, mu, resolution, rng)
-    deg2 = _degree_once(d, mu, 2 * resolution, rng)
-    if deg1 != deg2:
-        raise RuntimeError(
-            f"degree not resolution-independent: {deg1} vs {deg2}")
-    return deg1
+    return corner_count_degree(d, mu)
 
 
 def corner_count_degree(d: int, mu: float) -> int:
-    """Independent oracle: preimages of (1,0,...,0) are the corner momenta
+    """Signed corner count: preimages of (1,0,...,0) are the corner momenta
     k in {0, 1/2}^d with 2*#(half components) < mu, each contributing
-    (-1)^(#half components).
+    (-1)^(#half components) (see `symbol_degree`).
 
     Satisfies deg(d, mu) = -deg(d, 2d - mu): the half-period translation
     k -> k + (1/2, ..., 1/2) sends F_mu to -F_{2d-mu}, and the antipodal
     map of S^d has degree -1 for even d."""
-    import math
-
     return sum(
         (-1) ** c * math.comb(d, c) for c in range(d + 1) if 2 * c < mu
     )
@@ -278,7 +209,8 @@ def verify_gap_bound(f: GaugeField, cl: CliffordRep, m: float,
     n_site = f.geometry.n_sites * f.rank
     gamma_big = sp.kron(sp.identity(n_site, format="csr"), cl.grading, format="csr")
     A = (kappa * op.matrix + m * gamma_big).tocsr()
-    lam = min_abs_eigenvalue(A)
+    inert = inertia(A)
+    lam = inert.gap
     curvature = estimate_curvature_norm(f)
     # curvature error terms total 4 d^2 ||R|| a^2 kappa^2 <= 4 d^2 ||R||
     rhs = m ** 2 - 4 * d ** 2 * curvature * f.geometry.spacing ** 2 * kappa ** 2
@@ -287,7 +219,8 @@ def verify_gap_bound(f: GaugeField, cl: CliffordRep, m: float,
         status = "vacuous"
     else:
         status = "pass" if margin >= -1e-9 else "fail"
-    return BoundReport(lambda_min=lam, rhs=rhs, margin=margin, status=status)
+    return BoundReport(lambda_min=lam, rhs=rhs, margin=margin, status=status,
+                       method=inert.method)
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +232,16 @@ def acm_invariant(t: UnitaryTuple, m: float) -> int:
 
     In d=2 this always matches the Bott index (`bott_index_tuple`), but it
     is +-1 only when the tuple is close enough to commuting for m; for
-    `clock_shift(3)` at m=1 it is 0."""
+    `clock_shift(3)` at m=1 it is 0.  It needs only the signs of the
+    eigenvalues, so it takes the counts from the production factor
+    (`inertia_bunch_kaufman`) and computes no spectrum and no gap; the
+    Bott index keeps its own dense eigensolve as the cross-check."""
     if t.d % 2 != 0:
         raise ValueError("even dimension required")
     if not 0 < m < 2:
         raise ValueError("mass must lie in (0, 2)")
     H = wilson_matrix(t.unitaries, clifford_rep(t.d), m)
-    inert = inertia(H)
+    inert = inertia_bunch_kaufman(H)
     if inert.n_zero > 0:
         raise SingularOperatorError(
             "invariant undefined at this (tuple, m); "

@@ -25,15 +25,16 @@ from .ktheory import (
     acm_invariant,
     bott_index_tuple,
     clock_shift,
+    continuum_index,
     corner_count_degree,
     gauge_tuple,
     lattice_index,
     mass_mode_equivalence,
-    symbol_degree,
     verify_gap_bound,
 )
 from .spectral import (
     fourier_diagonalize,
+    half_signature,
     inertia,
     inertia_bunch_kaufman,
     inertia_ldl,
@@ -107,14 +108,19 @@ def run_selftest(csv_path=None, verbose: bool = True) -> bool:
             ok = ok and g > 0 and dev < 1e-10
     record("symbol gap vs trivial-field spectrum", ok, f"max dev {worst:.2e}")
 
-    # 5. degree of the normalized symbol vs corner-count oracle
+    # 5. the index theorem in every mass window: the operator's
+    # half-signature is the symbol degree (the corner count) times Pf(K)
     ok = True
     vals = []
-    for d, mu, res in ((2, 1.0, 6), (2, -1.0, 6), (2, 3.0, 6), (4, 1.0, 4)):
-        deg = symbol_degree(d, mu, resolution=res)
-        vals.append(deg)
-        ok = ok and deg == corner_count_degree(d, mu)
-    record("symbol degree vs corner-count oracle", ok, f"deg={vals}")
+    cl = clifford_rep(2)
+    for k in (1, -2):
+        f = constant_flux_field(make_geometry(2, 8), _flux2(k))
+        for mu in (0.5, 1.5, 2.5, 3.5):
+            v = half_signature(inertia(assemble(f, cl, mu).matrix))
+            vals.append(v)
+            ok = ok and v == corner_count_degree(2, mu) * continuum_index(_flux2(k))
+    record("index theorem in every mass window (d=2, N=8, K=1,-2)", ok,
+           f"I={vals}")
 
     # 6. a-priori gap bound
     ok = True

@@ -28,9 +28,12 @@
   16 |C|^2 bytes, and its factor costs O(|C|^3) and each solve O(|C|^2),
   however sparse H is: this, not the sparsity of H, bounds the size.
 
-`inertia_bunch_kaufman` (dense LDL* with diagonal pivoting) is a
-counts-only second reference that no production path calls.  The paths
-must agree wherever they run.
+`inertia_bunch_kaufman` is the counts alone: the factor step of
+`inertia_ldl` (elimination, hetrf, the pivot and probe checks) without the
+gap step, so no eigensolve and no Krylov iteration; it serves invariants
+that need only the signs, such as `ktheory.acm_invariant`.  It is not
+independent of `inertia_ldl`; the dense eigensolve is the one independent
+oracle, and the paths must agree wherever they run.
 """
 
 from __future__ import annotations
@@ -64,9 +67,9 @@ class Inertia:
     gap is the smallest |eigenvalue| (0 if singular up to tol, nan from
     the counts-only `inertia_bunch_kaufman`); tol is the
     zero-classification threshold that was used; method names the path:
-    "dense" (the eigensolve oracle), "bunch-kaufman" (the counts-only
-    reference), "ldl" (diagonal elimination plus Bunch-Kaufman on the
-    Schur complement, `inertia_ldl`), or "dense (ldl rejected: <reason>)"
+    "dense" (the eigensolve oracle), "ldl" (diagonal elimination plus
+    Bunch-Kaufman on the Schur complement, `inertia_ldl`), "bunch-kaufman"
+    (the same factor, counts only), or "dense (ldl rejected: <reason>)"
     when that factor or its gap was not accepted.
     """
 
@@ -179,24 +182,6 @@ def _pivot_eigs(diag: np.ndarray, sub: np.ndarray, starts: np.ndarray):
     return w
 
 
-def inertia_bunch_kaufman(H, tol: float | None = None) -> Inertia:
-    """Counts-only reference: inertia via dense Bunch-Kaufman LDL* with
-    diagonal pivoting, by Sylvester's law inertia(H) = inertia(D).
-
-    The gap is not computed (nan).  No production path calls this; it
-    cross-checks the other two paths.
-    """
-    _check_hermitian(H)
-    tol = _tol(H, tol)
-    _, D, _ = sla.ldl(_as_dense(H), hermitian=True)
-    sub = np.diagonal(D, -1)
-    eigs = _pivot_eigs(np.diagonal(D), sub, np.flatnonzero(sub))
-    n_plus = int(np.sum(eigs > tol))
-    n_minus = int(np.sum(eigs < -tol))
-    n_zero = len(eigs) - n_plus - n_minus
-    return Inertia(n_plus, n_minus, n_zero, float("nan"), tol, "bunch-kaufman")
-
-
 def _independent_rows(M: sp.csr_matrix, floor: float) -> np.ndarray:
     """Rows I of M, no two coupled by an off-diagonal entry, each with a
     diagonal whose real part has modulus at least floor (the Hermitian
@@ -287,9 +272,10 @@ def _bunch_kaufman(S: np.ndarray):
     return eigs, solve
 
 
-def _ldl(M: sp.csr_matrix, tol: float):
-    """(pivot eigenvalues, gap) of Hermitian M, whose signs are those of
-    its eigenvalues, or RuntimeError naming why the factor is rejected.
+def _ldl_factor(M: sp.csr_matrix, tol: float):
+    """(pivot eigenvalues, solve, probe) of Hermitian M: the pivots' signs
+    are those of its eigenvalues and solve(b) = M^-1 b; RuntimeError
+    names why the factor is rejected.
 
     The rows I of `_independent_rows` (floor _THETA * ||M||_inf) meet M
     only on the diagonal h_I, so eliminating them is exact; by Haynsworth
@@ -297,7 +283,7 @@ def _ldl(M: sp.csr_matrix, tol: float):
     complement of the other rows C.  S is densified once, factored in place
     by LAPACK hetrf (Bunch-Kaufman, backward stable) into L D L*, and the
     signs of S are those of D's 1x1 and 2x2 blocks.  A pivot within tol
-    or a bad solve residual on a seeded probe means the factor is not
+    or a bad solve residual on the seeded probe means the factor is not
     trusted.  If no row reaches the floor, I is empty and S is all of M.
     """
     n = M.shape[0]
@@ -329,38 +315,55 @@ def _ldl(M: sp.csr_matrix, tol: float):
     resid = float(np.linalg.norm(M @ y - b))
     if resid > tol * float(np.linalg.norm(y)):
         raise RuntimeError(f"probe residual {resid:.1e}")
-    gap = (_dense_inertia(M, tol).gap if n < 64
-           else _shift_invert_gap(M, solve, b))
-    return piv, gap
+    return piv, solve, b
 
 
-def inertia_ldl(H, tol: float | None = None) -> Inertia:
-    """Inertia and gap of a sparse Hermitian matrix from one block LDL*
-    factorization (see `_ldl`), with a dense copy of only the Schur
-    complement (of all of H if no diagonal entry reaches the elimination
-    floor).
+def _ldl_gap(M: sp.csr_matrix, tol: float, solve, probe: np.ndarray) -> float:
+    """Gap of M from `_ldl_factor`'s solve and probe; dense below dim 64."""
+    if M.shape[0] < 64:
+        return _dense_inertia(M, tol).gap
+    return _shift_invert_gap(M, solve, probe)
 
-    The counts are the signs of the pivots and the gap comes from ARPACK's
-    complex Arnoldi in shift-invert mode on the same factor, converted in
-    place so that each solve is two triangular BLAS trsv calls and D
-    (below dimension 64, from the dense eigenvalues).  Every accepted pivot
-    exceeds tol in modulus, so n_zero is 0.  If the factor is rejected or
-    the gap does not converge, the result is the dense oracle's and
-    method records the reason.
-    """
+
+def _from_factor(H, tol: float | None, gap: bool) -> Inertia:
+    """Counts from the signs of `_ldl_factor`'s pivots (each exceeds tol,
+    so n_zero is 0) and, with `gap`, the `_ldl_gap`; if either is
+    rejected, the dense oracle's result with the reason in method."""
     M = sp.csr_matrix(H, dtype=complex)
     _check_hermitian(M)
     tol = _tol(M, tol)
     try:
-        piv, gap = _ldl(M, tol)
+        piv, solve, probe = _ldl_factor(M, tol)
+        lam = _ldl_gap(M, tol, solve, probe) if gap else float("nan")
     except RuntimeError as exc:
         # a rejected factor or an unconverged gap; MemoryError propagates
         reason = str(exc)
     else:
         n_plus = int(np.sum(piv > 0))
-        return Inertia(n_plus, len(piv) - n_plus, 0, gap, tol, "ldl")
-    # outside the handler, so the traceback no longer holds the factor
+        return Inertia(n_plus, len(piv) - n_plus, 0, lam, tol,
+                       "ldl" if gap else "bunch-kaufman")
+    # outside the handler, so the traceback no longer holds the factor;
+    # nor does solve, if the gap was rejected
+    solve = None
     return replace(_dense_inertia(M, tol), method=f"dense (ldl rejected: {reason})")
+
+
+def inertia_ldl(H, tol: float | None = None) -> Inertia:
+    """Inertia and gap of a sparse Hermitian matrix from one block LDL*
+    factor: the factor step (`_ldl_factor`), which densifies only the Schur
+    complement, then the gap step (`_ldl_gap`), ARPACK in shift-invert
+    mode on the same factor.  If the factor is rejected or the gap does
+    not converge, the result is the dense oracle's, with the reason in
+    method."""
+    return _from_factor(H, tol, gap=True)
+
+
+def inertia_bunch_kaufman(H, tol: float | None = None) -> Inertia:
+    """Counts only, from the factor step of `inertia_ldl` alone: no gap
+    (nan), so no eigensolve or Krylov iteration.  H may be dense or sparse
+    and is not changed.  A rejected factor gives the dense oracle's counts,
+    with the reason in method."""
+    return _from_factor(H, tol, gap=False)
 
 
 def min_abs_eigenvalue(H) -> float:

@@ -28,6 +28,7 @@ def test_index_flux_with_csv(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "I = 1" in out and "agrees = true" in out
+    assert "window degree = 1 (mu = 1)" in out
     lines = path.read_text().splitlines()
     assert lines[0] == cli.CSV_HEADER
     assert len(lines) == 2
@@ -79,6 +80,11 @@ def test_degree_command(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_degree_resolution_is_accepted_and_ignored(capsys):
+    assert run(["degree", "--d", "4", "--m", "3", "--resolution", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "-3"
+
+
 def test_acm_builtin_cross_check(capsys):
     rc = run(["acm", "--builtin", "clock-shift", "--n", "8", "--m", "1",
               "--cross-check"])
@@ -102,7 +108,8 @@ def test_verify_bound_command(capsys):
     rc = run(["verify-bound", "--d", "2", "--N", "8", "--m", "1",
               "--kappa", "1"])
     assert rc == 0
-    assert "status = pass" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "status = pass" in out and "(dense)" in out
 
 
 def test_sweep_deterministic(tmp_path):

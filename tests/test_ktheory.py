@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from wilsonindex import (
     FluxMatrix,
@@ -18,7 +20,8 @@ from wilsonindex import (
     direct_sum_field,
     gauge_transform,
     gauge_tuple,
-    ktheory,
+    half_signature,
+    inertia,
     lattice_index,
     make_geometry,
     mass_mode_equivalence,
@@ -31,6 +34,8 @@ from wilsonindex import (
     verify_gap_bound,
 )
 from wilsonindex.ktheory import UnitaryTuple, bott_index_pauli
+
+import newton_degree as newton
 
 
 def _flux2(k):
@@ -84,7 +89,7 @@ def test_continuum_index_odd_dimension_rejected():
 
 def test_trivial_field_has_zero_index():
     r = lattice_index(trivial_field(make_geometry(2, 8)), 1.0)
-    assert r.invariant == 0
+    assert r.invariant == 0 and r.degree == 1
     assert r.continuum_index == 0 and r.agrees
 
 
@@ -102,7 +107,7 @@ def test_constant_mode_above_the_first_window_counts_the_doublers(k):
     # the continuum prediction is deg(2, 2.5) Pf = -Pf
     f = constant_flux_field(make_geometry(2, 8), _flux2(k))
     r = lattice_index(f, 2.5 * 8, mode="constant")
-    assert r.mu == 2.5
+    assert r.mu == 2.5 and r.degree == -1
     assert r.continuum_index == -k
     assert r.invariant == SIGMA * r.continuum_index and r.agrees
 
@@ -113,7 +118,7 @@ def test_second_window_index_at_d4():
     f = constant_flux_field(make_geometry(4, 4), K)
     with pytest.warns(UserWarning, match="invertibility threshold"):
         r = lattice_index(f, 2.5 * 4, mode="constant")
-    assert r.continuum_index == -6
+    assert r.degree == -3 and r.continuum_index == -6
     assert r.invariant == SIGMA * r.continuum_index and r.agrees
 
 
@@ -204,8 +209,27 @@ def test_mass_mode_equivalence():
 @pytest.mark.parametrize("d,mu", [(2, 1.0), (2, -1.0), (2, 3.0), (2, 0.5),
                                   (4, 1.0)])
 def test_degree_matches_corner_count(d, mu):
+    # the Newton search finds the preimages without assuming the corners
     res = 4 if d == 4 else 6
-    assert symbol_degree(d, mu, resolution=res) == corner_count_degree(d, mu)
+    want = newton.newton_degree(d, mu, resolution=res)
+    assert symbol_degree(d, mu, resolution=res) == corner_count_degree(d, mu) == want
+
+
+# the half-signature of the assembled operator is deg(d, mu) Pf(K) in every
+# mass window: the doubler count of Wilson fermions.  d=4 N=4 is too coarse
+# at the outer windows (gap 0.049 against a^2 ||R|| = 0.77), N=6 is not
+@pytest.mark.parametrize("d,N,entries,mus", [
+    (2, 8, [(1, 2, 1)], (0.5, 1.5, 2.5, 3.5)),
+    (2, 8, [(1, 2, -2)], (0.5, 1.5, 2.5, 3.5)),
+    (4, 4, [(1, 2, 1), (3, 4, 2)], (1.5, 2.5, 3.5, 4.5, 5.5, 6.5)),
+    (4, 6, [(1, 2, 1), (3, 4, 2)], (0.5, 7.5)),
+])
+def test_index_theorem_in_every_mass_window(d, N, entries, mus):
+    K = FluxMatrix.from_entries(d, entries)
+    f = constant_flux_field(make_geometry(d, N), K)
+    cl = clifford_rep(d)
+    got = [half_signature(inertia(assemble(f, cl, mu).matrix)) for mu in mus]
+    assert got == [corner_count_degree(d, mu) * continuum_index(K) for mu in mus]
 
 
 def test_degree_known_values():
@@ -286,7 +310,7 @@ def _seed_grid(d, resolution):
 def test_batched_newton_matches_per_seed_loop(d, mu, res, target):
     target_vec = np.zeros(d) if target is None else np.array(target)
     want = _reference_newton_roots(_seed_grid(d, res), mu, target_vec, 1.0)
-    got = ktheory._newton_roots(d, mu, target_vec, 1.0, res)
+    got = newton._newton_roots(d, mu, target_vec, 1.0, res)
     assert [key for key, _ in got] == [key for key, _ in want]
     assert [np.sign(det) for _, det in got] == [np.sign(det) for _, det in want]
     np.testing.assert_allclose([det for _, det in got],
@@ -300,16 +324,16 @@ def test_batched_newton_drops_a_singular_seed(monkeypatch):
     target_vec = np.array([0.1, 0.05])
     singular = np.array([0.0, 0.5])
     seeds = _seed_grid(d, res)
-    full = ktheory._newton_roots(d, mu, target_vec, 1.0, res)
-    symbol_map = ktheory._symbol_map
+    full = newton._newton_roots(d, mu, target_vec, 1.0, res)
+    symbol_map = newton._symbol_map
 
     def one_singular(k, mu):
         F0, Fv, J = symbol_map(k, mu)
         J[np.all(k == singular, axis=-1)] = 0.0
         return F0, Fv, J
 
-    monkeypatch.setattr(ktheory, "_symbol_map", one_singular)
-    got = ktheory._newton_roots(d, mu, target_vec, 1.0, res)
+    monkeypatch.setattr(newton, "_symbol_map", one_singular)
+    got = newton._newton_roots(d, mu, target_vec, 1.0, res)
     rest = seeds[~np.all(seeds == singular, axis=-1)]
     want = _reference_newton_roots(rest, mu, target_vec, 1.0)
     assert [key for key, _ in got] == [key for key, _ in want]
@@ -324,7 +348,7 @@ def test_batched_newton_drops_a_singular_seed(monkeypatch):
 def test_gap_bound_trivial_field_tight():
     f = trivial_field(make_geometry(2, 8))
     rep = verify_gap_bound(f, clifford_rep(2), 1.0, 1.0)
-    assert rep.status == "pass"
+    assert rep.status == "pass" and rep.method == "dense"
     assert abs(rep.lambda_min - 1.0) < 1e-8  # zero curvature: bound saturates
 
 
@@ -377,6 +401,19 @@ def test_tuple_form_matches_lattice_form():
                                        constant_flux_field(g, _flux2(2))), 0.05, seed=3)
     assert lattice_index(f, 1.0).invariant == 3
     assert acm_invariant(gauge_tuple(f), 1.0) == 3
+
+
+def test_acm_invariant_computes_no_spectrum(monkeypatch):
+    # the counts come from the factor's pivots: no dense eigensolve and no
+    # Krylov gap; the Bott oracle (numpy's eigvalsh) is left alone
+    t = clock_shift(512)
+
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("spectrum computed for a count")
+
+    monkeypatch.setattr(sla, "eigvalsh", no_spectrum)
+    monkeypatch.setattr(spla, "eigsh", no_spectrum)
+    assert acm_invariant(t, 1.0) == bott_index_tuple(t, 1.0) == -1
 
 
 def test_commuting_tuple_has_zero_invariant():

@@ -94,7 +94,7 @@ def test_paths_agree_on_assembled_operators(field):
     assert (i2.n_plus, i2.n_minus, i2.n_zero) == counts
     assert (i3.n_plus, i3.n_minus, i3.n_zero) == counts
     assert abs(i1.gap - i3.gap) < 1e-6 * max(i1.gap, 1e-12)
-    assert i1.method == "dense" and i2.method.startswith("bunch-kaufman")
+    assert i1.method == "dense" and i2.method == "bunch-kaufman"
     assert i3.method == "ldl"
 
 
@@ -268,6 +268,26 @@ def test_rejected_factor_costs_one_dense_pass(monkeypatch):
     assert (i.n_plus, i.n_minus, i.n_zero, i.gap) \
         == (want.n_plus, want.n_minus, want.n_zero, want.gap)
     assert copies == [(32, 32)]
+
+
+def test_counts_only_path_falls_back_to_the_dense_counts():
+    # the singular trivial field at m = 0: the factor is rejected, and the
+    # counts, zeros included, are the dense oracle's
+    H = assemble(trivial_field(make_geometry(2, 4)), clifford_rep(2), 0.0).matrix
+    want, got = inertia(H), inertia_bunch_kaufman(H)
+    assert want.n_zero > 0
+    assert (got.n_plus, got.n_minus, got.n_zero) \
+        == (want.n_plus, want.n_minus, want.n_zero)
+    assert got.method.startswith("dense (ldl rejected: pivot")
+
+
+def test_counts_only_path_leaves_a_dense_input_unchanged():
+    # hetrf factors in place, so it must only ever see the path's own copy
+    A = _random_hermitian(40, 3)
+    before = A.copy()
+    i = inertia_bunch_kaufman(A)
+    assert i.method == "bunch-kaufman" and np.isnan(i.gap)
+    assert np.array_equal(A, before)
 
 
 def test_schur_copy_that_does_not_fit_raises(monkeypatch):
