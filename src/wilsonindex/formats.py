@@ -53,6 +53,12 @@ def _check_unitary(mats, what: str) -> None:
         raise ValueError(f"{what} failed unitarity validation")
 
 
+def _check_positive(**fields) -> None:
+    for name, value in fields.items():
+        if value < 1:
+            raise ValueError(f"bad header: {name} = {value} must be >= 1")
+
+
 def write_gauge_field(f: GaugeField, path, comment: str = "gauge config") -> None:
     with open(path, "wb") as fh:
         fh.write(b"WGF1\n")
@@ -67,6 +73,7 @@ def read_gauge_field(path) -> GaugeField:
         if magic != b"WGF1":
             raise ValueError("not a WGF1 file")
         d, N, rank = map(int, fh.readline().split())
+        _check_positive(d=d, rank=rank)
         fh.readline()  # comment
         geom = make_geometry(d, N)
         links = _decode(fh.read(), (geom.n_sites, d, rank, rank))
@@ -88,6 +95,7 @@ def read_unitary_tuple(path) -> UnitaryTuple:
         if magic != b"WUT1":
             raise ValueError("not a WUT1 file")
         d, n = map(int, fh.readline().split())
+        _check_positive(d=d, n=n)
         fh.readline()  # comment
         mats = _decode(fh.read(), (d, n, n))
     return UnitaryTuple.from_matrices(list(mats), utol=_UNITARITY_TOL)

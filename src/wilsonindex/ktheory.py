@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
+import scipy.linalg as sla
 
 from .clifford import CliffordRep, clifford_rep
 from .gauge import FluxMatrix, GaugeField, estimate_curvature_norm, shift_unitaries
@@ -68,6 +68,8 @@ class UnitaryTuple:
     @staticmethod
     def from_matrices(mats, utol: float = 1e-12) -> "UnitaryTuple":
         mats = tuple(np.asarray(m, dtype=complex) for m in mats)
+        if not mats:
+            raise ValueError("a tuple needs at least one unitary")
         n = mats[0].shape[0]
         eye = np.eye(n)
         for U in mats:
@@ -200,16 +202,13 @@ def corner_count_degree(d: int, mu: float) -> int:
 
 def verify_gap_bound(f: GaugeField, cl: CliffordRep, m: float,
                      kappa: float) -> BoundReport:
-    """Check lambda_min((kappa pi(D_W) + m gamma)^2) >= m^2 - 4 d^2 ||R||."""
+    """Check lambda_min((kappa pi(D_W) + m gamma)^2) >= m^2 - 4 d^2 ||R||,
+    with kappa pi(D_W) + m gamma assembled as kappa (pi(D_W) + (m/kappa) gamma)."""
     N = f.geometry.N
     if not m <= kappa <= N:
         raise ValueError("kappa must lie in [m, N]")
     d = f.geometry.d
-    op = assemble(f, cl, 0.0)
-    n_site = f.geometry.n_sites * f.rank
-    gamma_big = sp.kron(sp.identity(n_site, format="csr"), cl.grading, format="csr")
-    A = (kappa * op.matrix + m * gamma_big).tocsr()
-    inert = inertia(A)
+    inert = inertia(kappa * assemble(f, cl, m / kappa).matrix)
     lam = inert.gap
     curvature = estimate_curvature_norm(f)
     # curvature error terms total 4 d^2 ||R|| a^2 kappa^2 <= 4 d^2 ||R||
@@ -269,12 +268,10 @@ def gauge_tuple(f: GaugeField) -> UnitaryTuple:
 def bott_index_pauli(X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> int:
     """Independent d=2 oracle: half-signature of the Pauli-coupled matrix
     X (x) s1 + Y (x) s2 + Z (x) s3 of an almost-commuting Hermitian triple,
-    computed from a full dense eigendecomposition."""
-    s1 = np.array([[0, 1], [1, 0]], dtype=complex)
-    s2 = np.array([[0, -1j], [1j, 0]])
-    s3 = np.array([[1, 0], [0, -1]], dtype=complex)
-    B = np.kron(X, s1) + np.kron(Y, s2) + np.kron(Z, s3)
-    eigs = np.linalg.eigvalsh(B)
+    from a full dense eigensolve (scipy's `heevr`, the factor's OpenBLAS)
+    of its basis permutation [[Z, X - iY], [X + iY, -Z]]."""
+    B = np.block([[Z, X - 1j * Y], [X + 1j * Y, -Z]])
+    eigs = sla.eigvalsh(B, overwrite_a=True, check_finite=False)
     if np.min(np.abs(eigs)) < 1e-10:
         raise SingularOperatorError("Bott matrix is singular")
     n_pos = int(np.sum(eigs > 0))

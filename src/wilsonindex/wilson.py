@@ -14,7 +14,6 @@ cutoff-mass regime is mu = m and the constant-mass regime is mu = a*m.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,24 +37,18 @@ class WilsonOperator:
         return self.matrix.shape[0]
 
 
-def wilson_matrix(unitaries, cl: CliffordRep, mu: float):
+def wilson_matrix(unitaries, cl: CliffordRep, mu: float) -> sp.csr_matrix:
     """sum_j (U_j - U_j*)/2 (x) c_j + [sum_j ((U_j + U_j*)/2 - 1) + mu] (x) gamma
-    for a d-tuple of unitaries U_j: CSR if they are sparse, else dense."""
-    if sp.issparse(unitaries[0]):
-        kron = functools.partial(sp.kron, format="csr")
-        ident = sp.identity(unitaries[0].shape[0], dtype=complex, format="csr")
-    else:
-        kron, ident = np.kron, np.eye(unitaries[0].shape[0])
-    # += adds in place for dense H (one full-size temporary, not two);
-    # sparse matrices fall back to H = H + term
+    for a d-tuple of unitaries U_j, sparse or dense; the result is CSR."""
+    unitaries = [sp.csr_matrix(U, dtype=complex) for U in unitaries]
+    ident = sp.identity(unitaries[0].shape[0], dtype=complex, format="csr")
     H = 0
     wilson = -len(unitaries) * ident
     for U, c in zip(unitaries, cl.generators):
         Udag = U.conj().T
-        H += kron((U - Udag) * 0.5, c)
+        H = H + sp.kron((U - Udag) * 0.5, c, format="csr")
         wilson = wilson + (U + Udag) * 0.5
-    H += kron(wilson + mu * ident, cl.grading)
-    return H
+    return H + sp.kron(wilson + mu * ident, cl.grading, format="csr")
 
 
 def assemble(f: GaugeField, cl: CliffordRep, mu: float,

@@ -104,6 +104,14 @@ def test_acm_from_file(tmp_path, capsys):
     assert "I = -1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("header", [b"0 4", b"2 0"])
+def test_acm_bad_header_is_a_usage_error(tmp_path, capsys, header):
+    path = tmp_path / "bad.wut"
+    path.write_bytes(b"WUT1\n" + header + b"\nc\n")
+    assert run(["acm", "--input", str(path)]) == 1
+    assert "error: bad header" in capsys.readouterr().err
+
+
 def test_verify_bound_command(capsys):
     rc = run(["verify-bound", "--d", "2", "--N", "8", "--m", "1",
               "--kappa", "1"])

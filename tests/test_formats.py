@@ -10,7 +10,7 @@ from wilsonindex.formats import (
     write_gauge_field,
     write_unitary_tuple,
 )
-from wilsonindex.ktheory import clock_shift
+from wilsonindex.ktheory import UnitaryTuple, clock_shift
 
 
 def test_gauge_field_roundtrip(tmp_path):
@@ -43,6 +43,23 @@ def test_bad_magic_rejected(tmp_path):
         read_gauge_field(path)
     with pytest.raises(ValueError, match="WUT1"):
         read_unitary_tuple(path)
+
+
+@pytest.mark.parametrize("magic, header, field", [
+    (b"WUT1", b"0 4", "d"), (b"WUT1", b"2 0", "n"), (b"WUT1", b"-1 3", "d"),
+    (b"WGF1", b"0 4 1", "d"), (b"WGF1", b"2 4 0", "rank"),
+])
+def test_nonpositive_header_fields_rejected(tmp_path, magic, header, field):
+    path = tmp_path / "bad"
+    path.write_bytes(magic + b"\n" + header + b"\nc\n")
+    read = read_unitary_tuple if magic == b"WUT1" else read_gauge_field
+    with pytest.raises(ValueError, match=f"{field} = "):
+        read(path)
+
+
+def test_empty_tuple_rejected():
+    with pytest.raises(ValueError, match="at least one"):
+        UnitaryTuple.from_matrices([])
 
 
 def test_truncated_payload_rejected(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,15 +406,60 @@ def test_tuple_form_matches_lattice_form():
 
 def test_acm_invariant_computes_no_spectrum(monkeypatch):
     # the counts come from the factor's pivots: no dense eigensolve and no
-    # Krylov gap; the Bott oracle (numpy's eigvalsh) is left alone
+    # Krylov gap; the Bott oracle runs scipy's eigvalsh, so it runs first
     t = clock_shift(512)
+    bott = bott_index_tuple(t, 1.0)
 
     def no_spectrum(*args, **kwargs):
         raise AssertionError("spectrum computed for a count")
 
     monkeypatch.setattr(sla, "eigvalsh", no_spectrum)
     monkeypatch.setattr(spla, "eigsh", no_spectrum)
-    assert acm_invariant(t, 1.0) == bott_index_tuple(t, 1.0) == -1
+    assert acm_invariant(t, 1.0) == bott == -1
+
+
+def test_bott_oracle_calls_no_numpy_linalg(monkeypatch):
+    # numpy and scipy bundle separate OpenBLAS runtimes; the tuple path
+    # keeps its dense LAPACK calls on scipy's, the one the factor uses
+    def numpy_lapack(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", numpy_lapack)
+    monkeypatch.setattr(np.linalg, "eigh", numpy_lapack)
+    assert bott_index_tuple(clock_shift(64), 1.0) == -1
+
+
+def test_bott_block_form_has_the_kronecker_spectrum():
+    # the oracle's [[Z, X - iY], [X + iY, -Z]] is a basis permutation of
+    # X (x) s1 + Y (x) s2 + Z (x) s3: same eigenvalues, same half-signature
+    rng = np.random.default_rng(7)
+    U, V = clock_shift(16).unitaries
+    noise = rng.standard_normal((3, 16, 16)) + 1j * rng.standard_normal((3, 16, 16))
+    X, Y, Z = ((h + h.conj().T) * 1e-3 for h in noise)
+    X += (U - U.conj().T) / 2j
+    Y += (V - V.conj().T) / 2j
+    Z += (U + U.conj().T + V + V.conj().T) / 2 - np.eye(16)
+    s1 = np.array([[0, 1], [1, 0]])
+    s2 = np.array([[0, -1j], [1j, 0]])
+    s3 = np.array([[1, 0], [0, -1]])
+    want = sla.eigvalsh(np.kron(X, s1) + np.kron(Y, s2) + np.kron(Z, s3))
+    block = sla.eigvalsh(np.block([[Z, X - 1j * Y], [X + 1j * Y, -Z]]))
+    assert np.max(np.abs(block - want)) < 1e-12
+    n_pos, n_neg = int(np.sum(want > 0)), int(np.sum(want < 0))
+    assert bott_index_pauli(X, Y, Z) == (n_pos - n_neg) // 2 == -1
+
+
+def test_acm_invariant_builds_no_dense_operator():
+    # the 1024 x 1024 operator of clock_shift(512) is built sparse: the
+    # peak stays below one dense copy of it (16 MiB)
+    t = clock_shift(512)
+    tracemalloc.start()
+    try:
+        assert acm_invariant(t, 1.0) == -1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024 ** 2
 
 
 def test_commuting_tuple_has_zero_invariant():

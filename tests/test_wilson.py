@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from wilsonindex import (
     FluxMatrix,
@@ -12,8 +13,10 @@ from wilsonindex import (
     symbol_gap,
     trivial_field,
 )
+from wilsonindex.gauge import link_shift
+from wilsonindex.ktheory import clock_shift, gauge_tuple
 from wilsonindex.spectral import fourier_diagonalize, inertia
-from wilsonindex.wilson import symbol_gap_function, to_matrix_market
+from wilsonindex.wilson import symbol_gap_function, to_matrix_market, wilson_matrix
 
 
 def test_assembled_matrix_hermitian():
@@ -145,3 +148,15 @@ def test_matrix_market_export_roundtrip(tmp_path):
     to_matrix_market(op, path)
     back = sio.mmread(path).toarray()
     assert np.max(np.abs(back - op.matrix.toarray())) < 1e-12
+
+
+def test_wilson_matrix_is_csr_for_dense_unitaries():
+    cl = clifford_rep(2)
+    f = constant_flux_field(make_geometry(2, 4), FluxMatrix.from_entries(2, [(1, 2, 1)]))
+    cases = [clock_shift(8).unitaries, gauge_tuple(f).unitaries]
+    sparse_cases = [[sp.csr_matrix(U) for U in clock_shift(8).unitaries],
+                    [link_shift(f, j) for j in range(2)]]
+    for dense, sparse in zip(cases, sparse_cases):
+        H = wilson_matrix(dense, cl, 0.7)
+        assert H.format == "csr"
+        assert np.array_equal(H.toarray(), wilson_matrix(sparse, cl, 0.7).toarray())
