@@ -175,6 +175,9 @@ def cmd_acm(args) -> int:
     print(f"I = {val}  (epsilon = {t.epsilon:.6f})")
     if args.cross_check and t.d == 2:
         print(f"Bott-oracle = {bott_index_tuple(t, args.m)}")
+    elif args.cross_check:
+        print(f"note: the Bott cross-check is d=2 only; skipped at d={t.d}",
+              file=sys.stderr)
     return EXIT_OK
 
 

@@ -16,8 +16,8 @@ import scipy.linalg as sla
 from .clifford import CliffordRep, clifford_rep
 from .gauge import FluxMatrix, GaugeField, estimate_curvature_norm, shift_unitaries
 # min_abs_eigenvalue is unused here; perfbench's tracer looks it up by name
-from .spectral import (Inertia, half_signature, inertia, inertia_bunch_kaufman,  # noqa: F401
-                       min_abs_eigenvalue)
+from .spectral import (Inertia, _real_if_real, _reserve, half_signature, inertia,  # noqa: F401
+                       inertia_bunch_kaufman, min_abs_eigenvalue)
 from .wilson import assemble, symbol_gap, wilson_matrix
 
 # Global orientation sign relating the lattice invariant to the Pfaffian
@@ -268,9 +268,11 @@ def gauge_tuple(f: GaugeField) -> UnitaryTuple:
 def bott_index_pauli(X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> int:
     """Independent d=2 oracle: half-signature of the Pauli-coupled matrix
     X (x) s1 + Y (x) s2 + Z (x) s3 of an almost-commuting Hermitian triple,
-    from a full dense eigensolve (scipy's `heevr`, the factor's OpenBLAS)
-    of its basis permutation [[Z, X - iY], [X + iY, -Z]]."""
-    B = np.block([[Z, X - 1j * Y], [X + 1j * Y, -Z]])
+    from a full dense eigensolve (scipy's `heevr`, `syevr` if real as for
+    `clock_shift`) of its basis permutation [[Z, X - iY], [X + iY, -Z]];
+    ResourceError if that and its temporaries would not fit in memory."""
+    _reserve(2 * len(Z), 2, "Bott matrix")
+    B = _real_if_real(np.block([[Z, X - 1j * Y], [X + 1j * Y, -Z]]))
     eigs = sla.eigvalsh(B, overwrite_a=True, check_finite=False)
     if np.min(np.abs(eigs)) < 1e-10:
         raise SingularOperatorError("Bott matrix is singular")

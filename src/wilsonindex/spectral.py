@@ -25,8 +25,9 @@
   For the assembled operator, whose on-site entries are +-(mu - d), that
   is half the rows unless |mu - d| < _THETA * ||H||_inf; then I is empty
   and the whole operator is densified and factored.  The dense S holds
-  16 |C|^2 bytes, and its factor costs O(|C|^3) and each solve O(|C|^2),
-  however sparse H is: this, not the sparsity of H, bounds the size.
+  16 |C|^2 bytes (8 |C|^2 if real), and its factor costs O(|C|^3) and
+  each solve O(|C|^2), however sparse H is: this, not the sparsity of H,
+  bounds the size.
 
 `inertia_bunch_kaufman` is the counts alone: the factor step of
 `inertia_ldl` (elimination, hetrf, the pivot and probe checks) without the
@@ -34,6 +35,11 @@ gap step, so no eigensolve and no Krylov iteration; it serves invariants
 that need only the signs, such as `ktheory.acm_invariant`.  It is not
 independent of `inertia_ldl`; the dense eigensolve is the one independent
 oracle, and the paths must agree wherever they run.
+
+Every path takes a complex matrix whose imaginary parts are all 0 (the
+operator and Bott matrix of `ktheory.clock_shift`; lattice operators are
+complex) in real arithmetic, `syevr`/`sytrf`/real ARPACK Lanczos, at a
+quarter of the flops and half the bytes (`_real_if_real`).
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ import scipy.sparse.linalg as spla
 
 # largest dimension `inertia` handles on the dense path
 _DENSE_LIMIT = 4096
-# copies of an n x n complex matrix the dense paths may hold at once
+# copies of an n x n matrix the dense paths may hold at once
 _DENSE_COPIES = 3
 # a row is eliminated before the dense factor only if its real diagonal
 # has modulus at least _THETA * ||H||_inf; then ||S||_inf is at most
@@ -105,20 +111,33 @@ def _available_memory() -> int | None:
     return None
 
 
-def _reserve(n: int, copies: int, what: str) -> None:
-    """Raise ResourceError unless `copies` dense n x n complex matrices fit
-    in available memory."""
-    need = copies * n * n * 16
+def _reserve(n: int, copies: int, what: str, dtype=complex) -> None:
+    """Raise ResourceError unless `copies` dense n x n matrices of dtype
+    (by its itemsize: 16 bytes complex, 8 real) fit in available memory."""
+    need = copies * n * n * np.dtype(dtype).itemsize
     avail = _available_memory()
     if avail is not None and need > avail:
         raise ResourceError(
             f"dense dim-{n} {what} needs {need / 2 ** 30:.2f} GiB "
-            f"({copies} x {n}^2 complex), {avail / 2 ** 30:.2f} GiB available")
+            f"({copies} x {n}^2 {np.dtype(dtype)}), "
+            f"{avail / 2 ** 30:.2f} GiB available")
+
+
+def _real_if_real(A):
+    """A's real part, copied, if A is complex and every imaginary part is
+    exactly 0, else A; a sparse A is checked as CSR on its stored entries."""
+    if sp.issparse(A):
+        A = A.tocsr()
+    if np.iscomplexobj(A) and not (A.data if sp.issparse(A) else A).imag.any():
+        return A.real.copy()
+    return A
 
 
 def _as_dense(H) -> np.ndarray:
-    _reserve(np.shape(H)[0], _DENSE_COPIES, "operator")
-    return np.asarray(H.toarray() if sp.issparse(H) else H, dtype=complex)
+    H = _real_if_real(H)
+    dtype = complex if np.iscomplexobj(H) else float
+    _reserve(np.shape(H)[0], _DENSE_COPIES, "operator", dtype)
+    return np.asarray(H.toarray() if sp.issparse(H) else H, dtype=dtype)
 
 
 def _absmax(A) -> float:
@@ -147,8 +166,8 @@ def _tol(A, tol: float | None) -> float:
 
 
 def _dense_inertia(H, tol: float | None) -> Inertia:
-    """Dense oracle: every eigenvalue from one Hermitian LAPACK eigensolve
-    (heevr), classified as below -tol, at or above tol, or zero."""
+    """Dense oracle: every eigenvalue from one LAPACK eigensolve (heevr,
+    syevr if real), classified as below -tol, at or above tol, or zero."""
     # checked as given, so a sparse H is checked sparse
     _check_hermitian(H)
     tol = _tol(H, tol)
@@ -230,17 +249,18 @@ def _shift_invert_gap(M: sp.csr_matrix, solve, v0: np.ndarray) -> float:
 
 def _bunch_kaufman(S: np.ndarray):
     """(pivot eigenvalues, solve) of dense Hermitian S, factored in place
-    by LAPACK hetrf into L D L*; the eigenvalues of D's 1x1 and 2x2
-    blocks carry the signs of S (Sylvester), and solve(b) = S^-1 b.  The
-    factor is converted in place (LAPACK's syconv) to P S P^T = L D L*
-    with unit lower triangular L, so a solve is P, two BLAS trsv and D."""
+    by LAPACK hetrf (sytrf if real) into L D L*; D's 1x1 and 2x2 blocks
+    carry the signs of S (Sylvester), and solve(b) = S^-1 b.  The factor
+    is converted in place (LAPACK's syconv) to P S P^T = L D L* with unit
+    lower triangular L, so a solve is P, two BLAS trsv and D."""
     if not len(S):
         # LAPACK takes no empty matrix; S is empty when M is diagonal
         return np.empty(0), lambda b: b
-    hetrf, hetrf_lwork = sla.get_lapack_funcs(("hetrf", "hetrf_lwork"), (S,))
-    lwork, _ = hetrf_lwork(len(S), lower=1)
+    name = "hetrf" if np.iscomplexobj(S) else "sytrf"
+    trf, trf_lwork = sla.get_lapack_funcs((name, name + "_lwork"), (S,))
+    lwork, _ = trf_lwork(len(S), lower=1)
     # info > 0 flags an exactly zero block of D, which the tol test rejects
-    LD, ipiv, _ = hetrf(S, lower=1, lwork=int(lwork.real), overwrite_a=1)
+    LD, ipiv, _ = trf(S, lower=1, lwork=int(lwork.real), overwrite_a=1)
     trsv = sla.get_blas_funcs("trsv", (LD,))
     # ipiv < 0 marks both rows of each 2x2 block of D, so every other one
     # starts a block
@@ -293,7 +313,7 @@ def _ldl_factor(M: sp.csr_matrix, tol: float):
     M_C = M[C]
     M_CI, M_IC = M_C[:, I], M[I][:, C]
     S = M_C[:, C] - M_CI @ sp.diags(1.0 / h) @ M_IC
-    _reserve(len(C), 1, "Schur complement")
+    _reserve(len(C), 1, "Schur complement", M.dtype)
     eigs_S, solve_S = _bunch_kaufman(S.toarray(order="F"))
     piv = np.concatenate([h, eigs_S])
     small = float(np.min(np.abs(piv)))
@@ -301,16 +321,17 @@ def _ldl_factor(M: sp.csr_matrix, tol: float):
         raise RuntimeError(f"pivot {small:.1e} within tol {tol:.1e}")
 
     def solve(b):
-        x = np.empty_like(b, dtype=complex)
+        x = np.empty_like(b, dtype=M.dtype)
         y = b[I] / h
         x[C] = solve_S(b[C] - M_CI @ y)
         x[I] = y - (M_IC @ x[C]) / h
         return x
 
     # fixed seed: the probe, and so the accept decision, is reproducible;
-    # it is also the gap's start vector
+    # it is also the gap's start vector (its real part for a real M)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = b if np.iscomplexobj(M) else b.real.copy()
     y = solve(b)
     resid = float(np.linalg.norm(M @ y - b))
     if resid > tol * float(np.linalg.norm(y)):
@@ -329,7 +350,7 @@ def _from_factor(H, tol: float | None, gap: bool) -> Inertia:
     """Counts from the signs of `_ldl_factor`'s pivots (each exceeds tol,
     so n_zero is 0) and, with `gap`, the `_ldl_gap`; if either is
     rejected, the dense oracle's result with the reason in method."""
-    M = sp.csr_matrix(H, dtype=complex)
+    M = _real_if_real(sp.csr_matrix(H, dtype=complex))
     _check_hermitian(M)
     tol = _tol(M, tol)
     try:

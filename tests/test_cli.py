@@ -2,9 +2,9 @@ import csv
 
 import pytest
 
-from wilsonindex import cli
+from wilsonindex import cli, make_geometry, trivial_field
 from wilsonindex.formats import write_unitary_tuple
-from wilsonindex.ktheory import clock_shift
+from wilsonindex.ktheory import clock_shift, gauge_tuple
 
 
 def run(argv):
@@ -102,6 +102,20 @@ def test_acm_from_file(tmp_path, capsys):
     write_unitary_tuple(clock_shift(6), path)
     assert run(["acm", "--input", str(path), "--m", "1"]) == 0
     assert "I = -1" in capsys.readouterr().out
+
+
+def test_acm_cross_check_off_d2_says_it_was_skipped(tmp_path, capsys):
+    # the Bott oracle is d=2 only: the cross-check is skipped with a note,
+    # and stdout and the exit code are those of a run without it
+    path = tmp_path / "d4.wut"
+    write_unitary_tuple(gauge_tuple(trivial_field(make_geometry(4, 2))), path)
+    assert run(["acm", "--input", str(path)]) == 0
+    plain = capsys.readouterr()
+    assert run(["acm", "--input", str(path), "--cross-check"]) == 0
+    checked = capsys.readouterr()
+    assert checked.out == plain.out and "I = " in plain.out
+    assert plain.err == ""
+    assert checked.err == "note: the Bott cross-check is d=2 only; skipped at d=4\n"
 
 
 @pytest.mark.parametrize("header", [b"0 4", b"2 0"])

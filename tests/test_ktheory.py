@@ -449,6 +449,26 @@ def test_bott_block_form_has_the_kronecker_spectrum():
     assert bott_index_pauli(X, Y, Z) == (n_pos - n_neg) // 2 == -1
 
 
+@pytest.mark.parametrize("t, factor, dtype", [
+    # clock and shift give a real symmetric operator and Bott matrix
+    (clock_shift(64), "dsytrf", np.float64),
+    # a flux field's links are complex phases
+    (gauge_tuple(constant_flux_field(make_geometry(2, 6), _flux2(1))),
+     "zhetrf", np.complex128),
+], ids=["clock-shift", "flux-field"])
+def test_tuple_path_is_real_exactly_when_the_operator_is(lapack_calls, t, factor, dtype):
+    want = acm_invariant(t, 1.0)
+    assert lapack_calls.factors == [factor]
+    assert bott_index_tuple(t, 1.0) == want != 0
+    assert lapack_calls.eigvalsh == [dtype]
+
+
+def test_bott_matrix_that_does_not_fit_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
+    with pytest.raises(spectral.ResourceError, match="dim-16 Bott matrix"):
+        bott_index_tuple(clock_shift(8), 1.0)
+
+
 def test_acm_invariant_builds_no_dense_operator():
     # the 1024 x 1024 operator of clock_shift(512) is built sparse: the
     # peak stays below one dense copy of it (16 MiB)

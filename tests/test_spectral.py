@@ -209,14 +209,18 @@ def test_ldl_reads_runs_of_2x2_pivots(seed):
     assert abs(got.gap - want.gap) < 1e-6 * want.gap
 
 
-def test_bunch_kaufman_solve_undoes_interchanges_of_both_pivot_kinds():
-    # small and zero diagonal entries make hetrf take 1x1 and 2x2 pivots,
-    # both with row interchanges; n = 200 exceeds hetrf's block size, so
-    # its blocked path runs too
+@pytest.mark.parametrize("real", [True, False], ids=["float64", "complex128"])
+def test_bunch_kaufman_solve_undoes_interchanges_of_both_pivot_kinds(real):
+    # small and zero diagonal entries make hetrf (sytrf if real) take 1x1
+    # and 2x2 pivots, both with row interchanges; n = 200 exceeds its block
+    # size, so its blocked path runs too
     rng = np.random.default_rng(0)
     A = _random_hermitian(200, 0)
+    # the real part of a Hermitian matrix is real symmetric
+    A = A.real.copy() if real else A
     A[np.diag_indices(200)] *= rng.choice([0.0, 0.05, 3.0], 200)
-    _, ipiv, _ = sla.get_lapack_funcs("hetrf", (A,))(A, lower=1)
+    trf = "sytrf" if real else "hetrf"
+    _, ipiv, _ = sla.get_lapack_funcs(trf, (A,))(A, lower=1)
     p, two = np.abs(ipiv) - 1, ipiv < 0
     starts = np.flatnonzero(two)[::2]
     assert np.any(~two & (p != np.arange(200)))
@@ -224,8 +228,45 @@ def test_bunch_kaufman_solve_undoes_interchanges_of_both_pivot_kinds():
     eigs, solve = spectral._bunch_kaufman(A.copy(order="F"))
     assert np.sum(eigs > 0) == np.sum(np.linalg.eigvalsh(A) > 0)
     b = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    b = b.real.copy() if real else b
     want = np.linalg.solve(A, b)
     assert np.linalg.norm(solve(b) - want) < 1e-12 * np.linalg.norm(want)
+
+
+def test_real_symmetric_matrix_runs_on_the_real_path(lapack_calls):
+    # dim 100 >= 64, so the gap is ARPACK's, here its real Lanczos on the
+    # sytrf factor; a complex copy with zero imaginary parts is taken real
+    # too, so its result is identical to the last bit
+    A = _random_hermitian(100, 5).real.copy()
+    w = np.linalg.eigvalsh(A)
+    assert np.any(w > 0) and np.any(w < 0)
+    got = inertia_ldl(A)
+    assert (got.n_plus, got.n_minus, got.n_zero, got.method) \
+        == (int(np.sum(w > 0)), int(np.sum(w < 0)), 0, "ldl")
+    want = float(np.min(np.abs(w)))
+    assert abs(got.gap - want) < 1e-10 * want
+    assert inertia_ldl(A.astype(complex)) == got
+    assert inertia_ldl(sp.csr_matrix(A, dtype=complex)) == got
+    assert lapack_calls.factors == ["dsytrf"] * 3
+
+
+def test_one_imaginary_entry_keeps_the_complex_path(lapack_calls):
+    A = _random_hermitian(100, 5).real.astype(complex)
+    A[3, 7] += 1e-3j
+    A[7, 3] -= 1e-3j
+    assert spectral._real_if_real(A) is A
+    assert spectral._real_if_real(sp.csr_matrix(A)).dtype == complex
+    got = inertia_ldl(A)
+    assert (got.n_plus, got.n_minus, got.n_zero) == _eig_counts(A, got.tol)
+    assert got.method == "ldl"
+    assert lapack_calls.factors == ["zhetrf"]
+
+
+def test_real_copies_reserve_half_the_bytes(monkeypatch):
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 36 * 36 * 8)
+    spectral._reserve(36, 1, "Schur complement", float)
+    with pytest.raises(ResourceError, match=r"\(1 x 36\^2 complex128\)"):
+        spectral._reserve(36, 1, "Schur complement", complex)
 
 
 def test_ldl_converts_the_factor_in_place():
