@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -55,11 +55,9 @@ def _parse_flux_entries(d: int, entries) -> FluxMatrix:
             j, l = (int(p) for p in pos.split(","))
             triples.append((j, l, int(val)))
         except ValueError:
-            print(f"error: bad flux entry {item!r}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            raise ValueError(f"bad flux entry {item!r}") from None
         if not 1 <= j < l <= d:
-            print(f"error: flux plane {pos} out of range", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            raise ValueError(f"flux plane {pos} out of range")
     return FluxMatrix.from_entries(d, triples)
 
 
@@ -93,47 +91,36 @@ def _row(d, N, flux, m, mode, r=None, status="ok") -> dict:
     return row
 
 
-def _index_row(d, N, flux, m, mode):
+def _index(d, N, flux, m, mode):
     f = _build_field(d, N, flux)
+    # mass exactly on a window boundary closes the symbol gap: report the
+    # operator as singular rather than as a usage error
+    if mode == "cutoff" and m in (0.0, 2.0):
+        raise SingularOperatorError("gap closes at the window boundary")
+    return lattice_index(f, m, mode)
+
+
+def _index_row(d, N, flux, m, mode) -> dict:
     try:
-        # mass exactly on a window boundary closes the symbol gap: report
-        # the operator as singular rather than as a usage error
-        if mode == "cutoff" and m in (0.0, 2.0):
-            raise SingularOperatorError("gap closes at the window boundary")
-        r = lattice_index(f, m, mode)
-    except (SingularOperatorError, ParameterRangeError) as exc:
-        status = "singular" if isinstance(exc, SingularOperatorError) \
-            else "out-of-range"
-        return _row(d, N, flux, m, mode, status=status), None
-    return _row(d, N, flux, m, mode, r), r
+        return _row(d, N, flux, m, mode, _index(d, N, flux, m, mode))
+    except SingularOperatorError:
+        return _row(d, N, flux, m, mode, status="singular")
+    except ParameterRangeError:
+        return _row(d, N, flux, m, mode, status="out-of-range")
 
 
 def _write_rows(rows, out_path):
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_HEADER.split(","),
-                            lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with (open(out_path, "w", newline="") if out_path
+          else nullcontext(sys.stdout)) as fh:
+        writer = csv.DictWriter(fh, fieldnames=CSV_HEADER.split(","),
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def cmd_index(args) -> int:
     flux = _parse_flux_entries(args.d, args.flux)
-    row, r = _index_row(args.d, args.N, flux, args.m, args.mode)
-    if row["status"] == "singular":
-        print("singular operator: decrease a (increase N) or adjust m",
-              file=sys.stderr)
-        return EXIT_SINGULAR
-    if row["status"] == "out-of-range":
-        print("error: mass parameter out of range for this mode",
-              file=sys.stderr)
-        return EXIT_USAGE
+    r = _index(args.d, args.N, flux, args.m, args.mode)
     print(f"I = {r.invariant}")
     print(f"inertia: n+ = {r.inertia.n_plus}, n- = {r.inertia.n_minus}, "
           f"n0 = {r.inertia.n_zero} ({r.inertia.method})")
@@ -144,7 +131,8 @@ def cmd_index(args) -> int:
         print(f"continuum index = {r.continuum_index} (sigma = {SIGMA:+d}), "
               f"agrees = {str(r.agrees).lower()}")
     if args.csv:
-        _write_rows([row], args.csv)
+        _write_rows([_row(args.d, args.N, flux, args.m, args.mode, r)],
+                    args.csv)
     return EXIT_OK
 
 
@@ -155,7 +143,7 @@ def cmd_gap(args) -> int:
 
 
 def cmd_degree(args) -> int:
-    print(symbol_degree(args.d, args.m, resolution=args.resolution))
+    print(symbol_degree(args.d, args.m))
     return EXIT_OK
 
 
@@ -204,8 +192,7 @@ def _parse_sweep(spec: str):
             return var, [int(v) for v in values]
     except ValueError:
         pass
-    print(f"error: bad sweep spec {spec!r}", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
+    raise ValueError(f"bad sweep spec {spec!r}")
 
 
 def cmd_sweep(args) -> int:
@@ -223,7 +210,7 @@ def cmd_sweep(args) -> int:
             entries = [e for e in entries if not e.startswith(plane + "=")]
             entries.append(f"{plane}={v}")
         flux = _parse_flux_entries(d, entries)
-        rows.append(_index_row(d, N, flux, m, args.mode)[0])
+        rows.append(_index_row(d, N, flux, m, args.mode))
     _write_rows(rows, args.out)
     return EXIT_OK
 
@@ -262,8 +249,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("degree", help="degree of the normalized symbol map")
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--m", type=float, default=1.0)
-    sp.add_argument("--resolution", type=int, default=6,
-                    help="no effect: the degree is the closed-form corner count")
     sp.set_defaults(func=cmd_degree)
 
     sp = sub.add_parser("acm", help="invariant of an almost-commuting tuple")
@@ -297,8 +282,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except SingularOperatorError:
         print("singular operator: decrease a (increase N) or adjust m",
               file=sys.stderr)

@@ -28,21 +28,17 @@ from .ktheory import UnitaryTuple
 _UNITARITY_TOL = 1e-8
 
 
+# the payload is exactly little-endian complex128: real then imaginary part
 def _encode(mats: np.ndarray) -> bytes:
-    flat = np.ascontiguousarray(mats, dtype=complex).reshape(-1)
-    out = np.empty(2 * flat.size, dtype="<f8")
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
-    return out.tobytes()
+    return np.ascontiguousarray(mats, dtype="<c16").tobytes()
 
 
 def _decode(payload: bytes, shape) -> np.ndarray:
-    raw = np.frombuffer(payload, dtype="<f8")
     expected = 2 * int(np.prod(shape))
-    if raw.size != expected:
-        raise ValueError(f"payload size mismatch: got {raw.size} doubles, "
-                         f"expected {expected}")
-    return (raw[0::2] + 1j * raw[1::2]).reshape(shape)
+    if len(payload) != 8 * expected:
+        raise ValueError(f"payload size mismatch: got {len(payload) // 8} "
+                         f"doubles, expected {expected}")
+    return np.frombuffer(payload, "<c16").astype(complex).reshape(shape)
 
 
 def _check_unitary(mats, what: str) -> None:

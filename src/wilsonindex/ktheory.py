@@ -71,6 +71,8 @@ class UnitaryTuple:
         if not mats:
             raise ValueError("a tuple needs at least one unitary")
         n = mats[0].shape[0]
+        # the unitarity and commutator checks hold up to 3 products at once
+        _reserve(n, 3, "tuple check")
         eye = np.eye(n)
         for U in mats:
             if U.shape != (n, n) or np.max(np.abs(U.conj().T @ U - eye)) > utol:
@@ -124,7 +126,7 @@ def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:
         mu = m * a
     else:
         raise ValueError(f"unknown mass mode {mode!r}")
-    op = assemble(f, cl, mu, mass_mode=mode)
+    op = assemble(f, cl, mu)
     inert = inertia(op.matrix)
     if inert.n_zero > 0:
         raise SingularOperatorError("singular operator: shrink a or change m")
@@ -254,6 +256,7 @@ def clock_shift(n: int) -> UnitaryTuple:
     = 2 sin(pi/n), z = exp(2 pi i/n)."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    _reserve(n, 3, "clock-shift pair")
     zeta = np.exp(2j * np.pi / n)
     clock = np.diag(zeta ** np.arange(n))
     shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
@@ -262,6 +265,7 @@ def clock_shift(n: int) -> UnitaryTuple:
 
 def gauge_tuple(f: GaugeField) -> UnitaryTuple:
     """The link-times-shift unitaries of a gauge field as a UnitaryTuple."""
+    _reserve(f.geometry.n_sites * f.rank, f.geometry.d, "gauge tuple")
     return UnitaryTuple.from_matrices(shift_unitaries(f))
 
 

@@ -13,11 +13,11 @@
   S = H_CC - H_CI diag(h_I)^-1 H_IC of the other rows C.  S is densified
   once and factored by LAPACK `hetrf` (Bunch and Kaufman's diagonal
   pivoting), whose 1x1 and 2x2 pivot blocks carry the signs of S
-  (Sylvester's law of inertia).  The factor is converted in place, as
-  LAPACK's syconv does, into P S P^T = L D L* with unit lower triangular
-  L, and the gap is found by ARPACK's complex Arnoldi (what `eigsh` runs
-  for complex input) in shift-invert mode, each solve being P, two BLAS
-  trsv calls on L and the 1x1/2x2 solves of D (no hetrs).  If the
+  (Sylvester's law of inertia).  LAPACK's syconv converts the factor in
+  place into P S P^T = L D L* with unit lower triangular L, one laswp
+  gives P, and the gap is found by ARPACK's complex Arnoldi (what `eigsh`
+  runs for complex input) in shift-invert mode, each solve being P, two
+  BLAS trsv calls on L and the 1x1/2x2 solves of D (no hetrs).  If the
   factor is rejected or the gap does not converge, the dense oracle's
   result is returned instead.
 
@@ -156,21 +156,17 @@ def _norm_inf(A) -> float:
     return float(abs(A).sum(axis=1).max()) if A.shape[0] else 0.0
 
 
-def _tol(A, tol: float | None) -> float:
-    """tol, which must be positive, or by default 1e-8 * max(||A||_inf, 1)."""
-    if tol is None:
-        return 1e-8 * max(_norm_inf(A), 1.0)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return tol
+def _tol(A) -> float:
+    """The zero-classification threshold 1e-8 * max(||A||_inf, 1)."""
+    return 1e-8 * max(_norm_inf(A), 1.0)
 
 
-def _dense_inertia(H, tol: float | None) -> Inertia:
+def _dense_inertia(H) -> Inertia:
     """Dense oracle: every eigenvalue from one LAPACK eigensolve (heevr,
     syevr if real), classified as below -tol, at or above tol, or zero."""
     # checked as given, so a sparse H is checked sparse
     _check_hermitian(H)
-    tol = _tol(H, tol)
+    tol = _tol(H)
     A = _as_dense(H)
     # overwrite only our own copy, never the caller's array
     w = sla.eigvalsh(A, overwrite_a=A is not H, check_finite=False)
@@ -181,12 +177,12 @@ def _dense_inertia(H, tol: float | None) -> Inertia:
     return Inertia(n_plus, n_minus, n_zero, gap, tol, "dense")
 
 
-def inertia(H, tol: float | None = None) -> Inertia:
+def inertia(H) -> Inertia:
     """Inertia and gap of a Hermitian matrix: the dense oracle up to
     dimension `_DENSE_LIMIT`, one block LDL* factor (`inertia_ldl`) above."""
     if np.shape(H)[0] > _DENSE_LIMIT:
-        return inertia_ldl(H, tol)
-    return _dense_inertia(H, tol)
+        return inertia_ldl(H)
+    return _dense_inertia(H)
 
 
 def _pivot_eigs(diag: np.ndarray, sub: np.ndarray, starts: np.ndarray):
@@ -250,9 +246,10 @@ def _shift_invert_gap(M: sp.csr_matrix, solve, v0: np.ndarray) -> float:
 def _bunch_kaufman(S: np.ndarray):
     """(pivot eigenvalues, solve) of dense Hermitian S, factored in place
     by LAPACK hetrf (sytrf if real) into L D L*; D's 1x1 and 2x2 blocks
-    carry the signs of S (Sylvester), and solve(b) = S^-1 b.  The factor
-    is converted in place (LAPACK's syconv) to P S P^T = L D L* with unit
-    lower triangular L, so a solve is P, two BLAS trsv and D."""
+    carry the signs of S (Sylvester), and solve(b) = S^-1 b.  LAPACK's
+    syconv converts the factor in place to P S P^T = L D L* with unit
+    lower triangular L and laswp gives P, so a solve is P, two BLAS trsv
+    and D."""
     if not len(S):
         # LAPACK takes no empty matrix; S is empty when M is diagonal
         return np.empty(0), lambda b: b
@@ -261,25 +258,27 @@ def _bunch_kaufman(S: np.ndarray):
     lwork, _ = trf_lwork(len(S), lower=1)
     # info > 0 flags an exactly zero block of D, which the tol test rejects
     LD, ipiv, _ = trf(S, lower=1, lwork=int(lwork.real), overwrite_a=1)
+    # in place to P S P^T = L D L* with unit lower triangular L: syconv
+    # moves the 2x2 blocks' subdiagonal into e and swaps the rows of L left
+    # of each interchange, as hetrf swapped them only right of it
+    LD, e, _ = sla.get_lapack_funcs("syconv", (LD,))(
+        LD, ipiv, lower=1, way=0, overwrite_a=1)
     trsv = sla.get_blas_funcs("trsv", (LD,))
     # ipiv < 0 marks both rows of each 2x2 block of D, so every other one
     # starts a block
     starts = np.flatnonzero(ipiv < 0)[::2]
-    eigs = _pivot_eigs(np.diagonal(LD), np.diagonal(LD, -1), starts)
-    # take D out of L: 1 stands in for the 2x2 blocks' diagonal in d
+    eigs = _pivot_eigs(np.diagonal(LD), e, starts)
+    # 1 stands in for the 2x2 blocks' diagonal in d
     d = LD.diagonal().real.copy()
-    a, c, e = d[starts], d[starts + 1], LD[starts + 1, starts]
-    LD[starts + 1, starts] = 0
+    a, c, e = d[starts], d[starts + 1], e[starts]
     det = a * c - np.abs(e) ** 2
     d[starts] = d[starts + 1] = 1.0
-    # block k swapped row r[k] (k, or k + 1 for a 2x2 block) with p[k] only
-    # in the columns right of k; swap the columns left of k too, in order,
-    # so L is one triangle (r = p, no swap, for a 2x2 block's second row)
-    p, r, perm = np.abs(ipiv) - 1, np.arange(len(LD)), np.arange(len(LD))
-    r[starts], r[starts + 1] = starts + 1, p[starts + 1]
-    for k in np.flatnonzero(p != r):
-        LD[[r[k], p[k]], :k] = LD[[p[k], r[k]], :k]
-        perm[[r[k], p[k]]] = perm[[p[k], r[k]]]
+    # P: row k swaps with |ipiv[k]| - 1 in turn, but a 2x2 block's
+    # interchange is its second row's, so its first row pivots on itself
+    piv = np.abs(ipiv) - 1
+    piv[starts] = starts
+    perm = sla.get_lapack_funcs("laswp", dtype=float)(
+        np.arange(len(LD), dtype=float)[:, None], piv)[:, 0].astype(int)
     unperm = np.argsort(perm)
 
     def solve(b):
@@ -339,23 +338,23 @@ def _ldl_factor(M: sp.csr_matrix, tol: float):
     return piv, solve, b
 
 
-def _ldl_gap(M: sp.csr_matrix, tol: float, solve, probe: np.ndarray) -> float:
+def _ldl_gap(M: sp.csr_matrix, solve, probe: np.ndarray) -> float:
     """Gap of M from `_ldl_factor`'s solve and probe; dense below dim 64."""
     if M.shape[0] < 64:
-        return _dense_inertia(M, tol).gap
+        return _dense_inertia(M).gap
     return _shift_invert_gap(M, solve, probe)
 
 
-def _from_factor(H, tol: float | None, gap: bool) -> Inertia:
+def _from_factor(H, gap: bool) -> Inertia:
     """Counts from the signs of `_ldl_factor`'s pivots (each exceeds tol,
     so n_zero is 0) and, with `gap`, the `_ldl_gap`; if either is
     rejected, the dense oracle's result with the reason in method."""
     M = _real_if_real(sp.csr_matrix(H, dtype=complex))
     _check_hermitian(M)
-    tol = _tol(M, tol)
+    tol = _tol(M)
     try:
         piv, solve, probe = _ldl_factor(M, tol)
-        lam = _ldl_gap(M, tol, solve, probe) if gap else float("nan")
+        lam = _ldl_gap(M, solve, probe) if gap else float("nan")
     except RuntimeError as exc:
         # a rejected factor or an unconverged gap; MemoryError propagates
         reason = str(exc)
@@ -366,30 +365,30 @@ def _from_factor(H, tol: float | None, gap: bool) -> Inertia:
     # outside the handler, so the traceback no longer holds the factor;
     # nor does solve, if the gap was rejected
     solve = None
-    return replace(_dense_inertia(M, tol), method=f"dense (ldl rejected: {reason})")
+    return replace(_dense_inertia(M), method=f"dense (ldl rejected: {reason})")
 
 
-def inertia_ldl(H, tol: float | None = None) -> Inertia:
+def inertia_ldl(H) -> Inertia:
     """Inertia and gap of a sparse Hermitian matrix from one block LDL*
     factor: the factor step (`_ldl_factor`), which densifies only the Schur
     complement, then the gap step (`_ldl_gap`), ARPACK in shift-invert
     mode on the same factor.  If the factor is rejected or the gap does
     not converge, the result is the dense oracle's, with the reason in
     method."""
-    return _from_factor(H, tol, gap=True)
+    return _from_factor(H, gap=True)
 
 
-def inertia_bunch_kaufman(H, tol: float | None = None) -> Inertia:
+def inertia_bunch_kaufman(H) -> Inertia:
     """Counts only, from the factor step of `inertia_ldl` alone: no gap
     (nan), so no eigensolve or Krylov iteration.  H may be dense or sparse
     and is not changed.  A rejected factor gives the dense oracle's counts,
     with the reason in method."""
-    return _from_factor(H, tol, gap=False)
+    return _from_factor(H, gap=False)
 
 
 def min_abs_eigenvalue(H) -> float:
     """Smallest |eigenvalue| of a Hermitian matrix, relative accuracy 1e-6:
-    the gap of `inertia(H)` (0 if H is singular up to the default tol)."""
+    the gap of `inertia(H)` (0 if H is singular up to `_tol`)."""
     return inertia(H).gap
 
 

@@ -29,7 +29,6 @@ class WilsonOperator:
     rank: int
     clifford: CliffordRep
     mu: float
-    mass_mode: str  # "cutoff" | "constant"
     matrix: sp.csr_matrix = field(repr=False)
 
     @property
@@ -51,13 +50,12 @@ def wilson_matrix(unitaries, cl: CliffordRep, mu: float) -> sp.csr_matrix:
     return H + sp.kron(wilson + mu * ident, cl.grading, format="csr")
 
 
-def assemble(f: GaugeField, cl: CliffordRep, mu: float,
-             mass_mode: str = "cutoff") -> WilsonOperator:
+def assemble(f: GaugeField, cl: CliffordRep, mu: float) -> WilsonOperator:
     """Build the dimensionless massive hermitian Wilson-Dirac matrix."""
     if f.geometry.d != cl.d:
         raise ValueError("gauge field and Clifford representation dimension mismatch")
     H = wilson_matrix([link_shift(f, j) for j in range(cl.d)], cl, mu)
-    return WilsonOperator(f.geometry, f.rank, cl, float(mu), mass_mode, H)
+    return WilsonOperator(f.geometry, f.rank, cl, float(mu), H)
 
 
 def matvec(H: WilsonOperator, v: np.ndarray) -> np.ndarray:

@@ -61,6 +61,12 @@ def test_resource_error_exit_code(monkeypatch, capsys):
     assert "error: dense dim-32 operator needs" in capsys.readouterr().err
 
 
+def test_index_out_of_range_names_the_mode_rule(capsys):
+    assert run(["index", "--d", "2", "--N", "8", "--m", "5"]) == 1
+    assert capsys.readouterr().err == \
+        "error: parameter out of range: cutoff mode needs 0 < m < 2\n"
+
+
 def test_index_reports_the_real_error(capsys):
     # odd d fails in the Clifford module, not in the mass range check
     assert run(["index", "--d", "3", "--N", "4"]) == 1
@@ -81,8 +87,9 @@ def test_degree_command(capsys):
 
 
 def test_degree_resolution_is_accepted_and_ignored(capsys):
-    assert run(["degree", "--d", "4", "--m", "3", "--resolution", "2"]) == 0
-    assert capsys.readouterr().out.strip() == "-3"
+    # the degree is the closed-form corner count: there is no resolution
+    assert run(["degree", "--d", "4", "--m", "3", "--resolution", "2"]) == 1
+    assert "unrecognized arguments: --resolution 2" in capsys.readouterr().err
 
 
 def test_acm_builtin_cross_check(capsys):
@@ -91,6 +98,14 @@ def test_acm_builtin_cross_check(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "I = -1" in out and "Bott-oracle = -1" in out
+
+
+def test_acm_tuple_that_does_not_fit_exits_4(monkeypatch, capsys):
+    from wilsonindex import spectral
+
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
+    assert run(["acm", "--builtin", "clock-shift", "--n", "64"]) == 4
+    assert "error: dense dim-64 clock-shift pair needs" in capsys.readouterr().err
 
 
 def test_acm_requires_input(capsys):
@@ -182,6 +197,24 @@ def test_selftest_failure_exit_code(monkeypatch):
 
     monkeypatch.setattr(st, "run_selftest", lambda **kw: False)
     assert run(["selftest"]) == 3
+
+
+def test_selftest_fails_when_a_row_does_not_recompute(monkeypatch):
+    # every call shifts the gap a little more, so no row can be recomputed
+    import itertools
+    from dataclasses import replace
+
+    import wilsonindex.selftest as st
+
+    calls, lattice_index = itertools.count(), st.lattice_index
+
+    def drifting(f, m, mode="cutoff"):
+        r = lattice_index(f, m, mode)
+        gap = r.inertia.gap * (1 + 1e-6 * next(calls))
+        return replace(r, inertia=replace(r.inertia, gap=gap))
+
+    monkeypatch.setattr(st, "lattice_index", drifting)
+    assert not st.run_selftest(verbose=False)
 
 
 def test_selftest_csv_rows_match_header(tmp_path):

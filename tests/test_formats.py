@@ -1,3 +1,4 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,18 @@ def test_gauge_field_roundtrip(tmp_path):
     assert g.geometry == f.geometry and g.rank == f.rank
     assert np.max(np.abs(g.links - f.links)) == 0.0
     assert g.flux_sectors is None  # provenance is not serialized
+
+
+def test_unitary_tuple_bytes_are_pinned(tmp_path):
+    # a round trip cannot see a layout change: the file is the header, then
+    # each entry's real and imaginary part as little-endian doubles, in
+    # (matrix, row, column) order
+    t = UnitaryTuple.from_matrices([[[0, 1j], [1, 0]], np.diag([1, 1j])])
+    path = tmp_path / "pair.wut"
+    write_unitary_tuple(t, path)
+    payload = struct.pack("<16d", 0, 0, 0, 1, 1, 0, 0, 0,
+                          1, 0, 0, 0, 0, 0, 0, 1)
+    assert path.read_bytes() == b"WUT1\n2 2\nunitary tuple\n" + payload
 
 
 def test_unitary_tuple_roundtrip(tmp_path):

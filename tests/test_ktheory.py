@@ -464,9 +464,22 @@ def test_tuple_path_is_real_exactly_when_the_operator_is(lapack_calls, t, factor
 
 
 def test_bott_matrix_that_does_not_fit_raises(monkeypatch):
+    # the tuple is built first: building it reserves memory too
+    t = clock_shift(8)
     monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
     with pytest.raises(spectral.ResourceError, match="dim-16 Bott matrix"):
-        bott_index_tuple(clock_shift(8), 1.0)
+        bott_index_tuple(t, 1.0)
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda: clock_shift(64), "dim-64 clock-shift pair"),
+    (lambda: gauge_tuple(trivial_field(make_geometry(2, 8))), "dim-64 gauge tuple"),
+    (lambda: UnitaryTuple.from_matrices([np.eye(64)] * 2), "dim-64 tuple check"),
+], ids=["clock-shift", "gauge-tuple", "from-matrices"])
+def test_tuple_that_does_not_fit_raises(monkeypatch, build, what):
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
+    with pytest.raises(spectral.ResourceError, match=what):
+        build()
 
 
 def test_acm_invariant_builds_no_dense_operator():

@@ -486,16 +486,3 @@ def test_momentum_oracle_requires_trivial_field():
     f = constant_flux_field(make_geometry(2, 4), FluxMatrix.from_entries(2, [(1, 2, 1)]))
     with pytest.raises(ValueError, match="translation invariance"):
         fourier_diagonalize(f, clifford_rep(2), 1.0)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0])
-@pytest.mark.parametrize("path", [inertia, inertia_ldl, inertia_bunch_kaufman])
-def test_every_path_rejects_a_non_positive_tol(path, tol):
-    A = np.diag(np.where(np.arange(20) % 2, 1.0, -2.0))
-    with pytest.raises(ValueError, match="tol must be positive"):
-        path(A, tol=tol)
-
-
-def test_invalid_tolerance_rejected():
-    with pytest.raises(ValueError, match="tol must be positive"):
-        inertia(np.eye(3, dtype=complex), tol=0.0)
