@@ -12,11 +12,9 @@ import csv
 import sys
 from contextlib import nullcontext
 
-import numpy as np
-
 from . import formats
 from .clifford import clifford_rep
-from .gauge import FluxMatrix, constant_flux_field, make_geometry, trivial_field
+from .gauge import FluxMatrix, constant_flux_field, make_geometry
 from .ktheory import (
     SIGMA,
     ParameterRangeError,
@@ -47,7 +45,8 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _parse_flux_entries(d: int, entries) -> FluxMatrix:
+def _flux_triples(d: int, entries) -> list:
+    """The (j, l, k) of each --flux entry "j,l=k", 1-based j < l <= d."""
     triples = []
     for item in entries or []:
         try:
@@ -58,7 +57,7 @@ def _parse_flux_entries(d: int, entries) -> FluxMatrix:
             raise ValueError(f"bad flux entry {item!r}") from None
         if not 1 <= j < l <= d:
             raise ValueError(f"flux plane {pos} out of range")
-    return FluxMatrix.from_entries(d, triples)
+    return triples
 
 
 def _flux_label(K: FluxMatrix) -> str:
@@ -69,12 +68,6 @@ def _flux_label(K: FluxMatrix) -> str:
         if K.K[j, l] != 0
     ]
     return ";".join(parts) or "0"
-
-
-def _build_field(d: int, N: int, flux: FluxMatrix):
-    if np.any(flux.K != 0):
-        return constant_flux_field(make_geometry(d, N), flux)
-    return trivial_field(make_geometry(d, N), rank=1)
 
 
 def _row(d, N, flux, m, mode, r=None, status="ok") -> dict:
@@ -92,7 +85,7 @@ def _row(d, N, flux, m, mode, r=None, status="ok") -> dict:
 
 
 def _index(d, N, flux, m, mode):
-    f = _build_field(d, N, flux)
+    f = constant_flux_field(make_geometry(d, N), flux)
     # mass exactly on a window boundary closes the symbol gap: report the
     # operator as singular rather than as a usage error
     if mode == "cutoff" and m in (0.0, 2.0):
@@ -119,7 +112,7 @@ def _write_rows(rows, out_path):
 
 
 def cmd_index(args) -> int:
-    flux = _parse_flux_entries(args.d, args.flux)
+    flux = FluxMatrix.from_entries(args.d, _flux_triples(args.d, args.flux))
     r = _index(args.d, args.N, flux, args.m, args.mode)
     print(f"I = {r.invariant}")
     print(f"inertia: n+ = {r.inertia.n_plus}, n- = {r.inertia.n_minus}, "
@@ -170,8 +163,8 @@ def cmd_acm(args) -> int:
 
 
 def cmd_verify_bound(args) -> int:
-    flux = _parse_flux_entries(args.d, args.flux)
-    f = _build_field(args.d, args.N, flux)
+    flux = FluxMatrix.from_entries(args.d, _flux_triples(args.d, args.flux))
+    f = constant_flux_field(make_geometry(args.d, args.N), flux)
     rep = verify_gap_bound(f, clifford_rep(args.d), args.m, args.kappa)
     print(f"lambda_min = {rep.lambda_min:.6e} ({rep.method})")
     print(f"rhs = {rep.rhs:.6e}")
@@ -197,20 +190,20 @@ def _parse_sweep(spec: str):
 
 def cmd_sweep(args) -> int:
     var, values = _parse_sweep(args.sweep)
-    rows = []
-    for v in values:
-        d, N, m = args.d, args.N, args.m
-        entries = list(args.flux or [])
-        if var == "N":
-            N = v
-        elif var == "m":
-            m = v
-        else:
-            plane = var.split(":", 1)[1]
-            entries = [e for e in entries if not e.startswith(plane + "=")]
-            entries.append(f"{plane}={v}")
-        flux = _parse_flux_entries(d, entries)
-        rows.append(_index_row(d, N, flux, m, args.mode))
+    base = _flux_triples(args.d, args.flux)
+    if var == "N":
+        points = [(v, args.m, base) for v in values]
+    elif var == "m":
+        points = [(args.N, v, base) for v in values]
+    else:
+        # the swept (j, l) replaces each base entry on its plane, however
+        # the entry spells it
+        plane = var.removeprefix("flux:")
+        swept = _flux_triples(args.d, [f"{plane}={v}" for v in values])
+        points = [(args.N, args.m, [e for e in base if e[:2] != s[:2]] + [s])
+                  for s in swept]
+    rows = [_index_row(args.d, N, FluxMatrix.from_entries(args.d, triples), m, args.mode)
+            for N, m, triples in points]
     _write_rows(rows, args.out)
     return EXIT_OK
 
@@ -227,12 +220,11 @@ def build_parser() -> _Parser:
                 description="lattice Wilson-Dirac index computations")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, flux=True):
+    def common(sp):
         sp.add_argument("--d", type=int, default=2)
         sp.add_argument("--N", type=int, default=8)
-        if flux:
-            sp.add_argument("--flux", action="append", metavar="j,l=k",
-                            help="repeatable; 1-based plane, integer flux")
+        sp.add_argument("--flux", action="append", metavar="j,l=k",
+                        help="repeatable; 1-based plane, integer flux")
         sp.add_argument("--m", type=float, default=1.0)
 
     sp = sub.add_parser("index", help="lattice index of a flux configuration")

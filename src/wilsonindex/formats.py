@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gauge import GaugeField, make_geometry
+from .gauge import GaugeField, _unitarity_defect, make_geometry
 from .ktheory import UnitaryTuple
 
 _UNITARITY_TOL = 1e-8
@@ -39,14 +39,6 @@ def _decode(payload: bytes, shape) -> np.ndarray:
         raise ValueError(f"payload size mismatch: got {len(payload) // 8} "
                          f"doubles, expected {expected}")
     return np.frombuffer(payload, "<c16").astype(complex).reshape(shape)
-
-
-def _check_unitary(mats, what: str) -> None:
-    r = mats.shape[-1]
-    eye = np.eye(r)
-    dev = np.abs(np.einsum("...ij,...kj->...ik", mats, mats.conj()) - eye)
-    if np.max(dev) > _UNITARITY_TOL:
-        raise ValueError(f"{what} failed unitarity validation")
 
 
 def _check_positive(**fields) -> None:
@@ -73,7 +65,8 @@ def read_gauge_field(path) -> GaugeField:
         fh.readline()  # comment
         geom = make_geometry(d, N)
         links = _decode(fh.read(), (geom.n_sites, d, rank, rank))
-    _check_unitary(links, "link matrices")
+    if _unitarity_defect(links) > _UNITARITY_TOL:
+        raise ValueError("link matrices failed unitarity validation")
     return GaugeField(geom, rank, links, None)
 
 

@@ -119,6 +119,11 @@ def _dag(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _unitarity_defect(a: np.ndarray) -> float:
+    """max |(a a* - 1)_ij| over a matrix or a stack of matrices."""
+    return float(np.max(np.abs(a @ _dag(a) - np.eye(a.shape[-1]))))
+
+
 def _neighbour(geom: LatticeGeometry, j: int) -> np.ndarray:
     """Site index of x + e_j for every site x (periodic, lexicographic)."""
     sites = np.arange(geom.n_sites).reshape((geom.N,) * geom.d)

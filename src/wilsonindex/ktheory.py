@@ -9,12 +9,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
 from .clifford import CliffordRep, clifford_rep
-from .gauge import FluxMatrix, GaugeField, estimate_curvature_norm, shift_unitaries
+from .gauge import (FluxMatrix, GaugeField, _unitarity_defect, estimate_curvature_norm,
+                    shift_unitaries)
 # min_abs_eigenvalue is unused here; perfbench's tracer looks it up by name
 from .spectral import (Inertia, _real_if_real, _reserve, half_signature, inertia,  # noqa: F401
                        inertia_bunch_kaufman, min_abs_eigenvalue)
@@ -58,12 +60,28 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class UnitaryTuple:
-    """d almost-commuting n x n unitaries; epsilon is measured, not asserted."""
+    """d almost-commuting n x n unitaries; d, n and epsilon are read off them."""
 
-    d: int
-    n: int
     unitaries: tuple = field(repr=False)
-    epsilon: float = 0.0
+
+    @property
+    def d(self) -> int:
+        return len(self.unitaries)
+
+    @property
+    def n(self) -> int:
+        return self.unitaries[0].shape[0]
+
+    @cached_property
+    def epsilon(self) -> float:
+        """max_{j<l} ||[U_j, U_l]||_2, measured on first read."""
+        U = self.unitaries
+        # a commutator and its two products are held at once
+        _reserve(self.n, 3, "tuple commutator")
+        return max((float(sla.svdvals(U[j] @ U[l] - U[l] @ U[j],
+                                      overwrite_a=True, check_finite=False)[0])
+                    for j in range(self.d) for l in range(j + 1, self.d)),
+                   default=0.0)
 
     @staticmethod
     def from_matrices(mats, utol: float = 1e-12) -> "UnitaryTuple":
@@ -71,18 +89,12 @@ class UnitaryTuple:
         if not mats:
             raise ValueError("a tuple needs at least one unitary")
         n = mats[0].shape[0]
-        # the unitarity and commutator checks hold up to 3 products at once
+        # the unitarity check holds up to 3 products at once
         _reserve(n, 3, "tuple check")
-        eye = np.eye(n)
         for U in mats:
-            if U.shape != (n, n) or np.max(np.abs(U.conj().T @ U - eye)) > utol:
+            if U.shape != (n, n) or _unitarity_defect(U) > utol:
                 raise ValueError("tuple entries must be unitary")
-        eps = 0.0
-        for j in range(len(mats)):
-            for l in range(j + 1, len(mats)):
-                eps = max(eps, np.linalg.norm(
-                    mats[j] @ mats[l] - mats[l] @ mats[j], 2))
-        return UnitaryTuple(d=len(mats), n=n, unitaries=mats, epsilon=eps)
+        return UnitaryTuple(mats)
 
 
 def continuum_index(K: FluxMatrix) -> int:

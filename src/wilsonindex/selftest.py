@@ -60,8 +60,7 @@ def run_selftest(csv_path=None, verbose: bool = True) -> bool:
     ok = True
     vals = []
     for k in (-2, -1, 0, 1, 2):
-        f = (constant_flux_field(make_geometry(2, 8), _flux2(k))
-             if k else trivial_field(make_geometry(2, 8), rank=1))
+        f = constant_flux_field(make_geometry(2, 8), _flux2(k))
         r = lattice_index(f, 1.0)
         rows.append(_row(2, 8, _flux2(k), 1.0, r.mass_mode, r))
         vals.append(r.invariant)
@@ -126,8 +125,7 @@ def run_selftest(csv_path=None, verbose: bool = True) -> bool:
     ok = True
     statuses = []
     for k in (0, 1):
-        f = (constant_flux_field(make_geometry(2, 8), _flux2(k))
-             if k else trivial_field(make_geometry(2, 8), rank=1))
+        f = constant_flux_field(make_geometry(2, 8), _flux2(k))
         rep = verify_gap_bound(f, clifford_rep(2), 1.0, 1.0)
         statuses.append(rep.status)
         ok = ok and rep.status in ("pass", "vacuous")

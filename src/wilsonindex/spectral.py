@@ -146,9 +146,9 @@ def _absmax(A) -> float:
     return float(np.max(np.abs(A))) if A.size else 0.0
 
 
-def _check_hermitian(A, htol: float = 1e-10) -> None:
-    """Raise unless A = A* to htol * max(1, max |A_ij|); sparse A stays sparse."""
-    if _absmax(A - A.conj().T) > htol * max(1.0, _absmax(A)):
+def _check_hermitian(A) -> None:
+    """Raise unless A = A* to 1e-10 * max(1, max |A_ij|); sparse A stays sparse."""
+    if _absmax(A - A.conj().T) > 1e-10 * max(1.0, _absmax(A)):
         raise ValueError("input matrix is not Hermitian")
 
 

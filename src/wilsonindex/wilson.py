@@ -25,10 +25,6 @@ from .gauge import GaugeField, link_shift
 
 @dataclass(frozen=True)
 class WilsonOperator:
-    geometry: object
-    rank: int
-    clifford: CliffordRep
-    mu: float
     matrix: sp.csr_matrix = field(repr=False)
 
     @property
@@ -54,8 +50,7 @@ def assemble(f: GaugeField, cl: CliffordRep, mu: float) -> WilsonOperator:
     """Build the dimensionless massive hermitian Wilson-Dirac matrix."""
     if f.geometry.d != cl.d:
         raise ValueError("gauge field and Clifford representation dimension mismatch")
-    H = wilson_matrix([link_shift(f, j) for j in range(cl.d)], cl, mu)
-    return WilsonOperator(f.geometry, f.rank, cl, float(mu), H)
+    return WilsonOperator(wilson_matrix([link_shift(f, j) for j in range(cl.d)], cl, mu))
 
 
 def matvec(H: WilsonOperator, v: np.ndarray) -> np.ndarray:

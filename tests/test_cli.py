@@ -174,6 +174,19 @@ def test_sweep_flux_variable(tmp_path):
     assert got == ["-1", "0", "1"]
 
 
+@pytest.mark.parametrize("base, swept", [
+    ("01,2=1", "flux:1,2=2"), ("1, 2=1", "flux:1,2=2"), ("1,2=1", "flux:01,2=2"),
+])
+def test_sweep_flux_replaces_the_base_entry_however_spelled(tmp_path, base, swept):
+    out = tmp_path / "k.csv"
+    rc = run(["sweep", "--d", "2", "--N", "8", "--flux", base,
+              "--sweep", swept, "--out", str(out)])
+    assert rc == 0
+    with out.open() as fh:
+        got = [(row["flux"], row["I"]) for row in csv.DictReader(fh)]
+    assert got == [("1,2=2", "2")]
+
+
 def test_sweep_records_singular_rows(tmp_path):
     out = tmp_path / "s.csv"
     rc = run(["sweep", "--d", "2", "--N", "4", "--flux", "1,2=1",

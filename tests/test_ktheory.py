@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -19,6 +20,7 @@ from wilsonindex import (
     continuum_index,
     corner_count_degree,
     direct_sum_field,
+    estimate_curvature_norm,
     gauge_transform,
     gauge_tuple,
     half_signature,
@@ -34,6 +36,7 @@ from wilsonindex import (
     trivial_field,
     verify_gap_bound,
 )
+from wilsonindex.formats import read_unitary_tuple, write_unitary_tuple
 from wilsonindex.ktheory import UnitaryTuple, bott_index_pauli
 
 import newton_degree as newton
@@ -383,6 +386,81 @@ def test_clock_shift_commutator_norm():
     assert abs(t.epsilon - abs(np.exp(2j * np.pi / 8) - 1)) < 1e-12
     with pytest.raises(ValueError):
         clock_shift(1)
+
+
+def test_tuple_fields_are_its_unitaries():
+    assert [f.name for f in dataclasses.fields(UnitaryTuple)] == ["unitaries"]
+
+
+def test_tuple_construction_runs_no_svd(monkeypatch, tmp_path):
+    # epsilon is measured on its first read, once, and never while a tuple
+    # is built, read from a file or checked for unitarity
+    def refuse(*args, **kwargs):
+        raise AssertionError("SVD while building a tuple")
+
+    path = tmp_path / "pair.wut"
+    write_unitary_tuple(clock_shift(6), path)
+    f = constant_flux_field(make_geometry(4, 2),
+                            FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 1)]))
+    monkeypatch.setattr(sla, "svdvals", refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    built = [clock_shift(64), gauge_tuple(f), read_unitary_tuple(path)]
+    monkeypatch.undo()
+    calls = []
+    svdvals = sla.svdvals
+    monkeypatch.setattr(sla, "svdvals",
+                        lambda *a, **kw: calls.append(1) or svdvals(*a, **kw))
+    for t in built:
+        calls.clear()
+        first = t.epsilon
+        assert len(calls) == t.d * (t.d - 1) // 2
+        assert t.epsilon == first and len(calls) == t.d * (t.d - 1) // 2
+    assert [t.d for t in built] == [2, 4, 2]
+
+
+def test_replace_describes_the_new_matrices(tmp_path):
+    # d, n and epsilon are read off the unitaries, so they cannot go stale
+    U = clock_shift(6).unitaries[0]
+    t = dataclasses.replace(clock_shift(6), unitaries=(U, U, U))
+    assert (t.d, t.n, t.epsilon) == (3, 6, 0.0)
+    path = tmp_path / "triple.wut"
+    write_unitary_tuple(t, path)
+    back = read_unitary_tuple(path)
+    assert back.d == 3 and all(np.array_equal(V, U) for V in back.unitaries)
+
+
+def test_epsilon_that_does_not_fit_raises(monkeypatch):
+    t = clock_shift(64)
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
+    with pytest.raises(spectral.ResourceError, match="dim-64 tuple commutator"):
+        t.epsilon
+
+
+def _perturbed_rank2(N):
+    g = make_geometry(2, N)
+    return perturb_field(direct_sum_field(constant_flux_field(g, _flux2(1)),
+                                          constant_flux_field(g, _flux2(-3))),
+                         0.1, 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _perturbed_rank2(6),
+    lambda: _perturbed_rank2(8),
+    lambda: perturb_field(constant_flux_field(
+        make_geometry(4, 3), FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 2)])),
+        0.1, 3),
+], ids=["d2-N6-rank2", "d2-N8-rank2", "d4-N3"])
+def test_gauge_tuple_epsilon_is_its_curvature(build):
+    # [U_j, U_l] maps the fibre over x to the one over x + e_j + e_l by the
+    # block U_j(x+e_l) U_l(x) - U_l(x+e_j) U_j(x) = W_x (1 - P_jl(x)), with
+    # W_x = U_j(x+e_l) U_l(x) unitary, so ||[U_j, U_l]||_2 is
+    # max_x ||P_jl(x) - 1||_2 = a^2 ||R||.  The two sides are computed
+    # independently: a dense SVD of each n x n commutator against batched
+    # r x r plaquette norms.
+    f = build()
+    want = estimate_curvature_norm(f) / f.geometry.N ** 2
+    assert want > 0
+    assert abs(gauge_tuple(f).epsilon - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("n", range(4, 13))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,13 +18,20 @@ from wilsonindex import (
 from wilsonindex.gauge import link_shift
 from wilsonindex.ktheory import clock_shift, gauge_tuple
 from wilsonindex.spectral import fourier_diagonalize, inertia
-from wilsonindex.wilson import symbol_gap_function, to_matrix_market, wilson_matrix
+from wilsonindex.wilson import (WilsonOperator, symbol_gap_function, to_matrix_market,
+                               wilson_matrix)
 
 
 def test_assembled_matrix_hermitian():
     f = constant_flux_field(make_geometry(2, 4), FluxMatrix.from_entries(2, [(1, 2, 1)]))
     H = assemble(f, clifford_rep(2), 1.0).matrix.toarray()
     assert np.max(np.abs(H - H.conj().T)) < 1e-12
+
+
+def test_operator_is_its_matrix():
+    assert [f.name for f in dataclasses.fields(WilsonOperator)] == ["matrix"]
+    op = assemble(trivial_field(make_geometry(2, 4)), clifford_rep(2), 1.0)
+    assert op.dim == op.matrix.shape[0] == 32
 
 
 def test_dimension_mismatch_rejected():
