@@ -18,7 +18,7 @@ SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CliffordRep:
     """Concrete gamma matrices for even dimension d.
 

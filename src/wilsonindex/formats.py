@@ -47,44 +47,43 @@ def _check_positive(**fields) -> None:
             raise ValueError(f"bad header: {name} = {value} must be >= 1")
 
 
-def write_gauge_field(f: GaugeField, path, comment: str = "gauge config") -> None:
+def _write(path, magic: bytes, dims, comment: str, mats: np.ndarray) -> None:
     with open(path, "wb") as fh:
-        fh.write(b"WGF1\n")
-        fh.write(f"{f.geometry.d} {f.geometry.N} {f.rank}\n".encode())
+        fh.write(magic + b"\n")
+        fh.write((" ".join(map(str, dims)) + "\n").encode())
         fh.write((comment.replace("\n", " ") + "\n").encode())
-        fh.write(_encode(f.links))
+        fh.write(_encode(mats))
+
+
+def _read(path, magic: bytes):
+    """The integer header and the raw payload of a `magic` file."""
+    with open(path, "rb") as fh:
+        if fh.readline().strip() != magic:
+            raise ValueError(f"not a {magic.decode()} file")
+        dims = tuple(map(int, fh.readline().split()))
+        fh.readline()  # comment
+        return dims, fh.read()
+
+
+def write_gauge_field(f: GaugeField, path, comment: str = "gauge config") -> None:
+    _write(path, b"WGF1", (f.geometry.d, f.geometry.N, f.rank), comment, f.links)
 
 
 def read_gauge_field(path) -> GaugeField:
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"WGF1":
-            raise ValueError("not a WGF1 file")
-        d, N, rank = map(int, fh.readline().split())
-        _check_positive(d=d, rank=rank)
-        fh.readline()  # comment
-        geom = make_geometry(d, N)
-        links = _decode(fh.read(), (geom.n_sites, d, rank, rank))
+    (d, N, rank), payload = _read(path, b"WGF1")
+    _check_positive(d=d, rank=rank)
+    geom = make_geometry(d, N)
+    links = _decode(payload, (geom.n_sites, d, rank, rank))
     if _unitarity_defect(links) > _UNITARITY_TOL:
         raise ValueError("link matrices failed unitarity validation")
     return GaugeField(geom, rank, links, None)
 
 
 def write_unitary_tuple(t: UnitaryTuple, path, comment: str = "unitary tuple") -> None:
-    with open(path, "wb") as fh:
-        fh.write(b"WUT1\n")
-        fh.write(f"{t.d} {t.n}\n".encode())
-        fh.write((comment.replace("\n", " ") + "\n").encode())
-        fh.write(_encode(np.stack(t.unitaries)))
+    _write(path, b"WUT1", (t.d, t.n), comment, np.stack(t.unitaries))
 
 
 def read_unitary_tuple(path) -> UnitaryTuple:
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"WUT1":
-            raise ValueError("not a WUT1 file")
-        d, n = map(int, fh.readline().split())
-        _check_positive(d=d, n=n)
-        fh.readline()  # comment
-        mats = _decode(fh.read(), (d, n, n))
-    return UnitaryTuple.from_matrices(list(mats), utol=_UNITARITY_TOL)
+    (d, n), payload = _read(path, b"WUT1")
+    _check_positive(d=d, n=n)
+    return UnitaryTuple.from_matrices(list(_decode(payload, (d, n, n))), utol=_UNITARITY_TOL)

@@ -9,7 +9,6 @@ coordinate plane has the same phase 2*pi*K_jl/N^2.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,18 +34,8 @@ class LatticeGeometry:
     def spacing(self) -> float:
         return 1.0 / self.N
 
-    def site_index(self, coords) -> int:
-        coords = np.mod(coords, self.N)
-        return int(np.ravel_multi_index(tuple(coords), (self.N,) * self.d))
 
-    def site_coords(self, index: int):
-        return np.array(np.unravel_index(index, (self.N,) * self.d))
-
-    def all_sites(self):
-        return itertools.product(range(self.N), repeat=self.d)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FluxMatrix:
     """Antisymmetric integer matrix of first-Chern fluxes per 2-plane."""
 
@@ -81,7 +70,7 @@ class FluxMatrix:
         return FluxMatrix(self.d, self.K + other.K)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaugeField:
     """Link field: links[site, j] is the r x r transport U_j(x).
 
@@ -94,10 +83,6 @@ class GaugeField:
     rank: int
     links: np.ndarray = field(repr=False)
     flux_sectors: tuple | None = None
-
-    def link(self, coords, j: int) -> np.ndarray:
-        """U_j(x) for 0-based direction j."""
-        return self.links[self.geometry.site_index(coords), j]
 
 
 def make_geometry(d: int, N: int) -> LatticeGeometry:
@@ -124,10 +109,10 @@ def _unitarity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a @ _dag(a) - np.eye(a.shape[-1]))))
 
 
-def _neighbour(geom: LatticeGeometry, j: int) -> np.ndarray:
-    """Site index of x + e_j for every site x (periodic, lexicographic)."""
+def _neighbour(geom: LatticeGeometry, j: int, step: int = 1) -> np.ndarray:
+    """Site index of x + step*e_j for every site x (periodic, lexicographic)."""
     sites = np.arange(geom.n_sites).reshape((geom.N,) * geom.d)
-    return np.roll(sites, -1, axis=j).ravel()
+    return np.roll(sites, -step, axis=j).ravel()
 
 
 def trivial_field(geom: LatticeGeometry, rank: int = 1) -> GaugeField:
@@ -208,23 +193,17 @@ def perturb_field(f: GaugeField, strength: float, seed: int) -> GaugeField:
     return GaugeField(f.geometry, r, f.links @ expih, None)
 
 
-def _plaquettes(f: GaugeField, j: int, l: int, x=slice(None)) -> np.ndarray:
-    """P_jl(x) = U_l(x)* U_j(x+e_l)* U_l(x+e_j) U_j(x) at the sites x
-    (all by default), as a stack of r x r matrices."""
-    U = f.links
-    xj = _neighbour(f.geometry, j)[x]
-    xl = _neighbour(f.geometry, l)[x]
-    return _dag(U[x, l]) @ _dag(U[xl, j]) @ U[xj, l] @ U[x, j]
-
-
-def plaquette(f: GaugeField, coords, j: int, l: int) -> np.ndarray:
-    """Ordered transport around the elementary (j,l) square at x: along
-    e_j, then e_l, then back along e_j and e_l,
-    U_l(x)^-1 U_j(x+e_l)^-1 U_l(x+e_j) U_j(x) read right to left.  It
-    transforms as P -> g(x) P g(x)* under `gauge_transform`.  For the
-    constant-flux field this has phase +2*pi*K_jl/N^2 (0-based
+def plaquette(f: GaugeField, j: int, l: int) -> np.ndarray:
+    """Ordered transport around the elementary (j,l) square at every site
+    x, as an (n_sites, r, r) stack: along e_j, then e_l, then back along
+    e_j and e_l, U_l(x)^-1 U_j(x+e_l)^-1 U_l(x+e_j) U_j(x) read right to
+    left.  It transforms as P -> g(x) P g(x)* under `gauge_transform`.
+    For the constant-flux field this has phase +2*pi*K_jl/N^2 (0-based
     directions j < l)."""
-    return _plaquettes(f, j, l, f.geometry.site_index(coords))
+    U = f.links
+    xj = _neighbour(f.geometry, j)
+    xl = _neighbour(f.geometry, l)
+    return _dag(U[:, l]) @ _dag(U[xl, j]) @ U[xj, l] @ U[:, j]
 
 
 def estimate_curvature_norm(f: GaugeField) -> float:
@@ -234,19 +213,18 @@ def estimate_curvature_norm(f: GaugeField) -> float:
     worst = 0.0
     for j in range(geom.d):
         for l in range(j + 1, geom.d):
-            dev = np.linalg.norm(_plaquettes(f, j, l) - eye, 2, axis=(-2, -1))
+            dev = np.linalg.norm(plaquette(f, j, l) - eye, 2, axis=(-2, -1))
             worst = max(worst, float(dev.max()))
     return worst * geom.N ** 2
 
 
-def wilson_loop(f: GaugeField, base, j: int) -> np.ndarray:
-    """Ordered product of the N links along the full j-cycle through base."""
-    geom = f.geometry
-    coords = np.asarray(base)
-    ej = np.eye(geom.d, dtype=int)[j]
-    out = np.eye(f.rank, dtype=complex)
-    for step in range(geom.N):
-        out = f.link(coords + step * ej, j) @ out
+def wilson_loop(f: GaugeField, j: int) -> np.ndarray:
+    """Ordered product of the N links along the full j-cycle from every
+    site x, U_j(x+(N-1)e_j) ... U_j(x+e_j) U_j(x), as an (n_sites, r, r)
+    stack."""
+    out = f.links[:, j]
+    for step in range(1, f.geometry.N):
+        out = f.links[_neighbour(f.geometry, j, step), j] @ out
     return out
 
 
@@ -268,12 +246,7 @@ def link_shift(f: GaugeField, j: int) -> sp.csr_matrix:
     (U_j psi)(x + e_j) = U_j(x) psi(x)."""
     n, r = f.geometry.n_sites, f.rank
     # block row y holds U_j(x) in block column x, where y = x + e_j
-    src = np.argsort(_neighbour(f.geometry, j))
+    src = _neighbour(f.geometry, j, -1)
     return sp.bsr_matrix((f.links[src, j], src, np.arange(n + 1)),
                          shape=(n * r, n * r)).tocsr()
 
-
-def shift_unitaries(f: GaugeField):
-    """The link-times-shift unitaries U_j as dense arrays of size
-    (n_sites*r, n_sites*r), one per direction (see `link_shift`)."""
-    return [link_shift(f, j).toarray() for j in range(f.geometry.d)]

@@ -16,7 +16,7 @@ import scipy.linalg as sla
 
 from .clifford import CliffordRep, clifford_rep
 from .gauge import (FluxMatrix, GaugeField, _unitarity_defect, estimate_curvature_norm,
-                    shift_unitaries)
+                    link_shift)
 # min_abs_eigenvalue is unused here; perfbench's tracer looks it up by name
 from .spectral import (Inertia, _real_if_real, _reserve, half_signature, inertia,  # noqa: F401
                        inertia_bunch_kaufman, min_abs_eigenvalue)
@@ -33,7 +33,7 @@ class SingularOperatorError(RuntimeError):
 
 
 class ParameterRangeError(ValueError):
-    """A mass parameter outside the window its mass mode allows."""
+    """A mass or kappa outside the range its computation allows."""
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class IndexReport:
     mass_mode: str
     mu: float
     curvature_estimate: float
-    bound_margin: float
     degree: int  # corner_count_degree(d, mu): the window's doubler count
     continuum_index: int | None = None
     agrees: bool | None = None
@@ -58,7 +57,7 @@ class BoundReport:
     method: str  # the path that found lambda_min, as in Inertia.method
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryTuple:
     """d almost-commuting n x n unitaries; d, n and epsilon are read off them."""
 
@@ -143,10 +142,6 @@ def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:
     if inert.n_zero > 0:
         raise SingularOperatorError("singular operator: shrink a or change m")
     invariant = half_signature(inert)
-    # a-priori bound margin in dimensionless units (kappa = 1 for cutoff,
-    # kappa = 1/a for constant; bound scaled by a^2 accordingly)
-    rhs = mu ** 2 - 4 * d ** 2 * curvature * a ** 2
-    margin = inert.gap ** 2 - rhs
     # every corner k in {0, 1/2}^d with 2c < mu (a doubler) adds (-1)^c Pf
     degree = corner_count_degree(d, mu)
     continuum = agrees = None
@@ -159,7 +154,6 @@ def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:
         mass_mode=mode,
         mu=mu,
         curvature_estimate=curvature,
-        bound_margin=margin,
         degree=degree,
         continuum_index=continuum,
         agrees=agrees,
@@ -220,7 +214,7 @@ def verify_gap_bound(f: GaugeField, cl: CliffordRep, m: float,
     with kappa pi(D_W) + m gamma assembled as kappa (pi(D_W) + (m/kappa) gamma)."""
     N = f.geometry.N
     if not m <= kappa <= N:
-        raise ValueError("kappa must lie in [m, N]")
+        raise ParameterRangeError("kappa must lie in [m, N]")
     d = f.geometry.d
     inert = inertia(kappa * assemble(f, cl, m / kappa).matrix)
     lam = inert.gap
@@ -252,7 +246,7 @@ def acm_invariant(t: UnitaryTuple, m: float) -> int:
     if t.d % 2 != 0:
         raise ValueError("even dimension required")
     if not 0 < m < 2:
-        raise ValueError("mass must lie in (0, 2)")
+        raise ParameterRangeError("mass must lie in (0, 2)")
     H = wilson_matrix(t.unitaries, clifford_rep(t.d), m)
     inert = inertia_bunch_kaufman(H)
     if inert.n_zero > 0:
@@ -278,7 +272,8 @@ def clock_shift(n: int) -> UnitaryTuple:
 def gauge_tuple(f: GaugeField) -> UnitaryTuple:
     """The link-times-shift unitaries of a gauge field as a UnitaryTuple."""
     _reserve(f.geometry.n_sites * f.rank, f.geometry.d, "gauge tuple")
-    return UnitaryTuple.from_matrices(shift_unitaries(f))
+    return UnitaryTuple.from_matrices(
+        [link_shift(f, j).toarray() for j in range(f.geometry.d)])
 
 
 def bott_index_pauli(X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> int:

@@ -33,13 +33,12 @@ from .ktheory import (
     verify_gap_bound,
 )
 from .spectral import (
-    fourier_diagonalize,
     half_signature,
     inertia,
     inertia_bunch_kaufman,
     inertia_ldl,
 )
-from .wilson import assemble, symbol_gap
+from .wilson import assemble, fourier_diagonalize, symbol_gap
 
 
 def _flux2(k: int) -> FluxMatrix:

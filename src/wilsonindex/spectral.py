@@ -390,21 +390,3 @@ def min_abs_eigenvalue(H) -> float:
     """Smallest |eigenvalue| of a Hermitian matrix, relative accuracy 1e-6:
     the gap of `inertia(H)` (0 if H is singular up to `_tol`)."""
     return inertia(H).gap
-
-
-def fourier_diagonalize(f, cl, mu: float) -> np.ndarray:
-    """Eigenvalue multiset of the trivial-field operator via the symbol.
-
-    For the translation-invariant (trivial) gauge field the assembled
-    operator block-diagonalizes over discrete momenta k in (Z/N)^d / N;
-    returns the sorted union of symbol eigenvalues, each with
-    multiplicity rank.
-    """
-    from .wilson import symbol
-
-    if not np.all(f.links == np.eye(f.rank)):
-        raise ValueError("oracle requires translation invariance")
-    N, d = f.geometry.N, f.geometry.d
-    k = np.indices((N,) * d).reshape(d, -1).T / N
-    vals = np.linalg.eigvalsh(symbol(cl, k, mu))
-    return np.sort(np.tile(vals, f.rank).ravel())

@@ -23,7 +23,7 @@ from .clifford import CliffordRep
 from .gauge import GaugeField, link_shift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WilsonOperator:
     matrix: sp.csr_matrix = field(repr=False)
 
@@ -74,6 +74,22 @@ def symbol(cl: CliffordRep, k, mu: float) -> np.ndarray:
     w = np.sum(np.cos(2 * np.pi * k) - 1.0, axis=-1) + mu
     mat = np.tensordot(1j * np.sin(2 * np.pi * k), np.array(cl.generators), axes=1)
     return mat + w[..., None, None] * cl.grading
+
+
+def fourier_diagonalize(f, cl, mu: float) -> np.ndarray:
+    """Eigenvalue multiset of the trivial-field operator via the symbol.
+
+    For the translation-invariant (trivial) gauge field the assembled
+    operator block-diagonalizes over discrete momenta k in (Z/N)^d / N;
+    returns the sorted union of symbol eigenvalues, each with
+    multiplicity rank.
+    """
+    if not np.all(f.links == np.eye(f.rank)):
+        raise ValueError("oracle requires translation invariance")
+    N, d = f.geometry.N, f.geometry.d
+    k = np.indices((N,) * d).reshape(d, -1).T / N
+    vals = np.linalg.eigvalsh(symbol(cl, k, mu))
+    return np.sort(np.tile(vals, f.rank).ravel())
 
 
 def symbol_gap_function(d: int, k_grid: np.ndarray, mu: float) -> np.ndarray:

@@ -14,7 +14,7 @@ import scipy.linalg as sla
 
 import wilsonindex as wi
 from wilsonindex.selftest import run_selftest
-from wilsonindex.spectral import fourier_diagonalize
+from wilsonindex.wilson import fourier_diagonalize
 
 from newton_degree import newton_degree
 

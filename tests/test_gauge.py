@@ -10,6 +10,7 @@ from wilsonindex import (
     direct_sum_field,
     estimate_curvature_norm,
     gauge_transform,
+    gauge_tuple,
     make_geometry,
     perturb_field,
     plaquette,
@@ -17,7 +18,7 @@ from wilsonindex import (
     trivial_field,
     wilson_loop,
 )
-from wilsonindex.gauge import link_shift, shift_unitaries
+from wilsonindex.gauge import _neighbour, link_shift
 
 
 def test_geometry_rejects_coarse_lattice():
@@ -27,14 +28,15 @@ def test_geometry_rejects_coarse_lattice():
         make_geometry(0, 4)
 
 
-def test_site_index_roundtrip():
+@pytest.mark.parametrize("step", [1, -1, 5])
+def test_neighbour_is_periodic_c_order(step):
+    # site index of x + step*e_j: C-order (lexicographic) and periodic
     g = make_geometry(3, 4)
-    for idx, coords in enumerate(g.all_sites()):
-        assert g.site_index(coords) == idx
-        assert tuple(g.site_coords(idx)) == coords
-    # periodic wrapping
-    assert g.site_index((4, 0, 0)) == g.site_index((0, 0, 0))
-    assert g.site_index((-1, 0, 0)) == g.site_index((3, 0, 0))
+    coords = np.indices((4, 4, 4)).reshape(3, -1)
+    for j in range(3):
+        moved = coords + step * np.eye(3, dtype=int)[:, [j]]
+        want = np.ravel_multi_index(tuple(moved % 4), (4, 4, 4))
+        assert np.array_equal(_neighbour(g, j, step), want)
 
 
 def test_flux_matrix_validation():
@@ -68,20 +70,18 @@ def test_constant_flux_plaquettes_uniform(d, N, k):
     K = FluxMatrix.from_entries(d, [(1, 2, k)])
     f = constant_flux_field(make_geometry(d, N), K)
     want = np.exp(2j * np.pi * k / N ** 2)
-    for coords in f.geometry.all_sites():
-        p = plaquette(f, coords, 0, 1)[0, 0]
-        assert abs(p - want) < 1e-12
-        if d > 2:  # flux-free planes stay flat
-            assert abs(plaquette(f, coords, 2, 0)[0, 0] - 1) < 1e-12
+    p = plaquette(f, 0, 1)
+    assert p.shape == (N ** d, 1, 1)
+    assert np.max(np.abs(p[:, 0, 0] - want)) < 1e-12
+    if d > 2:  # flux-free planes stay flat
+        assert np.max(np.abs(plaquette(f, 2, 0)[:, 0, 0] - 1)) < 1e-12
 
 
 def test_total_flux_per_slice():
     # product of all plaquette phases over one 2-torus slice = exp(2 pi i K)
     N, k = 5, 2
     f = constant_flux_field(make_geometry(2, N), FluxMatrix.from_entries(2, [(1, 2, k)]))
-    total = 1.0 + 0j
-    for coords in f.geometry.all_sites():
-        total *= plaquette(f, coords, 0, 1)[0, 0]
+    total = np.prod(plaquette(f, 0, 1)[:, 0, 0])
     assert abs(total - np.exp(2j * np.pi * k)) < 1e-10
 
 
@@ -96,8 +96,9 @@ def test_curvature_estimate_matches_closed_form():
 def test_wilson_loop_flux_free_direction_is_identity():
     f = constant_flux_field(make_geometry(2, 4), FluxMatrix.from_entries(2, [(1, 2, 1)]))
     # the 0-direction loop at x_2 = 0 has no accumulated phase
-    w = wilson_loop(f, (0, 0), 0)[0, 0]
-    assert abs(w - 1) < 1e-12
+    w = wilson_loop(f, 0)
+    assert w.shape == (16, 1, 1)
+    assert abs(w[0, 0, 0] - 1) < 1e-12
 
 
 def test_tensor_and_direct_sum_sectors():
@@ -136,15 +137,12 @@ def test_gauge_transform_preserves_plaquette_spectrum():
     rng = np.random.default_rng(0)
     g = np.exp(1j * rng.uniform(0, 2 * np.pi, f.geometry.n_sites)).reshape(-1, 1, 1)
     ft = gauge_transform(f, g)
-    for coords in [(0, 0), (1, 2), (3, 3)]:
-        p0 = plaquette(f, coords, 0, 1)[0, 0]
-        p1 = plaquette(ft, coords, 0, 1)[0, 0]
-        assert abs(p0 - p1) < 1e-12
+    assert np.max(np.abs(plaquette(f, 0, 1) - plaquette(ft, 0, 1))) < 1e-12
 
 
 def test_shift_unitaries_unitary_and_commutator_scale():
     f = constant_flux_field(make_geometry(2, 4), FluxMatrix.from_entries(2, [(1, 2, 1)]))
-    U1, U2 = shift_unitaries(f)
+    U1, U2 = (link_shift(f, j).toarray() for j in range(2))
     eye = np.eye(U1.shape[0])
     assert np.max(np.abs(U1.conj().T @ U1 - eye)) < 1e-12
     comm = np.linalg.norm(U1 @ U2 - U2 @ U1, 2)
@@ -157,7 +155,7 @@ def test_shift_unitaries_unitary_and_commutator_scale():
 def test_constant_flux_plaquette_property(k, x, y):
     N = 4
     f = constant_flux_field(make_geometry(2, N), FluxMatrix.from_entries(2, [(1, 2, k)]))
-    p = plaquette(f, (x, y), 0, 1)[0, 0]
+    p = plaquette(f, 0, 1)[x * N + y, 0, 0]
     assert abs(p - np.exp(2j * np.pi * k / N ** 2)) < 1e-12
 
 
@@ -181,24 +179,40 @@ def test_plaquette_and_curvature_gauge_covariant_non_abelian():
     g = _random_unitaries(f.geometry.n_sites, 2, seed=11)
     ft = gauge_transform(f, g)
     assert abs(estimate_curvature_norm(ft) - estimate_curvature_norm(f)) < 1e-9
-    for site, coords in enumerate(f.geometry.all_sites()):
-        want = g[site] @ plaquette(f, coords, 0, 1) @ g[site].conj().T
-        assert np.max(np.abs(plaquette(ft, coords, 0, 1) - want)) < 1e-12
+    want = g @ plaquette(f, 0, 1) @ g.conj().swapaxes(-1, -2)
+    assert np.max(np.abs(plaquette(ft, 0, 1) - want)) < 1e-12
 
 
 def test_link_shift_matches_site_loop():
     # (U_j psi)(x + e_j) = U_j(x) psi(x), written out site by site
     f = _non_abelian_field(3, 3)
     geom, r = f.geometry, f.rank
-    n = geom.n_sites
-    dense = shift_unitaries(f)
+    n, N = geom.n_sites, geom.N
+    dense = gauge_tuple(f).unitaries
     for j in range(3):
         want = np.zeros((n * r, n * r), dtype=complex)
-        for x, coords in enumerate(geom.all_sites()):
-            y = geom.site_index(np.asarray(coords) + np.eye(3, dtype=int)[j])
+        for x, coords in enumerate(np.ndindex(N, N, N)):
+            y = np.ravel_multi_index(tuple((np.array(coords) + np.eye(3, dtype=int)[j]) % N),
+                                     (N, N, N))
             want[y * r:(y + 1) * r, x * r:(x + 1) * r] = f.links[x, j]
         assert np.array_equal(link_shift(f, j).toarray(), want)
         assert np.array_equal(dense[j], want)
+
+
+def test_wilson_loop_is_the_ordered_product_at_every_site():
+    # U_j(x + (N-1) e_j) ... U_j(x + e_j) U_j(x), written out site by site
+    f = _non_abelian_field(3, 3)
+    N = f.geometry.N
+    for j in range(3):
+        got = wilson_loop(f, j)
+        for x in np.ndindex(N, N, N):
+            want = np.eye(2, dtype=complex)
+            for step in range(N):
+                y = np.array(x)
+                y[j] = (y[j] + step) % N
+                want = f.links[np.ravel_multi_index(tuple(y), (N, N, N)), j] @ want
+            site = np.ravel_multi_index(x, (N, N, N))
+            assert np.max(np.abs(got[site] - want)) < 1e-12
 
 
 def test_perturb_field_matches_per_link_expm():

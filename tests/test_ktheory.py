@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 from wilsonindex import (
     FluxMatrix,
+    ParameterRangeError,
     SIGMA,
     SingularOperatorError,
     acm_invariant,
@@ -377,6 +378,18 @@ def test_gap_bound_kappa_range():
         verify_gap_bound(f, clifford_rep(2), 1.0, 10.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: lattice_index(trivial_field(make_geometry(2, 4)), 2.0),
+    lambda: verify_gap_bound(trivial_field(make_geometry(2, 4)), clifford_rep(2), 1.0, 0.5),
+    lambda: verify_gap_bound(trivial_field(make_geometry(2, 4)), clifford_rep(2), 1.0, 10.0),
+    lambda: acm_invariant(clock_shift(5), 0.0),
+    lambda: acm_invariant(clock_shift(5), 2.0),
+], ids=["index-mass", "kappa-below-m", "kappa-above-N", "acm-mass-0", "acm-mass-2"])
+def test_range_errors_are_typed(call):
+    with pytest.raises(ParameterRangeError):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # almost-commuting unitary tuples
 
@@ -390,6 +403,23 @@ def test_clock_shift_commutator_norm():
 
 def test_tuple_fields_are_its_unitaries():
     assert [f.name for f in dataclasses.fields(UnitaryTuple)] == ["unitaries"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FluxMatrix.zero(2),
+    lambda: trivial_field(make_geometry(2, 4)),
+    lambda: clifford_rep(2),
+    lambda: clock_shift(4),
+    lambda: assemble(trivial_field(make_geometry(2, 4)), clifford_rep(2), 1.0),
+], ids=["FluxMatrix", "GaugeField", "CliffordRep", "UnitaryTuple", "WilsonOperator"])
+def test_records_holding_arrays_compare_by_identity(build):
+    a, b = build(), build()
+    assert a == a and a != b
+    assert a in [a] and b not in [a]
+    assert hash(a) == hash(a) and len({a, b}) == 2
+    # a geometry holds only ints and keeps value equality
+    assert make_geometry(2, 4) == make_geometry(2, 4)
+    assert hash(make_geometry(2, 4)) == hash(make_geometry(2, 4))
 
 
 def test_tuple_construction_runs_no_svd(monkeypatch, tmp_path):

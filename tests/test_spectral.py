@@ -26,7 +26,8 @@ from wilsonindex import (
     spectral,
     trivial_field,
 )
-from wilsonindex.spectral import Inertia, fourier_diagonalize
+from wilsonindex.spectral import Inertia
+from wilsonindex.wilson import fourier_diagonalize
 
 
 def _random_hermitian(n, seed):

@@ -17,9 +17,9 @@ from wilsonindex import (
 )
 from wilsonindex.gauge import link_shift
 from wilsonindex.ktheory import clock_shift, gauge_tuple
-from wilsonindex.spectral import fourier_diagonalize, inertia
-from wilsonindex.wilson import (WilsonOperator, symbol_gap_function, to_matrix_market,
-                               wilson_matrix)
+from wilsonindex.spectral import inertia
+from wilsonindex.wilson import (WilsonOperator, fourier_diagonalize, symbol_gap_function,
+                               to_matrix_market, wilson_matrix)
 
 
 def test_assembled_matrix_hermitian():
