@@ -89,7 +89,8 @@ def _index(d, N, flux, m, mode):
     # mass exactly on a window boundary closes the symbol gap: report the
     # operator as singular rather than as a usage error
     if mode == "cutoff" and m in (0.0, 2.0):
-        raise SingularOperatorError("gap closes at the window boundary")
+        raise SingularOperatorError(
+            "singular operator: decrease a (increase N) or adjust m")
     return lattice_index(f, m, mode)
 
 
@@ -146,14 +147,8 @@ def cmd_acm(args) -> int:
     elif args.builtin == "clock-shift":
         t = clock_shift(args.n)
     else:
-        print("error: provide --input or --builtin clock-shift", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        val = acm_invariant(t, args.m)
-    except SingularOperatorError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SINGULAR
-    print(f"I = {val}  (epsilon = {t.epsilon:.6f})")
+        raise ValueError("provide --input or --builtin clock-shift")
+    print(f"I = {acm_invariant(t, args.m)}  (epsilon = {t.epsilon:.6f})")
     if args.cross_check and t.d == 2:
         print(f"Bott-oracle = {bott_index_tuple(t, args.m)}")
     elif args.cross_check:
@@ -165,7 +160,7 @@ def cmd_acm(args) -> int:
 def cmd_verify_bound(args) -> int:
     flux = FluxMatrix.from_entries(args.d, _flux_triples(args.d, args.flux))
     f = constant_flux_field(make_geometry(args.d, args.N), flux)
-    rep = verify_gap_bound(f, clifford_rep(args.d), args.m, args.kappa)
+    rep = verify_gap_bound(f, args.m, args.kappa)
     print(f"lambda_min = {rep.lambda_min:.6e} ({rep.method})")
     print(f"rhs = {rep.rhs:.6e}")
     print(f"margin = {rep.margin:.6e}")
@@ -211,7 +206,7 @@ def cmd_sweep(args) -> int:
 def cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    ok = run_selftest(csv_path=args.csv, verbose=True)
+    ok = run_selftest(csv_path=args.csv)
     return EXIT_OK if ok else EXIT_SELFTEST
 
 
@@ -274,9 +269,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SingularOperatorError:
-        print("singular operator: decrease a (increase N) or adjust m",
-              file=sys.stderr)
+    except SingularOperatorError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_SINGULAR
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,10 @@ every link to 1e-8 and reject the file otherwise.
 WUT1 (unitary tuple): same layout with header "WUT1" and "<d> <n>", and
 the payload holding d matrices of size n x n.
 
+The writers write a fixed comment line ("gauge config", "unitary tuple")
+and the readers accept any.  A bad header is a dimension line that is not
+the expected integers, or a d, rank or n below 1.
+
 Random link perturbations elsewhere in the package use numpy's
 default_rng (PCG64) so that seeded configurations are reproducible.
 """
@@ -47,30 +51,34 @@ def _check_positive(**fields) -> None:
             raise ValueError(f"bad header: {name} = {value} must be >= 1")
 
 
-def _write(path, magic: bytes, dims, comment: str, mats: np.ndarray) -> None:
+def _write(path, header: str, mats: np.ndarray) -> None:
     with open(path, "wb") as fh:
-        fh.write(magic + b"\n")
-        fh.write((" ".join(map(str, dims)) + "\n").encode())
-        fh.write((comment.replace("\n", " ") + "\n").encode())
+        fh.write(header.encode())
         fh.write(_encode(mats))
 
 
-def _read(path, magic: bytes):
-    """The integer header and the raw payload of a `magic` file."""
+def _read(path, magic: bytes, names):
+    """The header integers, one per name, and the payload of a `magic` file."""
     with open(path, "rb") as fh:
         if fh.readline().strip() != magic:
             raise ValueError(f"not a {magic.decode()} file")
-        dims = tuple(map(int, fh.readline().split()))
+        try:
+            dims = tuple(map(int, fh.readline().split()))
+        except ValueError:
+            dims = ()
+        if len(dims) != len(names):
+            raise ValueError(f"bad header: expected the integers {' '.join(names)}")
         fh.readline()  # comment
         return dims, fh.read()
 
 
-def write_gauge_field(f: GaugeField, path, comment: str = "gauge config") -> None:
-    _write(path, b"WGF1", (f.geometry.d, f.geometry.N, f.rank), comment, f.links)
+def write_gauge_field(f: GaugeField, path) -> None:
+    g = f.geometry
+    _write(path, f"WGF1\n{g.d} {g.N} {f.rank}\ngauge config\n", f.links)
 
 
 def read_gauge_field(path) -> GaugeField:
-    (d, N, rank), payload = _read(path, b"WGF1")
+    (d, N, rank), payload = _read(path, b"WGF1", ("d", "N", "rank"))
     _check_positive(d=d, rank=rank)
     geom = make_geometry(d, N)
     links = _decode(payload, (geom.n_sites, d, rank, rank))
@@ -79,11 +87,11 @@ def read_gauge_field(path) -> GaugeField:
     return GaugeField(geom, rank, links, None)
 
 
-def write_unitary_tuple(t: UnitaryTuple, path, comment: str = "unitary tuple") -> None:
-    _write(path, b"WUT1", (t.d, t.n), comment, np.stack(t.unitaries))
+def write_unitary_tuple(t: UnitaryTuple, path) -> None:
+    _write(path, f"WUT1\n{t.d} {t.n}\nunitary tuple\n", np.stack(t.unitaries))
 
 
 def read_unitary_tuple(path) -> UnitaryTuple:
-    (d, n), payload = _read(path, b"WUT1")
+    (d, n), payload = _read(path, b"WUT1", ("d", "n"))
     _check_positive(d=d, n=n)
     return UnitaryTuple.from_matrices(list(_decode(payload, (d, n, n))), utol=_UNITARITY_TOL)

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .clifford import CliffordRep, clifford_rep
+from .clifford import clifford_rep
 from .gauge import (FluxMatrix, GaugeField, _unitarity_defect, estimate_curvature_norm,
                     link_shift)
 # min_abs_eigenvalue is unused here; perfbench's tracer looks it up by name
@@ -140,7 +140,8 @@ def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:
     op = assemble(f, cl, mu)
     inert = inertia(op.matrix)
     if inert.n_zero > 0:
-        raise SingularOperatorError("singular operator: shrink a or change m")
+        raise SingularOperatorError(
+            "singular operator: decrease a (increase N) or adjust m")
     invariant = half_signature(inert)
     # every corner k in {0, 1/2}^d with 2c < mu (a doubler) adds (-1)^c Pf
     degree = corner_count_degree(d, mu)
@@ -160,13 +161,6 @@ def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:
     )
 
 
-def mass_mode_equivalence(f: GaugeField, m_cutoff: float, m_const: float) -> bool:
-    """True iff the cutoff-mass and constant-mass indices agree."""
-    r1 = lattice_index(f, m_cutoff, mode="cutoff")
-    r2 = lattice_index(f, m_const, mode="constant")
-    return r1.invariant == r2.invariant
-
-
 # ---------------------------------------------------------------------------
 # degree of the normalized symbol map F: T^d -> S^d
 
@@ -184,8 +178,6 @@ def symbol_degree(d: int, mu: float, resolution: int = 8) -> int:
     and the degree is `corner_count_degree(d, mu)`.  `resolution` has no
     effect; it is accepted for callers of the former Newton search.
     """
-    if d % 2 != 0 or d < 2:
-        raise ValueError("even dimension required")
     if symbol_gap(clifford_rep(d), mu) < 1e-9:
         raise ValueError("mass sits on a window boundary")
     return corner_count_degree(d, mu)
@@ -208,15 +200,14 @@ def corner_count_degree(d: int, mu: float) -> int:
 # a-priori gap bound (kappa-interpolated operator)
 
 
-def verify_gap_bound(f: GaugeField, cl: CliffordRep, m: float,
-                     kappa: float) -> BoundReport:
+def verify_gap_bound(f: GaugeField, m: float, kappa: float) -> BoundReport:
     """Check lambda_min((kappa pi(D_W) + m gamma)^2) >= m^2 - 4 d^2 ||R||,
     with kappa pi(D_W) + m gamma assembled as kappa (pi(D_W) + (m/kappa) gamma)."""
     N = f.geometry.N
     if not m <= kappa <= N:
         raise ParameterRangeError("kappa must lie in [m, N]")
     d = f.geometry.d
-    inert = inertia(kappa * assemble(f, cl, m / kappa).matrix)
+    inert = inertia(kappa * assemble(f, clifford_rep(d), m / kappa).matrix)
     lam = inert.gap
     curvature = estimate_curvature_norm(f)
     # curvature error terms total 4 d^2 ||R|| a^2 kappa^2 <= 4 d^2 ||R||
@@ -243,11 +234,10 @@ def acm_invariant(t: UnitaryTuple, m: float) -> int:
     eigenvalues, so it takes the counts from the production factor
     (`inertia_bunch_kaufman`) and computes no spectrum and no gap; the
     Bott index keeps its own dense eigensolve as the cross-check."""
-    if t.d % 2 != 0:
-        raise ValueError("even dimension required")
+    cl = clifford_rep(t.d)
     if not 0 < m < 2:
         raise ParameterRangeError("mass must lie in (0, 2)")
-    H = wilson_matrix(t.unitaries, clifford_rep(t.d), m)
+    H = wilson_matrix(t.unitaries, cl, m)
     inert = inertia_bunch_kaufman(H)
     if inert.n_zero > 0:
         raise SingularOperatorError(

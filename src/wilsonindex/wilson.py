@@ -53,20 +53,6 @@ def assemble(f: GaugeField, cl: CliffordRep, mu: float) -> WilsonOperator:
     return WilsonOperator(wilson_matrix([link_shift(f, j) for j in range(cl.d)], cl, mu))
 
 
-def matvec(H: WilsonOperator, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v)
-    if v.shape[0] != H.dim:
-        raise ValueError("vector dimension mismatch")
-    return H.matrix @ v
-
-
-def to_matrix_market(H: WilsonOperator, path) -> None:
-    """Export in Matrix Market coordinate format (hermitian storage)."""
-    import scipy.io as sio
-
-    sio.mmwrite(path, H.matrix.tocoo(), symmetry="hermitian")
-
-
 def symbol(cl: CliffordRep, k, mu: float) -> np.ndarray:
     """The symbol D_hat_W(k) + mu*gamma at momenta k in [0,1)^d: k of shape
     (..., d) gives (..., s, s), a single k one s x s matrix."""

@@ -122,7 +122,6 @@ def test_criterion_5_symbol_degree():
 def test_criterion_6_a_priori_gap_bound():
     ok = True
     details = []
-    cl = wi.clifford_rep(2)
     cases = [
         (wi.trivial_field(wi.make_geometry(2, 8)), 1.0, 1.0),
         (wi.trivial_field(wi.make_geometry(2, 8)), 0.5, 2.0),
@@ -131,7 +130,7 @@ def test_criterion_6_a_priori_gap_bound():
         (_field2(4, 1), 1.0, 4.0),  # coarse: expected vacuous
     ]
     for f, m, kappa in cases:
-        rep = wi.verify_gap_bound(f, cl, m, kappa)
+        rep = wi.verify_gap_bound(f, m, kappa)
         details.append(rep.status)
         if rep.rhs >= 0:
             ok = ok and rep.lambda_min ** 2 >= rep.rhs - 1e-9
@@ -230,8 +229,8 @@ def test_criterion_9_invariant_suites():
 
 def test_criterion_10_selftest_determinism(tmp_path, capsys):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    ok1 = run_selftest(csv_path=p1, verbose=False)
-    ok2 = run_selftest(csv_path=p2, verbose=False)
+    ok1 = run_selftest(csv_path=p1)
+    ok2 = run_selftest(csv_path=p2)
     identical = p1.read_bytes() == p2.read_bytes()
     _report(10, "selftest CSV bit-identical across runs",
             ok1 and ok2 and identical,

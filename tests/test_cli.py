@@ -4,7 +4,7 @@ import pytest
 
 from wilsonindex import cli, make_geometry, trivial_field
 from wilsonindex.formats import write_unitary_tuple
-from wilsonindex.ktheory import clock_shift, gauge_tuple
+from wilsonindex.ktheory import SingularOperatorError, clock_shift, gauge_tuple
 
 
 def run(argv):
@@ -100,6 +100,17 @@ def test_acm_builtin_cross_check(capsys):
     assert "I = -1" in out and "Bott-oracle = -1" in out
 
 
+def test_acm_singular_bott_matrix_gets_its_own_message(monkeypatch, capsys):
+    # a tuple has no lattice spacing: no advice to decrease a
+    def singular(t, m):
+        raise SingularOperatorError("Bott matrix is singular")
+
+    monkeypatch.setattr(cli, "bott_index_tuple", singular)
+    assert run(["acm", "--builtin", "clock-shift", "--n", "8", "--m", "1",
+                "--cross-check"]) == 2
+    assert capsys.readouterr().err == "Bott matrix is singular\n"
+
+
 def test_acm_tuple_that_does_not_fit_exits_4(monkeypatch, capsys):
     from wilsonindex import spectral
 
@@ -110,6 +121,7 @@ def test_acm_tuple_that_does_not_fit_exits_4(monkeypatch, capsys):
 
 def test_acm_requires_input(capsys):
     assert run(["acm"]) == 1
+    assert capsys.readouterr().err == "error: provide --input or --builtin clock-shift\n"
 
 
 def test_acm_from_file(tmp_path, capsys):
@@ -133,12 +145,12 @@ def test_acm_cross_check_off_d2_says_it_was_skipped(tmp_path, capsys):
     assert checked.err == "note: the Bott cross-check is d=2 only; skipped at d=4\n"
 
 
-@pytest.mark.parametrize("header", [b"0 4", b"2 0"])
+@pytest.mark.parametrize("header", [b"0 4", b"2 0", b"2", b"2 x", b"2 4 9"])
 def test_acm_bad_header_is_a_usage_error(tmp_path, capsys, header):
     path = tmp_path / "bad.wut"
     path.write_bytes(b"WUT1\n" + header + b"\nc\n")
     assert run(["acm", "--input", str(path)]) == 1
-    assert "error: bad header" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: bad header")
 
 
 def test_verify_bound_command(capsys):
@@ -190,11 +202,12 @@ def test_sweep_flux_replaces_the_base_entry_however_spelled(tmp_path, base, swep
 def test_sweep_records_singular_rows(tmp_path):
     out = tmp_path / "s.csv"
     rc = run(["sweep", "--d", "2", "--N", "4", "--flux", "1,2=1",
-              "--sweep", "m=1.0,2.0", "--out", str(out)])
+              "--sweep", "m=1.0,2.0,5.0", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
     assert lines[1].endswith("ok")
     assert lines[2].endswith("singular")
+    assert lines[3].endswith("out-of-range")
 
 
 def test_sweep_N_variable(tmp_path):
@@ -227,14 +240,14 @@ def test_selftest_fails_when_a_row_does_not_recompute(monkeypatch):
         return replace(r, inertia=replace(r.inertia, gap=gap))
 
     monkeypatch.setattr(st, "lattice_index", drifting)
-    assert not st.run_selftest(verbose=False)
+    assert not st.run_selftest()
 
 
 def test_selftest_csv_rows_match_header(tmp_path):
     from wilsonindex.selftest import run_selftest
 
     path = tmp_path / "selftest.csv"
-    assert run_selftest(csv_path=path, verbose=False)
+    assert run_selftest(csv_path=path)
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)

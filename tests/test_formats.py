@@ -19,7 +19,12 @@ def test_gauge_field_roundtrip(tmp_path):
                             FluxMatrix.from_entries(2, [(1, 2, 1)]))
     f = perturb_field(f, 0.03, seed=9)
     path = tmp_path / "field.wgf"
-    write_gauge_field(f, path, comment="roundtrip check")
+    write_gauge_field(f, path)
+    # the writer's comment line is fixed; the reader accepts any
+    data = path.read_bytes()
+    head = b"WGF1\n2 4 1\ngauge config\n"
+    assert data.startswith(head)
+    path.write_bytes(b"WGF1\n2 4 1\nany other comment\n" + data[len(head):])
     g = read_gauge_field(path)
     assert g.geometry == f.geometry and g.rank == f.rank
     assert np.max(np.abs(g.links - f.links)) == 0.0
@@ -70,6 +75,19 @@ def test_nonpositive_header_fields_rejected(tmp_path, magic, header, field):
         read(path)
 
 
+@pytest.mark.parametrize("magic, header", [
+    (b"WUT1", b"2"), (b"WUT1", b"2 x"), (b"WUT1", b"2 4 9"),
+    (b"WGF1", b"2 4"), (b"WGF1", b"2 4 1.5"), (b"WGF1", b"2 4 1 1"),
+])
+def test_malformed_header_line_rejected(tmp_path, magic, header):
+    # a wrong field count or a non-integer field, not Python's own message
+    path = tmp_path / "bad"
+    path.write_bytes(magic + b"\n" + header + b"\nc\n")
+    read = read_unitary_tuple if magic == b"WUT1" else read_gauge_field
+    with pytest.raises(ValueError, match="^bad header: expected the integers"):
+        read(path)
+
+
 def test_empty_tuple_rejected():
     with pytest.raises(ValueError, match="at least one"):
         UnitaryTuple.from_matrices([])
@@ -107,11 +125,3 @@ def test_nonunitary_tuple_rejected(tmp_path):
     with pytest.raises(ValueError, match="unitar"):
         read_unitary_tuple(path)
 
-
-def test_comment_newlines_flattened(tmp_path):
-    f = constant_flux_field(make_geometry(2, 4),
-                            FluxMatrix.from_entries(2, [(1, 2, 1)]))
-    path = tmp_path / "field.wgf"
-    write_gauge_field(f, path, comment="two\nlines")
-    g = read_gauge_field(path)
-    assert np.max(np.abs(g.links - f.links)) == 0.0

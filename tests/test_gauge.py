@@ -51,6 +51,21 @@ def test_flux_matrix_validation():
     assert S.K[0, 1] == 0 and S.K[2, 3] == -1
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: FluxMatrix.zero(2) + FluxMatrix.zero(4), "flux dimension mismatch"),
+    (lambda: trivial_field(make_geometry(2, 4), rank=0), "rank must be >= 1"),
+    (lambda: constant_flux_field(make_geometry(2, 4), FluxMatrix.zero(4)),
+     "flux dimension mismatch"),
+    (lambda: tensor_field(trivial_field(make_geometry(2, 4)),
+                          trivial_field(make_geometry(2, 6))), "geometry mismatch"),
+    (lambda: direct_sum_field(trivial_field(make_geometry(2, 4)),
+                              trivial_field(make_geometry(2, 6))), "geometry mismatch"),
+], ids=["flux-add", "rank-0", "flux-field", "tensor", "direct-sum"])
+def test_gauge_inputs_are_checked(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @given(st.integers(-5, 5), st.integers(-5, 5))
 def test_flux_entries_accumulate(a, b):
     K = FluxMatrix.from_entries(2, [(1, 2, a), (1, 2, b)])

@@ -28,7 +28,6 @@ from wilsonindex import (
     inertia,
     lattice_index,
     make_geometry,
-    mass_mode_equivalence,
     min_abs_eigenvalue,
     perturb_field,
     spectral,
@@ -204,7 +203,8 @@ def test_constant_mass_mode_warns_below_threshold():
 
 def test_mass_mode_equivalence():
     f = constant_flux_field(make_geometry(2, 16), _flux2(1))
-    assert mass_mode_equivalence(f, 1.0, 11.0)
+    assert lattice_index(f, 1.0, mode="cutoff").invariant \
+        == lattice_index(f, 11.0, mode="constant").invariant
 
 
 # ---------------------------------------------------------------------------
@@ -352,41 +352,53 @@ def test_batched_newton_drops_a_singular_seed(monkeypatch):
 
 def test_gap_bound_trivial_field_tight():
     f = trivial_field(make_geometry(2, 8))
-    rep = verify_gap_bound(f, clifford_rep(2), 1.0, 1.0)
+    rep = verify_gap_bound(f, 1.0, 1.0)
     assert rep.status == "pass" and rep.method == "dense"
     assert abs(rep.lambda_min - 1.0) < 1e-8  # zero curvature: bound saturates
 
 
 def test_gap_bound_flux_field():
     f = constant_flux_field(make_geometry(2, 16), _flux2(1))
-    rep = verify_gap_bound(f, clifford_rep(2), 1.0, 1.0)
+    rep = verify_gap_bound(f, 1.0, 1.0)
     assert rep.rhs > 0
     assert rep.status == "pass"
 
 
 def test_gap_bound_vacuous_label():
     f = constant_flux_field(make_geometry(2, 4), _flux2(1))
-    rep = verify_gap_bound(f, clifford_rep(2), 1.0, 4.0)
+    rep = verify_gap_bound(f, 1.0, 4.0)
     assert rep.rhs < 0 and rep.status == "vacuous"
 
 
 def test_gap_bound_kappa_range():
     f = trivial_field(make_geometry(2, 4))
     with pytest.raises(ValueError, match="kappa"):
-        verify_gap_bound(f, clifford_rep(2), 1.0, 0.5)
+        verify_gap_bound(f, 1.0, 0.5)
     with pytest.raises(ValueError, match="kappa"):
-        verify_gap_bound(f, clifford_rep(2), 1.0, 10.0)
+        verify_gap_bound(f, 1.0, 10.0)
 
 
 @pytest.mark.parametrize("call", [
     lambda: lattice_index(trivial_field(make_geometry(2, 4)), 2.0),
-    lambda: verify_gap_bound(trivial_field(make_geometry(2, 4)), clifford_rep(2), 1.0, 0.5),
-    lambda: verify_gap_bound(trivial_field(make_geometry(2, 4)), clifford_rep(2), 1.0, 10.0),
+    lambda: verify_gap_bound(trivial_field(make_geometry(2, 4)), 1.0, 0.5),
+    lambda: verify_gap_bound(trivial_field(make_geometry(2, 4)), 1.0, 10.0),
     lambda: acm_invariant(clock_shift(5), 0.0),
     lambda: acm_invariant(clock_shift(5), 2.0),
 ], ids=["index-mass", "kappa-below-m", "kappa-above-N", "acm-mass-0", "acm-mass-2"])
 def test_range_errors_are_typed(call):
     with pytest.raises(ParameterRangeError):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    # constant mode, mu = m a = 2: the symbol vanishes at the corner (1/2, 0)
+    (lambda: lattice_index(trivial_field(make_geometry(2, 4)), 8.0, mode="constant"),
+     "decrease a"),
+    # clock_shift(3)'s signature steps from 0 to -2 at m = (3 - sqrt 3)/2
+    (lambda: acm_invariant(clock_shift(3), (3 - np.sqrt(3)) / 2), "too far from commuting"),
+], ids=["lattice-index", "acm"])
+def test_singular_operators_raise(call, message):
+    with pytest.raises(SingularOperatorError, match=message):
         call()
 
 
@@ -420,6 +432,12 @@ def test_records_holding_arrays_compare_by_identity(build):
     # a geometry holds only ints and keeps value equality
     assert make_geometry(2, 4) == make_geometry(2, 4)
     assert hash(make_geometry(2, 4)) == hash(make_geometry(2, 4))
+
+
+def test_every_exported_name_resolves():
+    import wilsonindex
+
+    assert [n for n in wilsonindex.__all__ if not hasattr(wilsonindex, n)] == []
 
 
 def test_tuple_construction_runs_no_svd(monkeypatch, tmp_path):

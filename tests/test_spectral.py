@@ -483,6 +483,42 @@ def test_iterative_gap_falls_back_only_on_arpack_failures(monkeypatch):
         inertia_ldl(H)
 
 
+def _scaled_solve(monkeypatch):
+    bunch_kaufman = spectral._bunch_kaufman
+
+    def scaled(S):
+        eigs, solve = bunch_kaufman(S)
+        return eigs, lambda b: 1.01 * solve(b)
+
+    monkeypatch.setattr(spectral, "_bunch_kaufman", scaled)
+
+
+def _wrong_eigenpair(monkeypatch):
+    def wrong(M, **kwargs):
+        x = np.zeros((M.shape[0], 1), dtype=M.dtype)
+        x[0] = 1.0
+        return np.array([0.5]), x
+
+    monkeypatch.setattr(spla, "eigsh", wrong)
+
+
+@pytest.mark.parametrize("mutate, reason", [
+    (_scaled_solve, "probe residual"),
+    (_wrong_eigenpair, "unconverged gap (residual"),
+], ids=["solve", "eigenpair"])
+def test_factor_mutants_are_rejected(monkeypatch, mutate, reason):
+    # a factor whose solve is off by 1% fails the probe, and an eigenpair
+    # that is not one fails the gap residual; both give the dense oracle
+    f = constant_flux_field(make_geometry(2, 6), FluxMatrix.from_entries(2, [(1, 2, 1)]))
+    H = assemble(f, clifford_rep(2), 1.0).matrix
+    want = inertia(H)
+    mutate(monkeypatch)
+    i = inertia_ldl(H)
+    assert i.method.startswith(f"dense (ldl rejected: {reason}")
+    assert (i.n_plus, i.n_minus, i.n_zero, i.gap) \
+        == (want.n_plus, want.n_minus, want.n_zero, want.gap)
+
+
 def test_momentum_oracle_requires_trivial_field():
     f = constant_flux_field(make_geometry(2, 4), FluxMatrix.from_entries(2, [(1, 2, 1)]))
     with pytest.raises(ValueError, match="translation invariance"):

@@ -10,7 +10,6 @@ from wilsonindex import (
     clifford_rep,
     constant_flux_field,
     make_geometry,
-    matvec,
     symbol,
     symbol_gap,
     trivial_field,
@@ -19,7 +18,7 @@ from wilsonindex.gauge import link_shift
 from wilsonindex.ktheory import clock_shift, gauge_tuple
 from wilsonindex.spectral import inertia
 from wilsonindex.wilson import (WilsonOperator, fourier_diagonalize, symbol_gap_function,
-                               to_matrix_market, wilson_matrix)
+                               wilson_matrix)
 
 
 def test_assembled_matrix_hermitian():
@@ -44,16 +43,6 @@ def test_operator_dimension():
     f = trivial_field(make_geometry(4, 2), rank=3)
     op = assemble(f, clifford_rep(4), 0.5)
     assert op.dim == 2 ** 4 * 3 * 4
-
-
-def test_matvec_matches_dense():
-    f = constant_flux_field(make_geometry(2, 3), FluxMatrix.from_entries(2, [(1, 2, 1)]))
-    op = assemble(f, clifford_rep(2), 1.0)
-    rng = np.random.default_rng(1)
-    v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-    assert np.allclose(matvec(op, v), op.matrix.toarray() @ v)
-    with pytest.raises(ValueError):
-        matvec(op, v[:-1])
 
 
 def test_symbol_hermitian_and_square_is_gap_squared():
@@ -146,17 +135,6 @@ def test_symbol_gap_collapses_at_window_boundary():
     for d in (2, 4):
         for c in range(d + 1):
             assert symbol_gap(clifford_rep(d), 2.0 * c) == 0
-
-
-def test_matrix_market_export_roundtrip(tmp_path):
-    import scipy.io as sio
-
-    f = constant_flux_field(make_geometry(2, 3), FluxMatrix.from_entries(2, [(1, 2, 1)]))
-    op = assemble(f, clifford_rep(2), 1.0)
-    path = tmp_path / "op.mtx"
-    to_matrix_market(op, path)
-    back = sio.mmread(path).toarray()
-    assert np.max(np.abs(back - op.matrix.toarray())) < 1e-12
 
 
 def test_wilson_matrix_is_csr_for_dense_unitaries():
