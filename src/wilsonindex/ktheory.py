@@ -175,11 +175,14 @@ def symbol_degree(d: int, mu: float, resolution: int = 8) -> int:
     components, and F0 > 0 needs mu > 2c.  At such a corner the Jacobian
     of (F_1, ..., F_d) is diag(2 pi cos 2 pi k_j)/|mu - 2c|, whose
     determinant has sign (-1)^c and is never 0; so the value is regular
-    and the degree is `corner_count_degree(d, mu)`.  `resolution` has no
-    effect; it is accepted for callers of the former Newton search.
+    and the degree is `corner_count_degree(d, mu)`.  On a window boundary
+    (mu = 2c) the symbol vanishes somewhere and the degree is undefined:
+    SingularOperatorError, as for a singular lattice operator.
+    `resolution` has no effect; it is accepted for callers of the former
+    Newton search.
     """
     if symbol_gap(clifford_rep(d), mu) < 1e-9:
-        raise ValueError("mass sits on a window boundary")
+        raise SingularOperatorError("mass sits on a window boundary")
     return corner_count_degree(d, mu)
 
 

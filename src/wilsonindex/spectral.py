@@ -11,34 +11,43 @@
   only on the diagonal h_I, so by Haynsworth's inertia additivity
   inertia(H) = inertia(diag(h_I)) + inertia(S) for the Schur complement
   S = H_CC - H_CI diag(h_I)^-1 H_IC of the other rows C.  S is densified
-  once and factored by LAPACK `hetrf` (Bunch and Kaufman's diagonal
-  pivoting), whose 1x1 and 2x2 pivot blocks carry the signs of S
-  (Sylvester's law of inertia).  LAPACK's syconv converts the factor in
-  place into P S P^T = L D L* with unit lower triangular L, one laswp
-  gives P, and the gap is found by ARPACK's complex Arnoldi (what `eigsh`
-  runs for complex input) in shift-invert mode, each solve being P, two
-  BLAS trsv calls on L and the 1x1/2x2 solves of D (no hetrs).  If the
+  once in single precision (complex64) and factored by LAPACK `chetrf`
+  (Bunch and Kaufman's diagonal pivoting), whose 1x1 and 2x2 pivot
+  blocks carry the signs of S (Sylvester's law of inertia).  LAPACK's
+  syconv converts the factor in place into P S P^T = L D L* with unit
+  lower triangular L, one laswp gives P, and the gap is found by ARPACK's
+  complex Arnoldi (what `eigsh` runs for complex input) in shift-invert
+  mode.  Each solve is P, two BLAS trsv calls on L and the 1x1/2x2
+  solves of D (no hetrs) in single precision, refined in double against
+  the sparse H (iterative refinement: Carson and Higham, SIAM J. Sci.
+  Comput. 40 (2018)).  The single factor is exact for a nearby H + E;
+  its counts are accepted only when the first refinement step of a
+  seeded probe contracts by at least 100x.  That factor estimates
+  ||(H + E)^-1 E||, and while it is below 1 no eigenvalue crosses 0
+  between H and H + E.  If the
   factor is rejected or the gap does not converge, the dense oracle's
-  result is returned instead.
+  result is returned instead.  So an H whose gap is below about 1e-6 of
+  its norm, where single precision cannot resolve it, goes to the oracle.
 
   Only rows whose diagonal reaches _THETA * ||H||_inf are eliminated.
   For the assembled operator, whose on-site entries are +-(mu - d), that
   is half the rows unless |mu - d| < _THETA * ||H||_inf; then I is empty
   and the whole operator is densified and factored.  The dense S holds
-  16 |C|^2 bytes (8 |C|^2 if real), and its factor costs O(|C|^3) and
+  8 |C|^2 bytes (4 |C|^2 if real), and its factor costs O(|C|^3) and
   each solve O(|C|^2), however sparse H is: this, not the sparsity of H,
   bounds the size.
 
 `inertia_bunch_kaufman` is the counts alone: the factor step of
-`inertia_ldl` (elimination, hetrf, the pivot and probe checks) without the
-gap step, so no eigensolve and no Krylov iteration; it serves invariants
-that need only the signs, such as `ktheory.acm_invariant`.  It is not
-independent of `inertia_ldl`; the dense eigensolve is the one independent
-oracle, and the paths must agree wherever they run.
+`inertia_ldl` (elimination, chetrf, the probe's contraction and residual
+checks) without the gap step, so no eigensolve and no Krylov iteration;
+it serves invariants that need only the signs, such as
+`ktheory.acm_invariant`.  It is not independent of `inertia_ldl`; the
+dense eigensolve is the one independent oracle, and the paths must agree
+wherever they run.
 
 Every path takes a complex matrix whose imaginary parts are all 0 (the
 operator and Bott matrix of `ktheory.clock_shift`; lattice operators are
-complex) in real arithmetic, `syevr`/`sytrf`/real ARPACK Lanczos, at a
+complex) in real arithmetic, `syevr`/`ssytrf`/real ARPACK Lanczos, at a
 quarter of the flops and half the bytes (`_real_if_real`).
 """
 
@@ -58,8 +67,12 @@ _DENSE_LIMIT = 4096
 _DENSE_COPIES = 3
 # a row is eliminated before the dense factor only if its real diagonal
 # has modulus at least _THETA * ||H||_inf; then ||S||_inf is at most
-# (1 + 1/_THETA) ||H||_inf, a growth the probe residual check still sees
+# (1 + 1/_THETA) ||H||_inf, a growth the probe's contraction check still sees
 _THETA = 0.01
+# corrections a refined solve makes at most
+_REFINE = 3
+# largest accepted ||x1 - x0|| / ||x1|| of the probe's first correction
+_CONTRACTION = 1e-2
 
 
 class ResourceError(MemoryError):
@@ -113,7 +126,8 @@ def _available_memory() -> int | None:
 
 def _reserve(n: int, copies: int, what: str, dtype=complex) -> None:
     """Raise ResourceError unless `copies` dense n x n matrices of dtype
-    (by its itemsize: 16 bytes complex, 8 real) fit in available memory."""
+    (by its itemsize: 16 bytes complex, 8 real or complex64, 4 float32)
+    fit in available memory."""
     need = copies * n * n * np.dtype(dtype).itemsize
     avail = _available_memory()
     if avail is not None and need > avail:
@@ -234,10 +248,14 @@ def _shift_invert_gap(M: sp.csr_matrix, solve, v0: np.ndarray) -> float:
     # modest maxiter: the assembled operators have dense spectrum at the
     # gap edge, where ARPACK stalls; give up quickly
     op = spla.LinearOperator(M.shape, matvec=solve, dtype=M.dtype)
-    vals, vecs = spla.eigsh(M, k=1, sigma=0.0, which="LM", OPinv=op,
-                            tol=1e-8, v0=v0, maxiter=300)
-    lam, x = float(vals[0]), vecs[:, 0]
-    resid = float(np.linalg.norm(M @ x - lam * x))
+    _, vecs = spla.eigsh(M, k=1, sigma=0.0, which="LM", OPinv=op,
+                         tol=1e-8, v0=v0, maxiter=300)
+    # the Rayleigh quotient in double: its error is quadratic in x's, so
+    # the refined solves' looser residual (tol) does not reach the gap
+    x = vecs[:, 0]
+    Mx = M @ x
+    lam = float(np.vdot(x, Mx).real / np.vdot(x, x).real)
+    resid = float(np.linalg.norm(Mx - lam * x))
     if resid > 1e-6 * max(_absmax(M), 1.0):
         raise RuntimeError(f"unconverged gap (residual {resid:.1e})")
     return abs(lam)
@@ -249,14 +267,15 @@ def _bunch_kaufman(S: np.ndarray):
     carry the signs of S (Sylvester), and solve(b) = S^-1 b.  LAPACK's
     syconv converts the factor in place to P S P^T = L D L* with unit
     lower triangular L and laswp gives P, so a solve is P, two BLAS trsv
-    and D."""
+    and D.  The routines follow S's dtype (chetrf/ssytrf for the single
+    precision S of `_ldl_factor`); b is cast to it, and so is the result."""
     if not len(S):
         # LAPACK takes no empty matrix; S is empty when M is diagonal
         return np.empty(0), lambda b: b
     name = "hetrf" if np.iscomplexobj(S) else "sytrf"
     trf, trf_lwork = sla.get_lapack_funcs((name, name + "_lwork"), (S,))
     lwork, _ = trf_lwork(len(S), lower=1)
-    # info > 0 flags an exactly zero block of D, which the tol test rejects
+    # info > 0 flags an exactly zero block of D, which _ldl_factor rejects
     LD, ipiv, _ = trf(S, lower=1, lwork=int(lwork.real), overwrite_a=1)
     # in place to P S P^T = L D L* with unit lower triangular L: syconv
     # moves the 2x2 blocks' subdiagonal into e and swaps the rows of L left
@@ -282,7 +301,7 @@ def _bunch_kaufman(S: np.ndarray):
     unperm = np.argsort(perm)
 
     def solve(b):
-        y = trsv(LD, b[perm], lower=1, diag=1) / d
+        y = trsv(LD, b[perm].astype(LD.dtype), lower=1, diag=1) / d
         y1, y2 = y[starts], y[starts + 1]
         y[starts] = (c * y1 - e.conj() * y2) / det
         y[starts + 1] = (a * y2 - e * y1) / det
@@ -299,11 +318,21 @@ def _ldl_factor(M: sp.csr_matrix, tol: float):
     The rows I of `_independent_rows` (floor _THETA * ||M||_inf) meet M
     only on the diagonal h_I, so eliminating them is exact; by Haynsworth
     inertia(M) = inertia(diag(h_I)) + inertia(S) with S the Schur
-    complement of the other rows C.  S is densified once, factored in place
-    by LAPACK hetrf (Bunch-Kaufman, backward stable) into L D L*, and the
-    signs of S are those of D's 1x1 and 2x2 blocks.  A pivot within tol
-    or a bad solve residual on the seeded probe means the factor is not
-    trusted.  If no row reaches the floor, I is empty and S is all of M.
+    complement of the other rows C.  If no row reaches the floor, I is
+    empty and S is all of M.  S is densified once in single precision
+    (complex64, float32 if M is real) and factored in place by
+    `_bunch_kaufman`; with the exact elimination this is a factor F of
+    M + E, E its backward error, and the signs of its pivots are the
+    inertia of M + E (Sylvester, Haynsworth).
+
+    solve refines F's solve against the sparse double M, x += F^-1 (b - Mx),
+    at most _REFINE times, until ||b - Mx|| <= tol ||x||.  The seeded
+    probe's first correction x0 -> x1 gives rho = ||x1 - x0|| / ||x1||, an
+    estimate of ||(M + E)^-1 E||_2 = ||I - F^-1 M||_2.  The factor is
+    accepted only if rho <= _CONTRACTION and the probe's refined residual
+    meets tol.  While ||(M + E)^-1 E||_2 < 1, M + tE is nonsingular for
+    every t in [0, 1], so no eigenvalue crosses 0 between M and M + E and
+    the pivots' signs are M's.  A singular M gives rho near 1.
     """
     n = M.shape[0]
     I = _independent_rows(M, _THETA * _norm_inf(M))
@@ -312,30 +341,45 @@ def _ldl_factor(M: sp.csr_matrix, tol: float):
     M_C = M[C]
     M_CI, M_IC = M_C[:, I], M[I][:, C]
     S = M_C[:, C] - M_CI @ sp.diags(1.0 / h) @ M_IC
-    _reserve(len(C), 1, "Schur complement", M.dtype)
-    eigs_S, solve_S = _bunch_kaufman(S.toarray(order="F"))
+    low = np.complex64 if np.iscomplexobj(M) else np.float32
+    _reserve(len(C), 1, "Schur complement", low)
+    eigs_S, solve_S = _bunch_kaufman(S.astype(low).toarray(order="F"))
     piv = np.concatenate([h, eigs_S])
-    small = float(np.min(np.abs(piv)))
-    if small <= tol:
-        raise RuntimeError(f"pivot {small:.1e} within tol {tol:.1e}")
+    if not piv.all():
+        # an exactly singular D (info > 0 from the factor) has no solve
+        raise RuntimeError("zero pivot")
 
-    def solve(b):
+    def solve_low(b):
         x = np.empty_like(b, dtype=M.dtype)
         y = b[I] / h
         x[C] = solve_S(b[C] - M_CI @ y)
         x[I] = y - (M_IC @ x[C]) / h
         return x
 
+    def refine(b, x, corrections, what):
+        # x += F^-1 (b - Mx) until the residual meets tol, or RuntimeError
+        for k in range(corrections + 1):
+            r = b - M @ x
+            resid = float(np.linalg.norm(r))
+            if resid <= tol * float(np.linalg.norm(x)):
+                return x
+            if k < corrections:
+                x = x + solve_low(r)
+        raise RuntimeError(f"{what} residual {resid:.1e}")
+
     # fixed seed: the probe, and so the accept decision, is reproducible;
     # it is also the gap's start vector (its real part for a real M)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b = b if np.iscomplexobj(M) else b.real.copy()
-    y = solve(b)
-    resid = float(np.linalg.norm(M @ y - b))
-    if resid > tol * float(np.linalg.norm(y)):
-        raise RuntimeError(f"probe residual {resid:.1e}")
-    return piv, solve, b
+    x0 = solve_low(b)
+    x1 = x0 + solve_low(b - M @ x0)
+    rho = float(np.linalg.norm(x1 - x0) / np.linalg.norm(x1))
+    # not <=, so a nan from an overflowed solve is rejected too
+    if not rho <= _CONTRACTION:
+        raise RuntimeError(f"contraction {rho:.1e} above {_CONTRACTION:g}")
+    refine(b, x1, _REFINE - 1, "probe")
+    return piv, lambda b: refine(b, solve_low(b), _REFINE, "solve"), b
 
 
 def _ldl_gap(M: sp.csr_matrix, solve, probe: np.ndarray) -> float:
@@ -346,9 +390,10 @@ def _ldl_gap(M: sp.csr_matrix, solve, probe: np.ndarray) -> float:
 
 
 def _from_factor(H, gap: bool) -> Inertia:
-    """Counts from the signs of `_ldl_factor`'s pivots (each exceeds tol,
-    so n_zero is 0) and, with `gap`, the `_ldl_gap`; if either is
-    rejected, the dense oracle's result with the reason in method."""
+    """Counts from the signs of `_ldl_factor`'s pivots (an accepted factor
+    is of a nonsingular matrix, so n_zero is 0) and, with `gap`, the
+    `_ldl_gap`; if either is rejected, the dense oracle's result with the
+    reason in method."""
     M = _real_if_real(sp.csr_matrix(H, dtype=complex))
     _check_hermitian(M)
     tol = _tol(M)

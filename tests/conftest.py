@@ -7,17 +7,27 @@ import scipy.linalg as sla
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """What the package asks of scipy's LAPACK: `factors`, the names of the
-    factor routines it fetches (dsytrf, zhetrf), and `eigvalsh`, the dtypes
-    of the matrices it passes to scipy's eigvalsh."""
+    """What the package asks of scipy's LAPACK: `factors`, a (name, dtype)
+    pair for each call of a factor routine (ssytrf, chetrf), the dtype
+    being that of the matrix handed to it, and `eigvalsh`, the dtypes of
+    the matrices it passes to scipy's eigvalsh."""
     calls = SimpleNamespace(factors=[], eigvalsh=[])
     get_lapack_funcs, eigvalsh = sla.get_lapack_funcs, sla.eigvalsh
 
+    def recorded(f):
+        name = f.__name__.split()[-1]
+
+        def call(a, *args, **kwargs):
+            calls.factors.append((name, a.dtype))
+            return f(a, *args, **kwargs)
+
+        return call
+
     def spy_get(*args, **kwargs):
         funcs = get_lapack_funcs(*args, **kwargs)
-        calls.factors.extend(f.__name__.split()[-1] for f in np.atleast_1d(funcs)
-                             if f.__name__.endswith("trf"))
-        return funcs
+        spied = [recorded(f) if f.__name__.endswith("trf") else f
+                 for f in np.atleast_1d(funcs)]
+        return spied if isinstance(funcs, (list, tuple)) else spied[0]
 
     def spy_eigvalsh(a, *args, **kwargs):
         calls.eigvalsh.append(a.dtype)

@@ -40,6 +40,15 @@ def test_index_singular_exit_code(capsys):
     assert "decrease a (increase N) or adjust m" in err
 
 
+def test_degree_on_a_window_boundary_is_singular(capsys):
+    # m = 2 closes the d=2 symbol gap, as `index --m 2` finds for the
+    # operator: both exit 2 with the message
+    assert run(["degree", "--d", "2", "--m", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "mass sits on a window boundary\n"
+
+
 def test_usage_errors(capsys):
     assert run(["index", "--bogus"]) == 1
     assert run(["index", "--d", "2", "--N", "8", "--m", "5"]) == 1

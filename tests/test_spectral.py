@@ -13,6 +13,7 @@ from wilsonindex import (
     ResourceError,
     assemble,
     clifford_rep,
+    clock_shift,
     constant_flux_field,
     direct_sum_field,
     half_signature,
@@ -27,7 +28,7 @@ from wilsonindex import (
     trivial_field,
 )
 from wilsonindex.spectral import Inertia
-from wilsonindex.wilson import fourier_diagonalize
+from wilsonindex.wilson import fourier_diagonalize, wilson_matrix
 
 
 def _random_hermitian(n, seed):
@@ -248,7 +249,7 @@ def test_real_symmetric_matrix_runs_on_the_real_path(lapack_calls):
     assert abs(got.gap - want) < 1e-10 * want
     assert inertia_ldl(A.astype(complex)) == got
     assert inertia_ldl(sp.csr_matrix(A, dtype=complex)) == got
-    assert lapack_calls.factors == ["dsytrf"] * 3
+    assert lapack_calls.factors == [("ssytrf", np.float32)] * 3
 
 
 def test_one_imaginary_entry_keeps_the_complex_path(lapack_calls):
@@ -260,7 +261,7 @@ def test_one_imaginary_entry_keeps_the_complex_path(lapack_calls):
     got = inertia_ldl(A)
     assert (got.n_plus, got.n_minus, got.n_zero) == _eig_counts(A, got.tol)
     assert got.method == "ldl"
-    assert lapack_calls.factors == ["zhetrf"]
+    assert lapack_calls.factors == [("chetrf", np.complex64)]
 
 
 def test_real_copies_reserve_half_the_bytes(monkeypatch):
@@ -289,7 +290,8 @@ def test_ldl_converts_the_factor_in_place():
 
 def test_rejected_factor_costs_one_dense_pass(monkeypatch):
     # the trivial field at m = 0 is singular (the symbol vanishes at k = 0):
-    # the Schur complement has a zero pivot, so _ldl rejects the factor
+    # the single-precision factor of its Schur complement does not contract
+    # the probe's refinement, so _ldl rejects the factor
     H = assemble(trivial_field(make_geometry(2, 4)), clifford_rep(2), 0.0).matrix
     want = inertia(H)
     assert want.n_zero > 0
@@ -306,7 +308,7 @@ def test_rejected_factor_costs_one_dense_pass(monkeypatch):
     monkeypatch.setattr(spectral, "_as_dense", counted)
     monkeypatch.setattr(spectral, "inertia_bunch_kaufman", no_bunch_kaufman)
     i = inertia_ldl(H)
-    assert i.method.startswith("dense (ldl rejected: pivot ")
+    assert i.method.startswith("dense (ldl rejected: contraction ")
     assert (i.n_plus, i.n_minus, i.n_zero, i.gap) \
         == (want.n_plus, want.n_minus, want.n_zero, want.gap)
     assert copies == [(32, 32)]
@@ -320,7 +322,41 @@ def test_counts_only_path_falls_back_to_the_dense_counts():
     assert want.n_zero > 0
     assert (got.n_plus, got.n_minus, got.n_zero) \
         == (want.n_plus, want.n_minus, want.n_zero)
-    assert got.method.startswith("dense (ldl rejected: pivot")
+    assert got.method.startswith("dense (ldl rejected: contraction")
+
+
+def test_small_gap_passes_the_contraction_guard():
+    # d=2 at m = 1.9999: the on-site entries -+1e-4 are below the floor, so
+    # all of H is factored in single precision, and its gap is 1e-4; the
+    # factor's backward error is still far below it, so the refinement
+    # contracts and the factor is accepted
+    H = assemble(_flux_field(2, 24, [(1, 2, 2)]), clifford_rep(2), 1.9999).matrix
+    want, got = inertia(H), inertia_ldl(H)
+    assert want.gap < 1.1e-4
+    assert (got.n_plus, got.n_minus, got.n_zero, got.method) \
+        == (want.n_plus, want.n_minus, want.n_zero, "ldl")
+    assert abs(got.gap - want.gap) < 1e-6 * want.gap
+
+
+def test_singular_tuple_operator_gets_the_dense_counts():
+    # clock_shift(3) at m = (3 - sqrt 3)/2 sits on the edge of the window
+    # where its invariant is +-1, with one eigenvalue exactly 0; the probe's
+    # refinement does not contract on the real single-precision factor, so
+    # the counts, zero included, are the dense oracle's
+    H = wilson_matrix(clock_shift(3).unitaries, clifford_rep(2), (3 - np.sqrt(3)) / 2)
+    want, got = inertia(H), inertia_bunch_kaufman(H)
+    assert want.n_zero == 1
+    assert (got.n_plus, got.n_minus, got.n_zero) \
+        == (want.n_plus, want.n_minus, want.n_zero)
+    assert got.method.startswith("dense (ldl rejected: contraction")
+
+
+def test_exactly_singular_pivot_is_rejected_before_any_solve():
+    # rows 0 and 3 are eliminated and the Schur complement of rows 1 and 2
+    # is exactly 0: a solve would divide by that pivot
+    i = inertia_ldl(sp.diags([1.0, 0.0, 0.0, 2.0]))
+    assert (i.n_plus, i.n_minus, i.n_zero) == (2, 0, 2)
+    assert i.method == "dense (ldl rejected: zero pivot)"
 
 
 def test_counts_only_path_leaves_a_dense_input_unchanged():
@@ -335,7 +371,7 @@ def test_counts_only_path_leaves_a_dense_input_unchanged():
 def test_schur_copy_that_does_not_fit_raises(monkeypatch):
     # dim 72: 36 rows are eliminated, the rest is a dense 36 x 36 copy
     H = assemble(_flux_field(2, 6, [(1, 2, 1)]), clifford_rep(2), 1.0).matrix
-    monkeypatch.setattr(spectral, "_available_memory", lambda: 36 * 36 * 16 - 1)
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 36 * 36 * 8 - 1)
     with pytest.raises(ResourceError, match="dim-36 Schur complement"):
         inertia_ldl(H)
 
@@ -483,14 +519,25 @@ def test_iterative_gap_falls_back_only_on_arpack_failures(monkeypatch):
         inertia_ldl(H)
 
 
-def _scaled_solve(monkeypatch):
+def _solve_mutant(monkeypatch, mutate):
     bunch_kaufman = spectral._bunch_kaufman
 
-    def scaled(S):
+    def mutated(S):
         eigs, solve = bunch_kaufman(S)
-        return eigs, lambda b: 1.01 * solve(b)
+        return eigs, lambda b: mutate(solve(b))
 
-    monkeypatch.setattr(spectral, "_bunch_kaufman", scaled)
+    monkeypatch.setattr(spectral, "_bunch_kaufman", mutated)
+
+
+def _scaled_solve(monkeypatch):
+    # the refinement step contracts the error only by 10x
+    _solve_mutant(monkeypatch, lambda x: 1.1 * x)
+
+
+def _offset_solve(monkeypatch):
+    # an offset, not linear in b: each correction adds it back, so the
+    # first correction is small but the residual never falls
+    _solve_mutant(monkeypatch, lambda x: x + 1e-3)
 
 
 def _wrong_eigenpair(monkeypatch):
@@ -503,12 +550,15 @@ def _wrong_eigenpair(monkeypatch):
 
 
 @pytest.mark.parametrize("mutate, reason", [
-    (_scaled_solve, "probe residual"),
+    (_scaled_solve, "contraction "),
+    (_offset_solve, "probe residual"),
     (_wrong_eigenpair, "unconverged gap (residual"),
-], ids=["solve", "eigenpair"])
+], ids=["solve", "offset-solve", "eigenpair"])
 def test_factor_mutants_are_rejected(monkeypatch, mutate, reason):
-    # a factor whose solve is off by 1% fails the probe, and an eigenpair
-    # that is not one fails the gap residual; both give the dense oracle
+    # a factor whose solve is off by 10% fails the contraction guard, one
+    # that refinement cannot correct fails the probe residual, and an
+    # eigenpair that is not one fails the gap residual; each gives the
+    # dense oracle
     f = constant_flux_field(make_geometry(2, 6), FluxMatrix.from_entries(2, [(1, 2, 1)]))
     H = assemble(f, clifford_rep(2), 1.0).matrix
     want = inertia(H)
