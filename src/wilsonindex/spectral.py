@@ -20,14 +20,15 @@
   mode.  Each solve is P, two BLAS trsv calls on L and the 1x1/2x2
   solves of D (no hetrs) in single precision, refined in double against
   the sparse H (iterative refinement: Carson and Higham, SIAM J. Sci.
-  Comput. 40 (2018)).  The single factor is exact for a nearby H + E;
-  its counts are accepted only when the first refinement step of a
-  seeded probe contracts by at least 100x.  That factor estimates
+  Comput. 40 (2018)).  The single factor is exact for a nearby H + E.
+  There is one refined solve, and its first correction, made on every
+  call, must contract by at least 100x: that factor estimates
   ||(H + E)^-1 E||, and while it is below 1 no eigenvalue crosses 0
-  between H and H + E.  If the
-  factor is rejected or the gap does not converge, the dense oracle's
-  result is returned instead.  So an H whose gap is below about 1e-6 of
-  its norm, where single precision cannot resolve it, goes to the oracle.
+  between H and H + E.  The probe is its first call, on a seeded vector.
+  If the factor is rejected or the gap does not converge, the dense
+  oracle's result is returned instead.  So an H whose gap is below about
+  1e-6 of its norm, where single precision cannot resolve it, goes to the
+  oracle.
 
   Only rows whose diagonal reaches _THETA * ||H||_inf are eliminated.
   For the assembled operator, whose on-site entries are +-(mu - d), that
@@ -38,12 +39,11 @@
   bounds the size.
 
 `inertia_bunch_kaufman` is the counts alone: the factor step of
-`inertia_ldl` (elimination, chetrf, the probe's contraction and residual
-checks) without the gap step, so no eigensolve and no Krylov iteration;
-it serves invariants that need only the signs, such as
-`ktheory.acm_invariant`.  It is not independent of `inertia_ldl`; the
-dense eigensolve is the one independent oracle, and the paths must agree
-wherever they run.
+`inertia_ldl` (elimination, chetrf, the probe's refined solve) without
+the gap step, so no eigensolve and no Krylov iteration; it serves
+invariants that need only the signs, such as `ktheory.acm_invariant`.
+It is not independent of `inertia_ldl`; the dense eigensolve is the one
+independent oracle, and the paths must agree wherever they run.
 
 Every path takes a complex matrix whose imaginary parts are all 0 (the
 operator and Bott matrix of `ktheory.clock_shift`; lattice operators are
@@ -67,11 +67,12 @@ _DENSE_LIMIT = 4096
 _DENSE_COPIES = 3
 # a row is eliminated before the dense factor only if its real diagonal
 # has modulus at least _THETA * ||H||_inf; then ||S||_inf is at most
-# (1 + 1/_THETA) ||H||_inf, a growth the probe's contraction check still sees
+# (1 + 1/_THETA) ||H||_inf, a growth the contraction check still sees
 _THETA = 0.01
 # corrections a refined solve makes at most
 _REFINE = 3
-# largest accepted ||x1 - x0|| / ||x1|| of the probe's first correction
+# largest accepted ||dx|| / ||x|| of the first correction, which every
+# refined solve makes and checks, the probe's included
 _CONTRACTION = 1e-2
 
 
@@ -199,32 +200,22 @@ def inertia(H) -> Inertia:
     return _dense_inertia(H)
 
 
-def _pivot_eigs(diag: np.ndarray, sub: np.ndarray, starts: np.ndarray):
-    """Eigenvalues of a Hermitian block diagonal D with 1x1 and 2x2 blocks,
-    from its diagonal, its subdiagonal and the first rows of the 2x2
-    blocks (the subdiagonal is read only there)."""
-    w = diag.real.copy()
-    a, b = w[starts], w[starts + 1]
-    mid = 0.5 * (a + b)
-    rad = np.hypot(0.5 * (a - b), np.abs(sub[starts]))
-    w[starts], w[starts + 1] = mid - rad, mid + rad
-    return w
-
-
 def _independent_rows(M: sp.csr_matrix, floor: float) -> np.ndarray:
     """Rows I of M, no two coupled by an off-diagonal entry, each with a
-    diagonal whose real part has modulus at least floor (the Hermitian
-    check bounds the imaginary part): the set a greedy scan in index
-    order picks, found in rounds without a per-row loop.  In each round
-    every undecided row whose undecided neighbours all have larger index
-    joins I, and its neighbours leave."""
+    diagonal whose real part is nonzero (also when floor is 0, as for
+    M = 0) and has modulus at least floor (the Hermitian check bounds the
+    imaginary part): the set a greedy scan in index order picks, found in
+    rounds without a per-row loop.  In each round every undecided row
+    whose undecided neighbours all have larger index joins I, and its
+    neighbours leave."""
     coo = M.tocoo()
     off = coo.row != coo.col
     # both directions, so a pattern that is only Hermitian to tol is covered
     r = np.concatenate([coo.row[off], coo.col[off]])
     c = np.concatenate([coo.col[off], coo.row[off]])
     # 0 undecided, 1 in I, 2 out
-    state = np.where(np.abs(M.diagonal().real) >= floor, 0, 2)
+    h = np.abs(M.diagonal().real)
+    state = np.where((h >= floor) & (h > 0), 0, 2)
     while np.any(state == 0):
         live = (state[r] == 0) & (state[c] == 0)
         r, c = r[live], c[live]
@@ -284,13 +275,16 @@ def _bunch_kaufman(S: np.ndarray):
         LD, ipiv, lower=1, way=0, overwrite_a=1)
     trsv = sla.get_blas_funcs("trsv", (LD,))
     # ipiv < 0 marks both rows of each 2x2 block of D, so every other one
-    # starts a block
+    # starts a block; a block [[a, e*], [e, c]] is read once, for its
+    # eigenvalues mid -+ rad and for its closed-form solve
     starts = np.flatnonzero(ipiv < 0)[::2]
-    eigs = _pivot_eigs(np.diagonal(LD), e, starts)
-    # 1 stands in for the 2x2 blocks' diagonal in d
     d = LD.diagonal().real.copy()
     a, c, e = d[starts], d[starts + 1], e[starts]
+    mid, rad = 0.5 * (a + c), np.hypot(0.5 * (a - c), np.abs(e))
+    eigs = d.copy()
+    eigs[starts], eigs[starts + 1] = mid - rad, mid + rad
     det = a * c - np.abs(e) ** 2
+    # 1 stands in for the 2x2 blocks' diagonal in d
     d[starts] = d[starts + 1] = 1.0
     # P: row k swaps with |ipiv[k]| - 1 in turn, but a 2x2 block's
     # interchange is its second row's, so its first row pivots on itself
@@ -325,14 +319,15 @@ def _ldl_factor(M: sp.csr_matrix, tol: float):
     M + E, E its backward error, and the signs of its pivots are the
     inertia of M + E (Sylvester, Haynsworth).
 
-    solve refines F's solve against the sparse double M, x += F^-1 (b - Mx),
-    at most _REFINE times, until ||b - Mx|| <= tol ||x||.  The seeded
-    probe's first correction x0 -> x1 gives rho = ||x1 - x0|| / ||x1||, an
-    estimate of ||(M + E)^-1 E||_2 = ||I - F^-1 M||_2.  The factor is
-    accepted only if rho <= _CONTRACTION and the probe's refined residual
-    meets tol.  While ||(M + E)^-1 E||_2 < 1, M + tE is nonsingular for
-    every t in [0, 1], so no eigenvalue crosses 0 between M and M + E and
-    the pivots' signs are M's.  A singular M gives rho near 1.
+    solve is one refined solve: x = F^-1 b, then x += F^-1 (b - Mx) against
+    the sparse double M, at most _REFINE times, until ||b - Mx|| <= tol ||x||.
+    The first correction dx is always made, and rho = ||dx|| / ||x||
+    estimates ||(M + E)^-1 E||_2 = ||I - F^-1 M||_2; every call rejects F
+    unless rho <= _CONTRACTION.  While ||(M + E)^-1 E||_2 < 1, M + tE is
+    nonsingular for every t in [0, 1], so no eigenvalue crosses 0 between
+    M and M + E and the pivots' signs are M's.  A singular M gives rho near
+    1.  The probe is solve's first call, on a seeded vector, so the counts
+    are accepted only if that call passes both checks.
     """
     n = M.shape[0]
     I = _independent_rows(M, _THETA * _norm_inf(M))
@@ -356,30 +351,30 @@ def _ldl_factor(M: sp.csr_matrix, tol: float):
         x[I] = y - (M_IC @ x[C]) / h
         return x
 
-    def refine(b, x, corrections, what):
-        # x += F^-1 (b - Mx) until the residual meets tol, or RuntimeError
-        for k in range(corrections + 1):
+    def solve(b):
+        x = solve_low(b)
+        r = b - M @ x
+        for k in range(_REFINE):
+            dx = solve_low(r)
+            x = x + dx
+            if k == 0:
+                rho = float(np.linalg.norm(dx) / np.linalg.norm(x))
+                # not <=, so a nan from an overflowed solve is rejected too
+                if not rho <= _CONTRACTION:
+                    raise RuntimeError(f"contraction {rho:.1e} above {_CONTRACTION:g}")
             r = b - M @ x
             resid = float(np.linalg.norm(r))
             if resid <= tol * float(np.linalg.norm(x)):
                 return x
-            if k < corrections:
-                x = x + solve_low(r)
-        raise RuntimeError(f"{what} residual {resid:.1e}")
+        raise RuntimeError(f"solve residual {resid:.1e}")
 
     # fixed seed: the probe, and so the accept decision, is reproducible;
     # it is also the gap's start vector (its real part for a real M)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b = b if np.iscomplexobj(M) else b.real.copy()
-    x0 = solve_low(b)
-    x1 = x0 + solve_low(b - M @ x0)
-    rho = float(np.linalg.norm(x1 - x0) / np.linalg.norm(x1))
-    # not <=, so a nan from an overflowed solve is rejected too
-    if not rho <= _CONTRACTION:
-        raise RuntimeError(f"contraction {rho:.1e} above {_CONTRACTION:g}")
-    refine(b, x1, _REFINE - 1, "probe")
-    return piv, lambda b: refine(b, solve_low(b), _REFINE, "solve"), b
+    solve(b)
+    return piv, solve, b
 
 
 def _ldl_gap(M: sp.csr_matrix, solve, probe: np.ndarray) -> float:

@@ -33,17 +33,17 @@ class WilsonOperator:
 
 
 def wilson_matrix(unitaries, cl: CliffordRep, mu: float) -> sp.csr_matrix:
-    """sum_j (U_j - U_j*)/2 (x) c_j + [sum_j ((U_j + U_j*)/2 - 1) + mu] (x) gamma
-    for a d-tuple of unitaries U_j, sparse or dense; the result is CSR."""
-    unitaries = [sp.csr_matrix(U, dtype=complex) for U in unitaries]
-    ident = sp.identity(unitaries[0].shape[0], dtype=complex, format="csr")
-    H = 0
-    wilson = -len(unitaries) * ident
+    """The module's H for a d-tuple of unitaries U_j, sparse or dense, as
+    A + A* + (mu - d)(1 (x) gamma) with A = sum_j U_j (x) (gamma + c_j)/2:
+    since c_j* = -c_j, A + A* = sum_j (U_j - U_j*)/2 (x) c_j
+    + (U_j + U_j*)/2 (x) gamma.  The result is CSR and Hermitian by
+    construction."""
+    A = 0
     for U, c in zip(unitaries, cl.generators):
-        Udag = U.conj().T
-        H = H + sp.kron((U - Udag) * 0.5, c, format="csr")
-        wilson = wilson + (U + Udag) * 0.5
-    return H + sp.kron(wilson + mu * ident, cl.grading, format="csr")
+        U = sp.csr_matrix(U, dtype=complex)
+        A = A + sp.kron(U, (cl.grading + c) / 2, format="csr")
+    ident = sp.identity(A.shape[0] // len(cl.grading), dtype=complex)
+    return A + A.conj().T + sp.kron((mu - len(unitaries)) * ident, cl.grading, format="csr")
 
 
 def assemble(f: GaugeField, cl: CliffordRep, mu: float) -> WilsonOperator:

@@ -95,8 +95,9 @@ def test_degree_command(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
-def test_degree_resolution_is_accepted_and_ignored(capsys):
-    # the degree is the closed-form corner count: there is no resolution
+def test_degree_resolution_is_rejected(capsys):
+    # the degree is the closed-form corner count, which takes no
+    # resolution, so the option is not accepted
     assert run(["degree", "--d", "4", "--m", "3", "--resolution", "2"]) == 1
     assert "unrecognized arguments: --resolution 2" in capsys.readouterr().err
 
@@ -252,11 +253,25 @@ def test_selftest_fails_when_a_row_does_not_recompute(monkeypatch):
     assert not st.run_selftest()
 
 
+SELFTEST_CSV = """\
+d,N,flux,m,mode,I,gap,curvature,continuum,agrees,status
+2,8,"1,2=-2",1.0,cutoff,-2,9.003853440e-01,1.254619396e+01,-2,true,ok
+2,8,"1,2=-1",1.0,cutoff,-1,9.505173709e-01,6.280662314e+00,-1,true,ok
+2,8,0,1.0,cutoff,0,1.000000000e+00,0.000000000e+00,0,true,ok
+2,8,"1,2=1",1.0,cutoff,1,9.505173709e-01,6.280662314e+00,1,true,ok
+2,8,"1,2=2",1.0,cutoff,2,9.003853440e-01,1.254619396e+01,2,true,ok
+4,4,"1,2=1;3,4=1",1.0,cutoff,1,6.192073257e-01,6.242890305e+00,1,true,ok
+4,4,"1,2=1;3,4=2",1.0,cutoff,2,4.456689349e-01,1.224586984e+01,2,true,ok
+"""
+
+
 def test_selftest_csv_rows_match_header(tmp_path):
     from wilsonindex.selftest import run_selftest
 
     path = tmp_path / "selftest.csv"
     assert run_selftest(csv_path=path)
+    # byte for byte, so a change to any gap's printed digits is seen
+    assert path.read_bytes() == SELFTEST_CSV.encode()
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)

@@ -95,7 +95,7 @@ def test_paths_agree_on_assembled_operators(field):
     counts = (i1.n_plus, i1.n_minus, i1.n_zero)
     assert (i2.n_plus, i2.n_minus, i2.n_zero) == counts
     assert (i3.n_plus, i3.n_minus, i3.n_zero) == counts
-    assert abs(i1.gap - i3.gap) < 1e-6 * max(i1.gap, 1e-12)
+    assert abs(i1.gap - i3.gap) < 1e-12 * max(i1.gap, 1e-12)
     assert i1.method == "dense" and i2.method == "bunch-kaufman"
     assert i3.method == "ldl"
 
@@ -176,24 +176,32 @@ def test_independent_rows_are_the_even_sites_at_d4_N6():
     assert np.all(np.indices((6,) * 4).reshape(4, -1).sum(axis=0)[sites] % 2 == 0)
 
 
-def test_ldl_factors_a_zero_diagonal_with_a_2x2_pivot(monkeypatch):
+def test_ldl_factors_a_zero_diagonal_with_a_2x2_pivot():
     # no row has a usable diagonal, so nothing is eliminated and hetrf
-    # takes the whole matrix as one 2x2 pivot block
-    blocks = []
-    pivot_eigs = spectral._pivot_eigs
-
-    def recorded(diag, sub, starts):
-        blocks.append((len(diag), list(starts)))
-        return pivot_eigs(diag, sub, starts)
-
-    monkeypatch.setattr(spectral, "_pivot_eigs", recorded)
-    A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert len(spectral._independent_rows(A, 1e-2)) == 0
-    i = inertia_ldl(A)
+    # takes the whole matrix as one 2x2 pivot block; its eigenvalues,
+    # +-1, are the pivots
+    A = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert len(spectral._independent_rows(sp.csr_matrix(A), 1e-2)) == 0
+    _, ipiv, _ = sla.lapack.ssytrf(A.astype(np.float32), lower=1)
+    assert list(ipiv) == [-2, -2]
+    eigs, _ = spectral._bunch_kaufman(A.astype(np.float32, order="F"))
+    assert sorted(eigs) == [-1.0, 1.0]
+    i = inertia_ldl(sp.csr_matrix(A))
     assert (i.n_plus, i.n_minus, i.n_zero) == (1, 1, 0)
     assert abs(i.gap - 1.0) < 1e-6
     assert i.method == "ldl"
-    assert blocks == [(2, [0])]
+
+
+@pytest.mark.parametrize("zero", [np.zeros((3, 3)), sp.csr_matrix((70, 70))],
+                         ids=["dense", "sparse"])
+def test_ldl_rejects_the_zero_matrix_without_dividing_by_zero(zero):
+    # ||M||_inf = 0 makes the elimination floor 0; a zero diagonal must
+    # still not be eliminated (pytest turns the RuntimeWarning of 1/0
+    # into an error), so the factor meets a zero pivot
+    n = zero.shape[0]
+    for i in (inertia_bunch_kaufman(zero), inertia_ldl(zero)):
+        assert (i.n_plus, i.n_minus, i.n_zero) == (0, 0, n)
+        assert i.method == "dense (ldl rejected: zero pivot)"
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -551,12 +559,12 @@ def _wrong_eigenpair(monkeypatch):
 
 @pytest.mark.parametrize("mutate, reason", [
     (_scaled_solve, "contraction "),
-    (_offset_solve, "probe residual"),
+    (_offset_solve, "solve residual"),
     (_wrong_eigenpair, "unconverged gap (residual"),
 ], ids=["solve", "offset-solve", "eigenpair"])
 def test_factor_mutants_are_rejected(monkeypatch, mutate, reason):
     # a factor whose solve is off by 10% fails the contraction guard, one
-    # that refinement cannot correct fails the probe residual, and an
+    # that refinement cannot correct fails the solve residual, and an
     # eigenpair that is not one fails the gap residual; each gives the
     # dense oracle
     f = constant_flux_field(make_geometry(2, 6), FluxMatrix.from_entries(2, [(1, 2, 1)]))
