@@ -82,7 +82,8 @@ def read_gauge_field(path) -> GaugeField:
     _check_positive(d=d, rank=rank)
     geom = make_geometry(d, N)
     links = _decode(payload, (geom.n_sites, d, rank, rank))
-    if _unitarity_defect(links) > _UNITARITY_TOL:
+    # not >, so a nan entry is rejected too
+    if not _unitarity_defect(links) <= _UNITARITY_TOL:
         raise ValueError("link matrices failed unitarity validation")
     return GaugeField(geom, rank, links, None)
 

@@ -91,7 +91,8 @@ class UnitaryTuple:
         # the unitarity check holds up to 3 products at once
         _reserve(n, 3, "tuple check")
         for U in mats:
-            if U.shape != (n, n) or _unitarity_defect(U) > utol:
+            # not >, so a nan entry is rejected too
+            if U.shape != (n, n) or not _unitarity_defect(U) <= utol:
                 raise ValueError("tuple entries must be unitary")
         return UnitaryTuple(mats)
 
@@ -259,7 +260,8 @@ def clock_shift(n: int) -> UnitaryTuple:
     zeta = np.exp(2j * np.pi / n)
     clock = np.diag(zeta ** np.arange(n))
     shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
-    return UnitaryTuple.from_matrices([clock, shift])
+    # unitary by construction, so from_matrices' check is skipped
+    return UnitaryTuple((clock, shift))
 
 
 def gauge_tuple(f: GaugeField) -> UnitaryTuple:

@@ -6,9 +6,9 @@
   Hermitian eigensolve (`heevr`: Householder tridiagonalization, then
   `sterf`), whose eigenvalues give the sign counts and the gap;
 * above it (`inertia_ldl`): an exact block elimination, then one dense
-  Bunch-Kaufman LDL* of what is left.  An independent set I of rows with
-  large real diagonal is eliminated first; those rows meet each other
-  only on the diagonal h_I, so by Haynsworth's inertia additivity
+  Bunch-Kaufman LDL* of what is left.  One greedy scan in index order
+  picks rows I with large real diagonal h_I, no two coupled, and they are
+  eliminated first: by Haynsworth's inertia additivity
   inertia(H) = inertia(diag(h_I)) + inertia(S) for the Schur complement
   S = H_CC - H_CI diag(h_I)^-1 H_IC of the other rows C.  S is densified
   once in single precision (complex64) and factored by LAPACK `chetrf`
@@ -163,7 +163,8 @@ def _absmax(A) -> float:
 
 def _check_hermitian(A) -> None:
     """Raise unless A = A* to 1e-10 * max(1, max |A_ij|); sparse A stays sparse."""
-    if _absmax(A - A.conj().T) > 1e-10 * max(1.0, _absmax(A)):
+    # not >, so a nan entry is rejected too
+    if not _absmax(A - A.conj().T) <= 1e-10 * max(1.0, _absmax(A)):
         raise ValueError("input matrix is not Hermitian")
 
 
@@ -204,27 +205,22 @@ def _independent_rows(M: sp.csr_matrix, floor: float) -> np.ndarray:
     """Rows I of M, no two coupled by an off-diagonal entry, each with a
     diagonal whose real part is nonzero (also when floor is 0, as for
     M = 0) and has modulus at least floor (the Hermitian check bounds the
-    imaginary part): the set a greedy scan in index order picks, found in
-    rounds without a per-row loop.  In each round every undecided row
-    whose undecided neighbours all have larger index joins I, and its
-    neighbours leave."""
-    coo = M.tocoo()
-    off = coo.row != coo.col
-    # both directions, so a pattern that is only Hermitian to tol is covered
-    r = np.concatenate([coo.row[off], coo.col[off]])
-    c = np.concatenate([coo.col[off], coo.row[off]])
-    # 0 undecided, 1 in I, 2 out
+    imaginary part), by a greedy scan in index order: a row still free
+    joins I and its neighbours stop being free.  Its work is linear in
+    nnz; it measured faster at every size than vectorised rounds, which
+    need one per chosen row on a path-like pattern (47 vs 166-190 ms at d=4 N=10)."""
+    # the stored pattern in both directions, so a pattern that is only
+    # Hermitian to tol is covered; its diagonal only unfrees a chosen row
+    P = sp.csr_matrix((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape)
+    P = P + P.T
     h = np.abs(M.diagonal().real)
-    state = np.where((h >= floor) & (h > 0), 0, 2)
-    while np.any(state == 0):
-        live = (state[r] == 0) & (state[c] == 0)
-        r, c = r[live], c[live]
-        blocked = np.zeros(len(state), dtype=bool)
-        blocked[r[c < r]] = True
-        join = (state == 0) & ~blocked
-        state[join] = 1
-        state[c[join[r]]] = 2
-    return np.flatnonzero(state == 1)
+    free = (h >= floor) & (h > 0)
+    chosen = np.zeros(len(h), dtype=bool)
+    for i in np.flatnonzero(free):
+        if free[i]:
+            chosen[i] = True
+            free[P.indices[P.indptr[i]:P.indptr[i + 1]]] = False
+    return np.flatnonzero(chosen)
 
 
 def _shift_invert_gap(M: sp.csr_matrix, solve, v0: np.ndarray) -> float:

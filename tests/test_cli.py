@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 
+import numpy as np
 import pytest
 
 from wilsonindex import cli, make_geometry, trivial_field
@@ -139,6 +141,16 @@ def test_acm_from_file(tmp_path, capsys):
     write_unitary_tuple(clock_shift(6), path)
     assert run(["acm", "--input", str(path), "--m", "1"]) == 0
     assert "I = -1" in capsys.readouterr().out
+
+
+def test_acm_rejects_a_nan_entry(tmp_path, capsys):
+    t = clock_shift(6)
+    bad = np.array(t.unitaries)
+    bad[1, 2, 3] = np.nan
+    path = tmp_path / "nan.wut"
+    write_unitary_tuple(dataclasses.replace(t, unitaries=tuple(bad)), path)
+    assert run(["acm", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == "error: tuple entries must be unitary\n"
 
 
 def test_acm_cross_check_off_d2_says_it_was_skipped(tmp_path, capsys):

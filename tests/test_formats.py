@@ -104,24 +104,28 @@ def test_truncated_payload_rejected(tmp_path):
         read_gauge_field(path)
 
 
+# a nan entry makes the unitarity defect nan, which no bound may pass
 def test_nonunitary_links_rejected(tmp_path):
     f = constant_flux_field(make_geometry(2, 4),
                             FluxMatrix.from_entries(2, [(1, 2, 1)]))
-    bad = np.array(f.links, copy=True)
-    bad[0, 0, 0, 0] *= 1.5
-    object.__setattr__(f, "links", bad)
-    path = tmp_path / "field.wgf"
-    write_gauge_field(f, path)
-    with pytest.raises(ValueError, match="unitarity"):
-        read_gauge_field(path)
+    good = f.links
+    for scale in (1.5, np.nan):
+        bad = np.array(good, copy=True)
+        bad[0, 0, 0, 0] *= scale
+        object.__setattr__(f, "links", bad)
+        path = tmp_path / "field.wgf"
+        write_gauge_field(f, path)
+        with pytest.raises(ValueError, match="link matrices failed unitarity"):
+            read_gauge_field(path)
 
 
 def test_nonunitary_tuple_rejected(tmp_path):
     t = clock_shift(6)
-    bad = np.array(t.unitaries)
-    bad[0, 0, 0] *= 1.5
-    path = tmp_path / "pair.wut"
-    write_unitary_tuple(replace(t, unitaries=tuple(bad)), path)
-    with pytest.raises(ValueError, match="unitar"):
-        read_unitary_tuple(path)
+    for scale in (1.5, np.nan):
+        bad = np.array(t.unitaries)
+        bad[0, 0, 0] *= scale
+        path = tmp_path / "pair.wut"
+        write_unitary_tuple(replace(t, unitaries=tuple(bad)), path)
+        with pytest.raises(ValueError, match="tuple entries must be unitary"):
+            read_unitary_tuple(path)
 

@@ -126,6 +126,16 @@ def test_second_window_index_at_d4():
     assert r.invariant == SIGMA * r.continuum_index and r.agrees
 
 
+def test_index_at_d6():
+    # dim 5832 on the factor path; N is odd, so the torus is not bipartite
+    # and the eliminated rows are not a parity class.  (At N=2 the index is
+    # 0, too coarse to show the flux.)
+    K = FluxMatrix.from_entries(6, [(1, 2, 1), (3, 4, 1), (5, 6, 1)])
+    r = lattice_index(constant_flux_field(make_geometry(6, 3), K), 1.0)
+    assert r.invariant == 1 == continuum_index(K) and r.agrees
+    assert r.inertia.method == "ldl"
+
+
 def test_index_is_half_signature_identity():
     f = constant_flux_field(make_geometry(2, 6), _flux2(2))
     r = lattice_index(f, 1.0)
@@ -411,6 +421,13 @@ def test_clock_shift_commutator_norm():
     assert abs(t.epsilon - abs(np.exp(2j * np.pi / 8) - 1)) < 1e-12
     with pytest.raises(ValueError):
         clock_shift(1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64, 300])
+def test_clock_shift_is_unitary(n):
+    # clock_shift builds its pair without the runtime unitarity check
+    for U in clock_shift(n).unitaries:
+        assert np.max(np.abs(U @ U.conj().T - np.eye(n))) < 1e-14
 
 
 def test_tuple_fields_are_its_unitaries():

@@ -139,7 +139,7 @@ def test_dense_gap_is_even_in_the_flux():
 
 
 def _greedy_rows(M, floor):
-    # reference: the scan in index order that _independent_rows reproduces
+    # reference: the greedy scan in index order, one row at a time
     M = sp.csr_matrix(M)
     chosen = np.zeros(M.shape[0], dtype=bool)
     for i in range(M.shape[0]):
@@ -149,22 +149,37 @@ def _greedy_rows(M, floor):
     return np.flatnonzero(chosen)
 
 
-@pytest.mark.parametrize("field", [
-    pytest.param(lambda: _flux_field(2, 5, [(1, 2, 1)]), id="d2-N5"),
-    pytest.param(lambda: _flux_field(4, 3, [(1, 2, 1), (3, 4, 1)]), id="d4-N3"),
-    pytest.param(lambda: perturb_field(_flux_field(2, 6, [(1, 2, 2)]), 0.3, seed=1),
+def _op(f, m):
+    return assemble(f, clifford_rep(f.geometry.d), m).matrix
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda m: _op(_flux_field(2, 5, [(1, 2, 1)]), m), id="d2-N5"),
+    pytest.param(lambda m: _op(_flux_field(4, 3, [(1, 2, 1), (3, 4, 1)]), m), id="d4-N3"),
+    pytest.param(lambda m: _op(perturb_field(_flux_field(2, 6, [(1, 2, 2)]), 0.3, seed=1), m),
                  id="d2-N6-perturbed"),
+    # a cyclic, path-like pattern (232 rows chosen at m = 1)
+    pytest.param(lambda m: wilson_matrix(clock_shift(512).unitaries, clifford_rep(2), m),
+                 id="clock-shift-512"),
+    pytest.param(lambda m: _op(_flux_field(6, 3, [(1, 2, 1), (3, 4, 1), (5, 6, 1)]), m),
+                 id="d6-N3"),
 ])
 @pytest.mark.parametrize("m", [1.0, 1.9])
-def test_independent_rows_match_the_greedy_scan(field, m):
-    f = field()
-    H = assemble(f, clifford_rep(f.geometry.d), m).matrix
+def test_independent_rows_match_the_greedy_scan(build, m):
+    H = sp.csr_matrix(build(m))
     floor = spectral._THETA * spectral._norm_inf(H)
-    got = spectral._independent_rows(H.tocsr(), floor)
+    got = spectral._independent_rows(H, floor)
     assert np.array_equal(got, _greedy_rows(H, floor))
     # no two chosen rows are coupled: H restricted to them is diagonal
-    block = H.tocsr()[got][:, got]
+    block = H[got][:, got]
     assert block.nnz == np.count_nonzero(block.diagonal())
+    # maximal: every eligible row left out is coupled to a chosen one
+    off = abs(H - sp.diags(H.diagonal())).tocsr()
+    chosen = np.zeros(H.shape[0])
+    chosen[got] = 1.0
+    h = np.abs(H.diagonal().real)
+    left_out = (h >= floor) & (h > 0) & (chosen == 0)
+    assert np.all((off @ chosen + off.T @ chosen)[left_out] > 0)
 
 
 def test_independent_rows_are_the_even_sites_at_d4_N6():
@@ -493,6 +508,12 @@ def test_non_hermitian_rejected():
     B[0, 5] = 0.5
     with pytest.raises(ValueError, match="not Hermitian"):
         inertia_ldl(B.tocsr())
+    # a nan entry: A - A* is nan there, which no bound may pass
+    C = np.eye(3)
+    C[1, 1] = np.nan
+    for H in (C, sp.csr_matrix(C)):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            inertia(H)
 
 
 def test_gap_matches_smallest_abs_eigenvalue():
