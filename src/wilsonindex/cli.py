@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from contextlib import nullcontext
 
@@ -131,6 +132,8 @@ def cmd_index(args) -> int:
 
 
 def cmd_gap(args) -> int:
+    if not math.isfinite(args.m):
+        raise ParameterRangeError("mass must be finite")
     g = symbol_gap(clifford_rep(args.d), args.m)
     print(f"{g:.6f}")
     return EXIT_OK

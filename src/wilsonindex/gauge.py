@@ -178,8 +178,9 @@ def direct_sum_field(f: GaugeField, g: GaugeField) -> GaugeField:
 def perturb_field(f: GaugeField, strength: float, seed: int) -> GaugeField:
     """Multiply every link by exp(i H) with a seeded random Hermitian H,
     ||H|| <= strength.  Generator: numpy default_rng (PCG64)."""
-    if strength < 0:
-        raise ValueError("strength must be >= 0")
+    # not <, so nan and inf are rejected too
+    if not 0 <= strength < np.inf:
+        raise ValueError("strength must be finite and >= 0")
     if strength == 0:
         return f
     rng = np.random.default_rng(seed)

@@ -13,6 +13,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .clifford import clifford_rep
 from .gauge import (FluxMatrix, GaugeField, _unitarity_defect, estimate_curvature_norm,
@@ -26,6 +28,12 @@ from .wilson import assemble, symbol_gap, wilson_matrix
 # index, calibrated once from the d=2, N=16, K_12=1, m=1 instance under
 # the fixed Clifford basis of clifford_rep().  Never adjusted afterwards.
 SIGMA = 1
+
+# the Bott eigensolve runs on the band when the matrix's half-bandwidth w
+# in reverse Cuthill-McKee order has _BAND_RATIO * w <= dim; the band
+# solver measured slower than the dense one below dim/w ~ 16-20 (table
+# in CHANGES.md), so 32 keeps a margin
+_BAND_RATIO = 32
 
 
 class SingularOperatorError(RuntimeError):
@@ -129,8 +137,10 @@ def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:
             raise ParameterRangeError("parameter out of range: cutoff mode needs 0 < m < 2")
         mu = m
     elif mode == "constant":
-        if m <= 0:
-            raise ParameterRangeError("parameter out of range: constant mode needs m > 0")
+        # not <=, so nan and +-inf are rejected too
+        if not 0 < m < math.inf:
+            raise ParameterRangeError(
+                "parameter out of range: constant mode needs a finite m > 0")
         if m ** 2 <= 4 * d ** 2 * curvature:
             warnings.warn(
                 "constant mass below the invertibility threshold "
@@ -179,9 +189,11 @@ def symbol_degree(d: int, mu: float, resolution: int = 8) -> int:
     and the degree is `corner_count_degree(d, mu)`.  On a window boundary
     (mu = 2c) the symbol vanishes somewhere and the degree is undefined:
     SingularOperatorError, as for a singular lattice operator.
-    `resolution` has no effect; it is accepted for callers of the former
-    Newton search.
+    A nan or infinite mu is a ParameterRangeError.  `resolution` has no
+    effect; it is accepted for callers of the former Newton search.
     """
+    if not math.isfinite(mu):
+        raise ParameterRangeError("mass must be finite")
     if symbol_gap(clifford_rep(d), mu) < 1e-9:
         raise SingularOperatorError("mass sits on a window boundary")
     return corner_count_degree(d, mu)
@@ -237,7 +249,8 @@ def acm_invariant(t: UnitaryTuple, m: float) -> int:
     `clock_shift(3)` at m=1 it is 0.  It needs only the signs of the
     eigenvalues, so it takes the counts from the production factor
     (`inertia_bunch_kaufman`) and computes no spectrum and no gap; the
-    Bott index keeps its own dense eigensolve as the cross-check."""
+    Bott index keeps its own eigensolve, banded or dense, as the
+    cross-check."""
     cl = clifford_rep(t.d)
     if not 0 < m < 2:
         raise ParameterRangeError("mass must lie in (0, 2)")
@@ -271,15 +284,45 @@ def gauge_tuple(f: GaugeField) -> UnitaryTuple:
         [link_shift(f, j).toarray() for j in range(f.geometry.d)])
 
 
-def bott_index_pauli(X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> int:
+def _bott_eigenvalues(B: sp.csr_matrix) -> np.ndarray:
+    """Every eigenvalue of sparse Hermitian B, read from its lower triangle
+    by an orthogonal-similarity eigensolve.  B is reordered by reverse
+    Cuthill-McKee, a permutation that changes no eigenvalue; if its
+    half-bandwidth w there has _BAND_RATIO * w <= dim, LAPACK's band solver
+    (`sbevd`, `hbevd` if complex: band reduction to tridiagonal, then
+    `sterf`) runs on the (w + 1) x dim band, else `eigvalsh` (`syevr`,
+    `heevr`) on dense B.  ResourceError if the band or the dense copy would
+    not fit in memory."""
+    n = B.shape[0]
+    perm = reverse_cuthill_mckee(B, symmetric_mode=True)
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(n, dtype=perm.dtype)
+    C = B.tocoo()
+    i, j = pos[C.row], pos[C.col]
+    w = int(np.max(np.abs(i - j), initial=0))
+    if _BAND_RATIO * w > n:
+        _reserve(n, 2, "Bott matrix", B.dtype)
+        return sla.eigvalsh(B.toarray(), overwrite_a=True, check_finite=False)
+    _reserve(n, 1, "Bott band", B.dtype, width=w + 1)
+    # lower band storage, ab[i - j, j] = B_ij for i >= j in the new order
+    low = i >= j
+    ab = np.zeros((w + 1, n), dtype=B.dtype, order="F")
+    ab[(i - j)[low], j[low]] = C.data[low]
+    return sla.eig_banded(ab, lower=True, eigvals_only=True,
+                          overwrite_a_band=True, check_finite=False)
+
+
+def bott_index_pauli(X, Y, Z) -> int:
     """Independent d=2 oracle: half-signature of the Pauli-coupled matrix
-    X (x) s1 + Y (x) s2 + Z (x) s3 of an almost-commuting Hermitian triple,
-    from a full dense eigensolve (scipy's `heevr`, `syevr` if real as for
-    `clock_shift`) of its basis permutation [[Z, X - iY], [X + iY, -Z]];
-    ResourceError if that and its temporaries would not fit in memory."""
-    _reserve(2 * len(Z), 2, "Bott matrix")
-    B = _real_if_real(np.block([[Z, X - 1j * Y], [X + 1j * Y, -Z]]))
-    eigs = sla.eigvalsh(B, overwrite_a=True, check_finite=False)
+    X (x) s1 + Y (x) s2 + Z (x) s3 of an almost-commuting Hermitian triple
+    (dense or sparse), from every eigenvalue of its basis permutation
+    [[Z, X - iY], [X + iY, -Z]], built sparse, in real arithmetic if real
+    as for `clock_shift`.  The eigenvalues come from `_bott_eigenvalues`:
+    the band solver on a narrow band, as for `clock_shift`, else a dense
+    eigensolve, never the Bunch-Kaufman factor of `acm_invariant`."""
+    X, Y, Z = (sp.csr_matrix(A, dtype=complex) for A in (X, Y, Z))
+    B = sp.bmat([[Z, X - 1j * Y], [X + 1j * Y, -Z]], format="csr")
+    eigs = _bott_eigenvalues(_real_if_real(B))
     if np.min(np.abs(eigs)) < 1e-10:
         raise SingularOperatorError("Bott matrix is singular")
     n_pos = int(np.sum(eigs > 0))
@@ -293,9 +336,9 @@ def bott_index_tuple(t: UnitaryTuple, m: float) -> int:
     (Im U_1, Im U_2, Re U_1 + Re U_2 - 2 + m)."""
     if t.d != 2:
         raise ValueError("Bott-index oracle is d=2 only")
-    U1, U2 = t.unitaries
+    U1, U2 = (sp.csr_matrix(U) for U in t.unitaries)
     X = (U1 - U1.conj().T) / 2j
     Y = (U2 - U2.conj().T) / 2j
     Z = (U1 + U1.conj().T) / 2 + (U2 + U2.conj().T) / 2 \
-        - 2 * np.eye(t.n) + m * np.eye(t.n)
+        + (m - 2) * sp.identity(t.n, format="csr")
     return bott_index_pauli(X, Y, Z)

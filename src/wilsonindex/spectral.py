@@ -125,16 +125,17 @@ def _available_memory() -> int | None:
     return None
 
 
-def _reserve(n: int, copies: int, what: str, dtype=complex) -> None:
-    """Raise ResourceError unless `copies` dense n x n matrices of dtype
-    (by its itemsize: 16 bytes complex, 8 real or complex64, 4 float32)
-    fit in available memory."""
-    need = copies * n * n * np.dtype(dtype).itemsize
+def _reserve(n: int, copies: int, what: str, dtype=complex, width=None) -> None:
+    """Raise ResourceError unless `copies` dense n x width matrices (n x n
+    if width is None) of dtype (by its itemsize: 16 bytes complex, 8 real
+    or complex64, 4 float32) fit in available memory."""
+    shape = f"{n}^2" if width is None else f"{width} x {n}"
+    need = copies * n * (n if width is None else width) * np.dtype(dtype).itemsize
     avail = _available_memory()
     if avail is not None and need > avail:
         raise ResourceError(
             f"dense dim-{n} {what} needs {need / 2 ** 30:.2f} GiB "
-            f"({copies} x {n}^2 {np.dtype(dtype)}), "
+            f"({copies} x {shape} {np.dtype(dtype)}), "
             f"{avail / 2 ** 30:.2f} GiB available")
 
 

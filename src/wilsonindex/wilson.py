@@ -78,14 +78,6 @@ def fourier_diagonalize(f, cl, mu: float) -> np.ndarray:
     return np.sort(np.tile(vals, f.rank).ravel())
 
 
-def symbol_gap_function(d: int, k_grid: np.ndarray, mu: float) -> np.ndarray:
-    """sqrt(sum_j sin^2(2 pi k_j) + (sum_j(cos(2 pi k_j)-1) + mu)^2)
-    evaluated on an array of momenta of shape (..., d)."""
-    s2 = np.sum(np.sin(2 * np.pi * k_grid) ** 2, axis=-1)
-    w = np.sum(np.cos(2 * np.pi * k_grid) - 1.0, axis=-1)
-    return np.sqrt(s2 + (w + mu) ** 2)
-
-
 def symbol_gap(cl: CliffordRep, mu: float) -> float:
     """Minimum of the symbol gap over the Brillouin torus, in closed form.
 

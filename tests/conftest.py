@@ -9,10 +9,12 @@ import scipy.linalg as sla
 def lapack_calls(monkeypatch):
     """What the package asks of scipy's LAPACK: `factors`, a (name, dtype)
     pair for each call of a factor routine (ssytrf, chetrf), the dtype
-    being that of the matrix handed to it, and `eigvalsh`, the dtypes of
-    the matrices it passes to scipy's eigvalsh."""
-    calls = SimpleNamespace(factors=[], eigvalsh=[])
-    get_lapack_funcs, eigvalsh = sla.get_lapack_funcs, sla.eigvalsh
+    being that of the matrix handed to it, and `eigvalsh` and
+    `eig_banded`, the dtypes of the matrices and bands it passes to
+    scipy's eigvalsh and eig_banded."""
+    calls = SimpleNamespace(factors=[], eigvalsh=[], eig_banded=[])
+    get_lapack_funcs = sla.get_lapack_funcs
+    eigvalsh, eig_banded = sla.eigvalsh, sla.eig_banded
 
     def recorded(f):
         name = f.__name__.split()[-1]
@@ -33,6 +35,11 @@ def lapack_calls(monkeypatch):
         calls.eigvalsh.append(a.dtype)
         return eigvalsh(a, *args, **kwargs)
 
+    def spy_eig_banded(a_band, *args, **kwargs):
+        calls.eig_banded.append(a_band.dtype)
+        return eig_banded(a_band, *args, **kwargs)
+
     monkeypatch.setattr(sla, "get_lapack_funcs", spy_get)
     monkeypatch.setattr(sla, "eigvalsh", spy_eigvalsh)
+    monkeypatch.setattr(sla, "eig_banded", spy_eig_banded)
     return calls

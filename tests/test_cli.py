@@ -78,6 +78,19 @@ def test_index_out_of_range_names_the_mode_rule(capsys):
         "error: parameter out of range: cutoff mode needs 0 < m < 2\n"
 
 
+@pytest.mark.parametrize("m", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, err", [
+    (["degree", "--d", "2"], "error: mass must be finite\n"),
+    (["gap", "--d", "2"], "error: mass must be finite\n"),
+    (["index", "--d", "2", "--N", "4", "--mode", "constant"],
+     "error: parameter out of range: constant mode needs a finite m > 0\n"),
+], ids=["degree", "gap", "index-constant"])
+def test_non_finite_mass_is_a_usage_error(capsys, argv, err, m):
+    # "--m=-inf", as argparse reads a bare "-inf" as an option
+    assert run(argv + [f"--m={m}"]) == 1
+    assert capsys.readouterr() == ("", err)
+
+
 def test_index_reports_the_real_error(capsys):
     # odd d fails in the Clifford module, not in the mass range check
     assert run(["index", "--d", "3", "--N", "4"]) == 1

@@ -147,6 +147,14 @@ def test_perturb_field_seeded_and_unitary():
         perturb_field(f, -1.0, seed=0)
 
 
+@pytest.mark.parametrize("strength", [np.nan, np.inf])
+def test_perturb_field_rejects_a_non_finite_strength(strength):
+    # either would make every link non-finite
+    f = trivial_field(make_geometry(2, 3))
+    with pytest.raises(ValueError, match="strength must be finite"):
+        perturb_field(f, strength, seed=0)
+
+
 def test_gauge_transform_preserves_plaquette_spectrum():
     f = constant_flux_field(make_geometry(2, 4), FluxMatrix.from_entries(2, [(1, 2, 1)]))
     rng = np.random.default_rng(0)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from wilsonindex import (
@@ -37,7 +38,7 @@ from wilsonindex import (
     verify_gap_bound,
 )
 from wilsonindex.formats import read_unitary_tuple, write_unitary_tuple
-from wilsonindex.ktheory import UnitaryTuple, bott_index_pauli
+from wilsonindex.ktheory import UnitaryTuple, _bott_eigenvalues, bott_index_pauli
 
 import newton_degree as newton
 
@@ -548,8 +549,9 @@ def test_tuple_form_matches_lattice_form():
 
 
 def test_acm_invariant_computes_no_spectrum(monkeypatch):
-    # the counts come from the factor's pivots: no dense eigensolve and no
-    # Krylov gap; the Bott oracle runs scipy's eigvalsh, so it runs first
+    # the counts come from the factor's pivots: no eigensolve, dense or
+    # banded, and no Krylov gap; the Bott oracle runs scipy's eig_banded on
+    # this narrow band, so it runs first
     t = clock_shift(512)
     bott = bott_index_tuple(t, 1.0)
 
@@ -557,6 +559,7 @@ def test_acm_invariant_computes_no_spectrum(monkeypatch):
         raise AssertionError("spectrum computed for a count")
 
     monkeypatch.setattr(sla, "eigvalsh", no_spectrum)
+    monkeypatch.setattr(sla, "eig_banded", no_spectrum)
     monkeypatch.setattr(spla, "eigsh", no_spectrum)
     assert acm_invariant(t, 1.0) == bott == -1
 
@@ -603,7 +606,46 @@ def test_tuple_path_is_real_exactly_when_the_operator_is(lapack_calls, t, factor
     want = acm_invariant(t, 1.0)
     assert lapack_calls.factors == [factor]
     assert bott_index_tuple(t, 1.0) == want != 0
+    # dim 128, half-bandwidth 7: too small for the band solver
     assert lapack_calls.eigvalsh == [dtype]
+    assert lapack_calls.eig_banded == []
+
+
+def _bott_matrix(t, m):
+    """The oracle's [[Z, X - iY], [X + iY, -Z]] of a d=2 tuple, dense."""
+    U1, U2 = t.unitaries
+    X = (U1 - U1.conj().T) / 2j
+    Y = (U2 - U2.conj().T) / 2j
+    Z = (U1 + U1.conj().T + U2 + U2.conj().T) / 2 + (m - 2) * np.eye(t.n)
+    return np.block([[Z, X - 1j * Y], [X + 1j * Y, -Z]])
+
+
+@pytest.mark.parametrize("t, band", [
+    # dim 1024, half-bandwidth 7 in RCM order
+    (clock_shift(512), [np.float64]),
+    # dim 512, half-bandwidth 65: the band solver would be slower
+    (gauge_tuple(constant_flux_field(make_geometry(2, 16), _flux2(2))), []),
+], ids=["clock-shift-512", "flux-field-N16"])
+def test_bott_oracle_takes_the_band_only_when_narrow(lapack_calls, t, band):
+    assert bott_index_tuple(t, 1.0) == acm_invariant(t, 1.0)
+    assert lapack_calls.eig_banded == band
+    assert lapack_calls.eigvalsh == ([] if band else [np.complex128])
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_banded_and_dense_bott_eigenvalues_agree(lapack_calls, n):
+    B = _bott_matrix(clock_shift(n), 1.0)
+    assert not B.imag.any()
+    banded = _bott_eigenvalues(sp.csr_matrix(B.real))
+    assert lapack_calls.eig_banded == [np.float64]
+    dense = sla.eigvalsh(B)
+    assert np.max(np.abs(banded - dense)) <= 1e-12 * max(np.linalg.norm(B, 2), 1.0)
+
+
+def test_bott_oracle_on_a_large_clock_shift():
+    # dim 4096 on the band: the dense oracle's 256 MiB copy is not made
+    t = clock_shift(2048)
+    assert bott_index_tuple(t, 1.0) == acm_invariant(t, 1.0) == -1
 
 
 def test_bott_matrix_that_does_not_fit_raises(monkeypatch):
@@ -611,6 +653,14 @@ def test_bott_matrix_that_does_not_fit_raises(monkeypatch):
     t = clock_shift(8)
     monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
     with pytest.raises(spectral.ResourceError, match="dim-16 Bott matrix"):
+        bott_index_tuple(t, 1.0)
+
+
+def test_bott_band_that_does_not_fit_raises(monkeypatch):
+    t = clock_shift(512)
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
+    with pytest.raises(spectral.ResourceError,
+                       match=r"dim-1024 Bott band .*\(1 x 8 x 1024 float64\)"):
         bott_index_tuple(t, 1.0)
 
 
@@ -655,7 +705,9 @@ def test_acm_parameter_validation():
         acm_invariant(UnitaryTuple.from_matrices([np.eye(2)]), 1.0)
 
 
-def test_bott_oracle_rejects_singular_triple():
+def test_bott_oracle_rejects_singular_triple(lapack_calls):
     Z = np.zeros((2, 2))
     with pytest.raises(SingularOperatorError):
         bott_index_pauli(Z, Z, Z)
+    # the zero matrix has half-bandwidth 0, so the band solver ran
+    assert lapack_calls.eig_banded == [np.float64]

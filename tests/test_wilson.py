@@ -17,8 +17,16 @@ from wilsonindex import (
 from wilsonindex.gauge import link_shift
 from wilsonindex.ktheory import clock_shift, gauge_tuple
 from wilsonindex.spectral import inertia
-from wilsonindex.wilson import (WilsonOperator, fourier_diagonalize, symbol_gap_function,
-                               wilson_matrix)
+from wilsonindex.wilson import WilsonOperator, fourier_diagonalize, wilson_matrix
+
+
+def symbol_gap_function(d: int, k_grid: np.ndarray, mu: float) -> np.ndarray:
+    """Reference symbol gap sqrt(sum_j sin^2(2 pi k_j)
+    + (sum_j(cos(2 pi k_j) - 1) + mu)^2) on momenta of shape (..., d), the
+    oracle of the closed-form `symbol_gap`."""
+    s2 = np.sum(np.sin(2 * np.pi * k_grid) ** 2, axis=-1)
+    w = np.sum(np.cos(2 * np.pi * k_grid) - 1.0, axis=-1)
+    return np.sqrt(s2 + (w + mu) ** 2)
 
 
 def test_assembled_matrix_hermitian():
