@@ -301,8 +301,12 @@ def _bott_eigenvalues(B: sp.csr_matrix) -> np.ndarray:
     i, j = pos[C.row], pos[C.col]
     w = int(np.max(np.abs(i - j), initial=0))
     if _BAND_RATIO * w > n:
+        # the band's indices are not needed: freed before the dense copy
+        del C, i, j
         _reserve(n, 2, "Bott matrix", B.dtype)
-        return sla.eigvalsh(B.toarray(), overwrite_a=True, check_finite=False)
+        # Fortran order: LAPACK overwrites this one copy, f2py makes none
+        return sla.eigvalsh(B.toarray(order="F"), overwrite_a=True,
+                            check_finite=False)
     _reserve(n, 1, "Bott band", B.dtype, width=w + 1)
     # lower band storage, ab[i - j, j] = B_ij for i >= j in the new order
     low = i >= j
@@ -333,12 +337,25 @@ def bott_index_pauli(X, Y, Z) -> int:
 
 def bott_index_tuple(t: UnitaryTuple, m: float) -> int:
     """Loring-style Bott index of a d=2 tuple via the Hermitian triple
-    (Im U_1, Im U_2, Re U_1 + Re U_2 - 2 + m)."""
+    (Im U_1, Im U_2, Re U_1 + Re U_2 - 2 + m).  ResourceError if its
+    sparse build would not fit in memory, checked before any of it is
+    made, or if `bott_index_pauli`'s eigensolve would not."""
     if t.d != 2:
         raise ValueError("Bott-index oracle is d=2 only")
+    n = t.n
+    # the sparse build peaks at 65-69 bytes per entry of the Bott matrix
+    # (measured: about 4 copies of its entries, as CSR and COO), reserved
+    # as 5 complex copies, 80 bytes.  X, Y and Z have at most twice the
+    # stored entries of the unitaries they are made of, so the Bott matrix
+    # has at most 8 times theirs plus its diagonal, and no more than (2n)^2
+    entries = min(8 * sum(np.count_nonzero(U) for U in t.unitaries) + 2 * n,
+                  4 * n * n)
+    _reserve(2 * n, 5, "Bott build", width=-(-entries // (2 * n)))
     U1, U2 = (sp.csr_matrix(U) for U in t.unitaries)
     X = (U1 - U1.conj().T) / 2j
     Y = (U2 - U2.conj().T) / 2j
     Z = (U1 + U1.conj().T) / 2 + (U2 + U2.conj().T) / 2 \
-        + (m - 2) * sp.identity(t.n, format="csr")
+        + (m - 2) * sp.identity(n, format="csr")
+    # not held through the eigensolve
+    del U1, U2
     return bott_index_pauli(X, Y, Z)

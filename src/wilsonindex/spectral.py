@@ -45,6 +45,12 @@ invariants that need only the signs, such as `ktheory.acm_invariant`.
 It is not independent of `inertia_ldl`; the dense eigensolve is the one
 independent oracle, and the paths must agree wherever they run.
 
+Every dense LAPACK call runs on one copy of its matrix, made in Fortran
+order after `_reserve` has checked that it fits, and overwritten in
+place: f2py copies a C-ordered array before LAPACK sees it, so a
+`toarray()` in C order would double the peak.  `ktheory`'s dense Bott
+eigensolve keeps the same rule.
+
 Every path takes a complex matrix whose imaginary parts are all 0 (the
 operator and Bott matrix of `ktheory.clock_shift`; lattice operators are
 complex) in real arithmetic, `syevr`/`ssytrf`/real ARPACK Lanczos, at a
@@ -125,10 +131,10 @@ def _available_memory() -> int | None:
     return None
 
 
-def _reserve(n: int, copies: int, what: str, dtype=complex, width=None) -> None:
+def _reserve(n: int, copies: int, what: str, dtype=complex, width=None) -> int:
     """Raise ResourceError unless `copies` dense n x width matrices (n x n
     if width is None) of dtype (by its itemsize: 16 bytes complex, 8 real
-    or complex64, 4 float32) fit in available memory."""
+    or complex64, 4 float32) fit in available memory; else their bytes."""
     shape = f"{n}^2" if width is None else f"{width} x {n}"
     need = copies * n * (n if width is None else width) * np.dtype(dtype).itemsize
     avail = _available_memory()
@@ -137,23 +143,30 @@ def _reserve(n: int, copies: int, what: str, dtype=complex, width=None) -> None:
             f"dense dim-{n} {what} needs {need / 2 ** 30:.2f} GiB "
             f"({copies} x {shape} {np.dtype(dtype)}), "
             f"{avail / 2 ** 30:.2f} GiB available")
+    return need
 
 
 def _real_if_real(A):
-    """A's real part, copied, if A is complex and every imaginary part is
-    exactly 0, else A; a sparse A is checked as CSR on its stored entries."""
+    """A's real part if A is complex and every imaginary part is exactly 0,
+    else A; a sparse A is checked as CSR on its stored entries and its real
+    part copied, a dense A's real part is a view (`_as_dense` copies it)."""
     if sp.issparse(A):
         A = A.tocsr()
     if np.iscomplexobj(A) and not (A.data if sp.issparse(A) else A).imag.any():
-        return A.real.copy()
+        return A.real.copy() if sp.issparse(A) else A.real
     return A
 
 
 def _as_dense(H) -> np.ndarray:
+    """The one dense copy of H (real if `_real_if_real` makes it so) that
+    LAPACK overwrites: reserved before any n x n array is made, and in
+    Fortran order, so f2py hands it to LAPACK without a copy of its own.
+    A dense H already in that order and dtype is returned as is."""
     H = _real_if_real(H)
     dtype = complex if np.iscomplexobj(H) else float
     _reserve(np.shape(H)[0], _DENSE_COPIES, "operator", dtype)
-    return np.asarray(H.toarray() if sp.issparse(H) else H, dtype=dtype)
+    return np.asarray(H.toarray(order="F") if sp.issparse(H) else H,
+                      dtype=dtype, order="F")
 
 
 def _absmax(A) -> float:
@@ -181,10 +194,11 @@ def _tol(A) -> float:
 def _dense_inertia(H) -> Inertia:
     """Dense oracle: every eigenvalue from one LAPACK eigensolve (heevr,
     syevr if real), classified as below -tol, at or above tol, or zero."""
+    # the copy first: its reserve covers the dense check's temporaries too
+    A = _as_dense(H)
     # checked as given, so a sparse H is checked sparse
     _check_hermitian(H)
     tol = _tol(H)
-    A = _as_dense(H)
     # overwrite only our own copy, never the caller's array
     w = sla.eigvalsh(A, overwrite_a=A is not H, check_finite=False)
     n_minus = int(np.sum(w < -tol))
@@ -330,12 +344,13 @@ def _ldl_factor(M: sp.csr_matrix, tol: float):
     I = _independent_rows(M, _THETA * _norm_inf(M))
     C = np.setdiff1d(np.arange(n), I)
     h = M.diagonal()[I].real
-    M_C = M[C]
-    M_CI, M_IC = M_C[:, I], M[I][:, C]
-    S = M_C[:, C] - M_CI @ sp.diags(1.0 / h) @ M_IC
+    M_CI, M_IC = M[C][:, I], M[I][:, C]
     low = np.complex64 if np.iscomplexobj(M) else np.float32
+    # cast as soon as it is formed, so the sparse S in double is gone
+    # before the dense copy is made
+    S = (M[C][:, C] - M_CI @ sp.diags(1.0 / h) @ M_IC).astype(low)
     _reserve(len(C), 1, "Schur complement", low)
-    eigs_S, solve_S = _bunch_kaufman(S.astype(low).toarray(order="F"))
+    eigs_S, solve_S = _bunch_kaufman(S.toarray(order="F"))
     piv = np.concatenate([h, eigs_S])
     if not piv.all():
         # an exactly singular D (info > 0 from the factor) has no solve

@@ -1,3 +1,5 @@
+import tracemalloc
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,3 +45,22 @@ def lapack_calls(monkeypatch):
     monkeypatch.setattr(sla, "eigvalsh", spy_eigvalsh)
     monkeypatch.setattr(sla, "eig_banded", spy_eig_banded)
     return calls
+
+
+@contextmanager
+def _traced():
+    peak = SimpleNamespace(bytes=0)
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.bytes = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    """`with traced_peak() as peak:` traces the body's allocations with
+    tracemalloc and sets `peak.bytes` to their peak, also when the body
+    raises; what was allocated before the body is not counted."""
+    return _traced

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from wilsonindex import (
     gauge_tuple,
     half_signature,
     inertia,
+    ktheory,
     lattice_index,
     make_geometry,
     min_abs_eigenvalue,
@@ -649,19 +649,33 @@ def test_bott_oracle_on_a_large_clock_shift():
 
 
 def test_bott_matrix_that_does_not_fit_raises(monkeypatch):
-    # the tuple is built first: building it reserves memory too
-    t = clock_shift(8)
+    # the sparse Bott matrix is built first: `bott_index_tuple` reserves
+    # for that build before the band or the dense copy, and more than
+    # either needs here (test_bott_build_that_does_not_fit_raises)
+    B = sp.csr_matrix(_bott_matrix(clock_shift(8), 1.0).real)
     monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
     with pytest.raises(spectral.ResourceError, match="dim-16 Bott matrix"):
-        bott_index_tuple(t, 1.0)
+        _bott_eigenvalues(B)
 
 
 def test_bott_band_that_does_not_fit_raises(monkeypatch):
-    t = clock_shift(512)
+    B = sp.csr_matrix(_bott_matrix(clock_shift(512), 1.0).real)
     monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
     with pytest.raises(spectral.ResourceError,
                        match=r"dim-1024 Bott band .*\(1 x 8 x 1024 float64\)"):
+        _bott_eigenvalues(B)
+
+
+def test_bott_build_that_does_not_fit_raises(monkeypatch, traced_peak):
+    # reserved before any CSR copy: from the 2 x 512 stored entries, the
+    # Bott matrix has at most 9216, 9 a row, reserved as 5 copies
+    t = clock_shift(512)
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
+    with traced_peak() as peak, pytest.raises(
+            spectral.ResourceError,
+            match=r"dim-1024 Bott build .*\(5 x 9 x 1024 complex128\)"):
         bott_index_tuple(t, 1.0)
+    assert peak.bytes < 16 * 1024
 
 
 @pytest.mark.parametrize("build, what", [
@@ -675,17 +689,43 @@ def test_tuple_that_does_not_fit_raises(monkeypatch, build, what):
         build()
 
 
-def test_acm_invariant_builds_no_dense_operator():
+def test_acm_invariant_builds_no_dense_operator(traced_peak):
     # the 1024 x 1024 operator of clock_shift(512) is built sparse: the
     # peak stays below one dense copy of it (16 MiB)
     t = clock_shift(512)
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         assert acm_invariant(t, 1.0) == -1
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 1024 ** 2
+    assert peak.bytes < 16 * 1024 ** 2
+
+
+def test_dense_bott_eigensolve_holds_one_copy(lapack_calls, traced_peak):
+    # dim 512, half-bandwidth 65: the dense branch.  The copy is made in
+    # Fortran order and LAPACK overwrites it, so f2py makes no second one
+    B = sp.csr_matrix(_bott_matrix(
+        gauge_tuple(constant_flux_field(make_geometry(2, 16), _flux2(1))), 1.0))
+    with traced_peak() as peak:
+        _bott_eigenvalues(B)
+    assert lapack_calls.eigvalsh == [np.complex128]
+    assert peak.bytes <= 1.1 * 16 * 512 ** 2
+
+
+def test_bott_build_stays_within_its_reserve(monkeypatch, traced_peak):
+    # dense-stored generic unitaries: every entry is stored, and the sparse
+    # build copies them several times over before the dense Bott copy is
+    # made; the reserves, the build's first, count all of it
+    n = 512
+    rng = np.random.default_rng(1)
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    clock, shift = clock_shift(n).unitaries
+    t = UnitaryTuple.from_matrices(
+        [clock @ sla.expm(1e-3j * (G + G.conj().T) / 2), shift])
+    reserve, asked = spectral._reserve, []
+    monkeypatch.setattr(ktheory, "_reserve",
+                        lambda *a, **k: asked.append((a[2], reserve(*a, **k))))
+    with traced_peak() as peak:
+        assert bott_index_tuple(t, 1.0) == -1
+    assert [what for what, _ in asked] == ["Bott build", "Bott matrix"]
+    assert peak.bytes <= sum(need for _, need in asked)
 
 
 def test_commuting_tuple_has_zero_invariant():

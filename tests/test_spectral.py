@@ -1,4 +1,4 @@
-import tracemalloc
+import gc
 
 import numpy as np
 import pytest
@@ -294,21 +294,36 @@ def test_real_copies_reserve_half_the_bytes(monkeypatch):
         spectral._reserve(36, 1, "Schur complement", complex)
 
 
-def test_ldl_converts_the_factor_in_place():
+def test_ldl_converts_the_factor_in_place(traced_peak):
     # d=2 at m = 1.5: the 1600 x 1600 Schur complement (16 s^2 = 41 MB)
     # has hundreds of 1x1 and 2x2 interchanges; a second copy of it, or of
     # its factor, would double the peak
     H = assemble(_flux_field(2, 40, [(1, 2, 1)]), clifford_rep(2), 1.5).matrix
     s = H.shape[0] - len(spectral._independent_rows(
         H.tocsr(), spectral._THETA * spectral._norm_inf(H)))
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         i = inertia_ldl(H)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert i.method == "ldl"
-    assert peak < 1.5 * 16 * s * s
+    assert peak.bytes < 1.5 * 16 * s * s
+
+
+def test_schur_complement_is_densified_once_in_single_precision(monkeypatch):
+    # S is cast to the factor's precision as soon as it is formed, so no
+    # sparse S in double is alive when the one dense copy is made.  At
+    # d=2 N=5, 18 of 50 rows are eliminated: S is 32 x 32, and no other
+    # sparse matrix of the factor step has its shape
+    H = assemble(_flux_field(2, 5, [(1, 2, 1)]), clifford_rep(2), 1.0).matrix
+    bunch_kaufman, seen = spectral._bunch_kaufman, []
+
+    def spy(S):
+        live = {o.dtype for o in gc.get_objects()
+                if sp.issparse(o) and o.shape == S.shape}
+        seen.append((S.shape, S.dtype, S.flags.f_contiguous, live))
+        return bunch_kaufman(S)
+
+    monkeypatch.setattr(spectral, "_bunch_kaufman", spy)
+    assert inertia_ldl(H).method == "ldl"
+    assert seen == [((32, 32), np.complex64, True, {np.dtype(np.complex64)})]
 
 
 def test_rejected_factor_costs_one_dense_pass(monkeypatch):
@@ -437,6 +452,31 @@ def test_ldl_on_a_diagonal_matrix():
     i = inertia(sp.diags(d))
     assert (i.n_plus, i.n_minus, i.n_zero, i.method) == (3333, 1667, 0, "ldl")
     assert abs(i.gap - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real-valued"])
+def test_dense_oracle_holds_one_copy(traced_peak, real):
+    # the copy is made in Fortran order and LAPACK overwrites it: a
+    # C-ordered copy would be copied once more by f2py.  dim 1152: one
+    # copy is 20.25 MiB complex, half that real
+    H = assemble(_flux_field(2, 24, [(1, 2, 1)]), clifford_rep(2), 1.0).matrix
+    if real:
+        H = sp.csr_matrix(H.real, dtype=complex)
+    with traced_peak() as peak:
+        i = inertia(H)
+    n = H.shape[0]
+    assert (i.dim, i.method) == (n, "dense")
+    assert peak.bytes <= 1.1 * n * n * (8 if real else 16)
+
+
+def test_dense_oracle_refuses_before_it_allocates(monkeypatch, traced_peak):
+    # a dense input: the reserve comes before the Hermitian check, whose
+    # A.conj(), difference and abs would otherwise be made first
+    A = _random_hermitian(1024, 0)
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
+    with traced_peak() as peak, pytest.raises(ResourceError, match="dim-1024 operator"):
+        inertia(A)
+    assert peak.bytes < 16 * 1024 * 1024
 
 
 def test_dense_paths_refuse_what_does_not_fit(monkeypatch):
