@@ -14,26 +14,19 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .clifford import clifford_rep
 from .gauge import (FluxMatrix, GaugeField, _unitarity_defect, estimate_curvature_norm,
                     link_shift)
 # min_abs_eigenvalue is unused here; perfbench's tracer looks it up by name
-from .spectral import (Inertia, _real_if_real, _reserve, half_signature, inertia,  # noqa: F401
-                       inertia_bunch_kaufman, min_abs_eigenvalue)
+from .spectral import (Inertia, _dense_inertia, _reserve, half_signature,  # noqa: F401
+                       inertia, inertia_bunch_kaufman, min_abs_eigenvalue)
 from .wilson import assemble, symbol_gap, wilson_matrix
 
 # Global orientation sign relating the lattice invariant to the Pfaffian
 # index, calibrated once from the d=2, N=16, K_12=1, m=1 instance under
 # the fixed Clifford basis of clifford_rep().  Never adjusted afterwards.
 SIGMA = 1
-
-# the Bott eigensolve runs on the band when the matrix's half-bandwidth w
-# in reverse Cuthill-McKee order has _BAND_RATIO * w <= dim; the band
-# solver measured slower than the dense one below dim/w ~ 16-20 (table
-# in CHANGES.md), so 32 keeps a margin
-_BAND_RATIO = 32
 
 
 class SingularOperatorError(RuntimeError):
@@ -249,8 +242,8 @@ def acm_invariant(t: UnitaryTuple, m: float) -> int:
     `clock_shift(3)` at m=1 it is 0.  It needs only the signs of the
     eigenvalues, so it takes the counts from the production factor
     (`inertia_bunch_kaufman`) and computes no spectrum and no gap; the
-    Bott index keeps its own eigensolve, banded or dense, as the
-    cross-check."""
+    Bott index takes every eigenvalue from the dense oracle, banded or
+    dense, as the cross-check."""
     cl = clifford_rep(t.d)
     if not 0 < m < 2:
         raise ParameterRangeError("mass must lie in (0, 2)")
@@ -284,62 +277,28 @@ def gauge_tuple(f: GaugeField) -> UnitaryTuple:
         [link_shift(f, j).toarray() for j in range(f.geometry.d)])
 
 
-def _bott_eigenvalues(B: sp.csr_matrix) -> np.ndarray:
-    """Every eigenvalue of sparse Hermitian B, read from its lower triangle
-    by an orthogonal-similarity eigensolve.  B is reordered by reverse
-    Cuthill-McKee, a permutation that changes no eigenvalue; if its
-    half-bandwidth w there has _BAND_RATIO * w <= dim, LAPACK's band solver
-    (`sbevd`, `hbevd` if complex: band reduction to tridiagonal, then
-    `sterf`) runs on the (w + 1) x dim band, else `eigvalsh` (`syevr`,
-    `heevr`) on dense B.  ResourceError if the band or the dense copy would
-    not fit in memory."""
-    n = B.shape[0]
-    perm = reverse_cuthill_mckee(B, symmetric_mode=True)
-    pos = np.empty_like(perm)
-    pos[perm] = np.arange(n, dtype=perm.dtype)
-    C = B.tocoo()
-    i, j = pos[C.row], pos[C.col]
-    w = int(np.max(np.abs(i - j), initial=0))
-    if _BAND_RATIO * w > n:
-        # the band's indices are not needed: freed before the dense copy
-        del C, i, j
-        _reserve(n, 2, "Bott matrix", B.dtype)
-        # Fortran order: LAPACK overwrites this one copy, f2py makes none
-        return sla.eigvalsh(B.toarray(order="F"), overwrite_a=True,
-                            check_finite=False)
-    _reserve(n, 1, "Bott band", B.dtype, width=w + 1)
-    # lower band storage, ab[i - j, j] = B_ij for i >= j in the new order
-    low = i >= j
-    ab = np.zeros((w + 1, n), dtype=B.dtype, order="F")
-    ab[(i - j)[low], j[low]] = C.data[low]
-    return sla.eig_banded(ab, lower=True, eigvals_only=True,
-                          overwrite_a_band=True, check_finite=False)
-
-
 def bott_index_pauli(X, Y, Z) -> int:
     """Independent d=2 oracle: half-signature of the Pauli-coupled matrix
     X (x) s1 + Y (x) s2 + Z (x) s3 of an almost-commuting Hermitian triple
-    (dense or sparse), from every eigenvalue of its basis permutation
-    [[Z, X - iY], [X + iY, -Z]], built sparse, in real arithmetic if real
-    as for `clock_shift`.  The eigenvalues come from `_bott_eigenvalues`:
-    the band solver on a narrow band, as for `clock_shift`, else a dense
-    eigensolve, never the Bunch-Kaufman factor of `acm_invariant`."""
+    (dense or sparse): every eigenvalue of its basis permutation
+    B = [[Z, X - iY], [X + iY, -Z]], built sparse, comes from the dense
+    oracle `spectral._dense_inertia` (B checked Hermitian, solved on its
+    band if narrow, as for `clock_shift`, zeros by `spectral._tol`), never
+    from the Bunch-Kaufman factor of `acm_invariant`."""
     X, Y, Z = (sp.csr_matrix(A, dtype=complex) for A in (X, Y, Z))
     B = sp.bmat([[Z, X - 1j * Y], [X + 1j * Y, -Z]], format="csr")
-    eigs = _bott_eigenvalues(_real_if_real(B))
-    if np.min(np.abs(eigs)) < 1e-10:
+    inert = _dense_inertia(B)
+    if inert.n_zero > 0:
         raise SingularOperatorError("Bott matrix is singular")
-    n_pos = int(np.sum(eigs > 0))
-    n_neg = int(np.sum(eigs < 0))
-    assert (n_pos - n_neg) % 2 == 0
-    return (n_pos - n_neg) // 2
+    return half_signature(inert)
 
 
 def bott_index_tuple(t: UnitaryTuple, m: float) -> int:
     """Loring-style Bott index of a d=2 tuple via the Hermitian triple
-    (Im U_1, Im U_2, Re U_1 + Re U_2 - 2 + m).  ResourceError if its
-    sparse build would not fit in memory, checked before any of it is
-    made, or if `bott_index_pauli`'s eigensolve would not."""
+    (Im U_1, Im U_2, Re U_1 + Re U_2 - 2 + m), whose Bott matrix goes to
+    the dense oracle (`bott_index_pauli`).  ResourceError if its sparse
+    build would not fit in memory, checked before any of it is made, or
+    if the oracle's band or dense copy would not."""
     if t.d != 2:
         raise ValueError("Bott-index oracle is d=2 only")
     n = t.n

@@ -3,8 +3,9 @@
 `inertia` is the one entry point; it picks the path by dimension:
 
 * up to `_DENSE_LIMIT` (the oracle): one backward-stable LAPACK
-  Hermitian eigensolve (`heevr`: Householder tridiagonalization, then
-  `sterf`), whose eigenvalues give the sign counts and the gap;
+  Hermitian eigensolve (`heevr`: Householder tridiagonalization, or
+  `hbevd` on a narrow band: band reduction; then `sterf`), whose
+  eigenvalues give the sign counts and the gap;
 * above it (`inertia_ldl`): an exact block elimination, then one dense
   Bunch-Kaufman LDL* of what is left.  One greedy scan in index order
   picks rows I with large real diagonal h_I, no two coupled, and they are
@@ -45,11 +46,17 @@ invariants that need only the signs, such as `ktheory.acm_invariant`.
 It is not independent of `inertia_ldl`; the dense eigensolve is the one
 independent oracle, and the paths must agree wherever they run.
 
+The oracle's one eigensolve, `_eigenvalues`, also serves the Bott
+cross-check (`ktheory.bott_index_pauli`).  A sparse matrix whose
+half-bandwidth w in reverse Cuthill-McKee order has _BAND_RATIO * w <= dim
+(the Bott matrix of `ktheory.clock_shift`) goes to LAPACK's band solver,
+any other to `eigvalsh`.  Its memory is reserved first, then the matrix
+is checked Hermitian, then copied and solved.
+
 Every dense LAPACK call runs on one copy of its matrix, made in Fortran
 order after `_reserve` has checked that it fits, and overwritten in
 place: f2py copies a C-ordered array before LAPACK sees it, so a
-`toarray()` in C order would double the peak.  `ktheory`'s dense Bott
-eigensolve keeps the same rule.
+`toarray()` in C order would double the peak.
 
 Every path takes a complex matrix whose imaginary parts are all 0 (the
 operator and Bott matrix of `ktheory.clock_shift`; lattice operators are
@@ -66,11 +73,15 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 # largest dimension `inertia` handles on the dense path
 _DENSE_LIMIT = 4096
 # copies of an n x n matrix the dense paths may hold at once
 _DENSE_COPIES = 3
+# the oracle takes the band when _BAND_RATIO * w <= dim; the band solver
+# measured slower than the dense one below dim/w ~ 16-20, so 32 keeps a margin
+_BAND_RATIO = 32
 # a row is eliminated before the dense factor only if its real diagonal
 # has modulus at least _THETA * ||H||_inf; then ||S||_inf is at most
 # (1 + 1/_THETA) ||H||_inf, a growth the contraction check still sees
@@ -158,27 +169,26 @@ def _real_if_real(A):
 
 
 def _as_dense(H) -> np.ndarray:
-    """The one dense copy of H (real if `_real_if_real` makes it so) that
-    LAPACK overwrites: reserved before any n x n array is made, and in
-    Fortran order, so f2py hands it to LAPACK without a copy of its own.
-    A dense H already in that order and dtype is returned as is."""
-    H = _real_if_real(H)
+    """The one dense copy of H that LAPACK overwrites, in Fortran order:
+    reserved, then H checked Hermitian, then copied.  A dense H already in
+    that order and dtype is returned as is."""
     dtype = complex if np.iscomplexobj(H) else float
     _reserve(np.shape(H)[0], _DENSE_COPIES, "operator", dtype)
+    _check_hermitian(H)
     return np.asarray(H.toarray(order="F") if sp.issparse(H) else H,
                       dtype=dtype, order="F")
 
 
 def _absmax(A) -> float:
-    if sp.issparse(A):
-        return float(abs(A).max()) if A.nnz else 0.0
-    return float(np.max(np.abs(A))) if A.size else 0.0
+    a = A.data if sp.issparse(A) else A
+    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 def _check_hermitian(A) -> None:
     """Raise unless A = A* to 1e-10 * max(1, max |A_ij|); sparse A stays sparse."""
+    D = A.conj().T.tocsr() - A if sp.issparse(A) else A - A.conj().T
     # not >, so a nan entry is rejected too
-    if not _absmax(A - A.conj().T) <= 1e-10 * max(1.0, _absmax(A)):
+    if not _absmax(D) <= 1e-10 * max(1.0, _absmax(A)):
         raise ValueError("input matrix is not Hermitian")
 
 
@@ -191,16 +201,42 @@ def _tol(A) -> float:
     return 1e-8 * max(_norm_inf(A), 1.0)
 
 
-def _dense_inertia(H) -> Inertia:
-    """Dense oracle: every eigenvalue from one LAPACK eigensolve (heevr,
-    syevr if real), classified as below -tol, at or above tol, or zero."""
-    # the copy first: its reserve covers the dense check's temporaries too
+def _eigenvalues(H) -> np.ndarray:
+    """Every eigenvalue of Hermitian H (ValueError if it is not), real if
+    `_real_if_real` makes H real: `sbevd` (`hbevd`) on the (w + 1) x dim
+    lower band of a narrow sparse H in reverse Cuthill-McKee order, a
+    permutation that changes no eigenvalue, else `eigvalsh` (`syevr`,
+    `heevr`) on `_as_dense`'s copy.  ResourceError if either does not fit."""
+    H = _real_if_real(H)
+    if sp.issparse(H):
+        n = H.shape[0]
+        perm = reverse_cuthill_mckee(H, symmetric_mode=True)
+        pos = np.empty_like(perm)
+        pos[perm] = np.arange(n, dtype=perm.dtype)
+        C = H.tocoo()
+        i, j = pos[C.row], pos[C.col]
+        w = int(np.max(np.abs(i - j), initial=0))
+        if _BAND_RATIO * w <= n:
+            _reserve(n, 1, "operator band", H.dtype, width=w + 1)
+            _check_hermitian(H)
+            # lower band storage, ab[i - j, j] = H_ij for i >= j in the new order
+            low = i >= j
+            ab = np.zeros((w + 1, n), dtype=H.dtype, order="F")
+            ab[(i - j)[low], j[low]] = C.data[low]
+            return sla.eig_banded(ab, lower=True, eigvals_only=True,
+                                  overwrite_a_band=True, check_finite=False)
+        # the band's indices are not needed: freed before the dense copy
+        del C, i, j
     A = _as_dense(H)
-    # checked as given, so a sparse H is checked sparse
-    _check_hermitian(H)
-    tol = _tol(H)
     # overwrite only our own copy, never the caller's array
-    w = sla.eigvalsh(A, overwrite_a=A is not H, check_finite=False)
+    return sla.eigvalsh(A, overwrite_a=A is not H, check_finite=False)
+
+
+def _dense_inertia(H) -> Inertia:
+    """Dense oracle: every eigenvalue from `_eigenvalues`, classified as
+    below -tol, at or above tol, or zero."""
+    w = _eigenvalues(H)
+    tol = _tol(H)
     n_minus = int(np.sum(w < -tol))
     n_plus = int(np.sum(w >= tol))
     n_zero = len(w) - n_plus - n_minus

@@ -183,20 +183,21 @@ def test_acm_cross_check_off_d2_says_it_was_skipped(tmp_path, capsys):
 def test_acm_cross_check_that_does_not_fit_says_it_was_skipped(
         tmp_path, monkeypatch, capsys):
     # memory for the tuple, its check, epsilon and the factor, but 1 byte
-    # short of the dense Bott matrix (2 copies of 72^2 float64, real for
-    # the trivial field): I and epsilon print as without the cross-check
+    # short of the dense oracle's reserve for the Bott matrix (3 copies of
+    # 72^2 float64, real for the trivial field): I and epsilon print as
+    # without the cross-check
     from wilsonindex import spectral
 
     path = tmp_path / "d2.wut"
     write_unitary_tuple(gauge_tuple(trivial_field(make_geometry(2, 6))), path)
     assert run(["acm", "--input", str(path)]) == 0
     plain = capsys.readouterr()
-    monkeypatch.setattr(spectral, "_available_memory", lambda: 2 * 72 * 72 * 8 - 1)
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 3 * 72 * 72 * 8 - 1)
     assert run(["acm", "--input", str(path), "--cross-check"]) == 0
     checked = capsys.readouterr()
     assert checked.out == plain.out and "I = " in plain.out
     assert checked.err.startswith("note: the Bott cross-check does not fit; "
-                                  "skipped: dense dim-72 Bott matrix needs ")
+                                  "skipped: dense dim-72 operator needs ")
 
 
 @pytest.mark.parametrize("header", [b"0 4", b"2 0", b"2", b"2 x", b"2 4 9"])

@@ -38,7 +38,7 @@ from wilsonindex import (
     verify_gap_bound,
 )
 from wilsonindex.formats import read_unitary_tuple, write_unitary_tuple
-from wilsonindex.ktheory import UnitaryTuple, _bott_eigenvalues, bott_index_pauli
+from wilsonindex.ktheory import UnitaryTuple, bott_index_pauli
 
 import newton_degree as newton
 
@@ -636,7 +636,7 @@ def test_bott_oracle_takes_the_band_only_when_narrow(lapack_calls, t, band):
 def test_banded_and_dense_bott_eigenvalues_agree(lapack_calls, n):
     B = _bott_matrix(clock_shift(n), 1.0)
     assert not B.imag.any()
-    banded = _bott_eigenvalues(sp.csr_matrix(B.real))
+    banded = spectral._eigenvalues(sp.csr_matrix(B.real))
     assert lapack_calls.eig_banded == [np.float64]
     dense = sla.eigvalsh(B)
     assert np.max(np.abs(banded - dense)) <= 1e-12 * max(np.linalg.norm(B, 2), 1.0)
@@ -654,16 +654,16 @@ def test_bott_matrix_that_does_not_fit_raises(monkeypatch):
     # either needs here (test_bott_build_that_does_not_fit_raises)
     B = sp.csr_matrix(_bott_matrix(clock_shift(8), 1.0).real)
     monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
-    with pytest.raises(spectral.ResourceError, match="dim-16 Bott matrix"):
-        _bott_eigenvalues(B)
+    with pytest.raises(spectral.ResourceError, match="dim-16 operator needs"):
+        spectral._eigenvalues(B)
 
 
 def test_bott_band_that_does_not_fit_raises(monkeypatch):
     B = sp.csr_matrix(_bott_matrix(clock_shift(512), 1.0).real)
     monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
     with pytest.raises(spectral.ResourceError,
-                       match=r"dim-1024 Bott band .*\(1 x 8 x 1024 float64\)"):
-        _bott_eigenvalues(B)
+                       match=r"dim-1024 operator band .*\(1 x 8 x 1024 float64\)"):
+        spectral._eigenvalues(B)
 
 
 def test_bott_build_that_does_not_fit_raises(monkeypatch, traced_peak):
@@ -704,7 +704,7 @@ def test_dense_bott_eigensolve_holds_one_copy(lapack_calls, traced_peak):
     B = sp.csr_matrix(_bott_matrix(
         gauge_tuple(constant_flux_field(make_geometry(2, 16), _flux2(1))), 1.0))
     with traced_peak() as peak:
-        _bott_eigenvalues(B)
+        spectral._eigenvalues(B)
     assert lapack_calls.eigvalsh == [np.complex128]
     assert peak.bytes <= 1.1 * 16 * 512 ** 2
 
@@ -720,11 +720,12 @@ def test_bott_build_stays_within_its_reserve(monkeypatch, traced_peak):
     t = UnitaryTuple.from_matrices(
         [clock @ sla.expm(1e-3j * (G + G.conj().T) / 2), shift])
     reserve, asked = spectral._reserve, []
-    monkeypatch.setattr(ktheory, "_reserve",
-                        lambda *a, **k: asked.append((a[2], reserve(*a, **k))))
+    for module in (ktheory, spectral):
+        monkeypatch.setattr(module, "_reserve",
+                            lambda *a, **k: asked.append((a[2], reserve(*a, **k))))
     with traced_peak() as peak:
         assert bott_index_tuple(t, 1.0) == -1
-    assert [what for what, _ in asked] == ["Bott build", "Bott matrix"]
+    assert [what for what, _ in asked] == ["Bott build", "operator"]
     assert peak.bytes <= sum(need for _, need in asked)
 
 
@@ -743,6 +744,20 @@ def test_acm_parameter_validation():
         UnitaryTuple.from_matrices([np.ones((2, 2))])
     with pytest.raises(ValueError, match="even dimension"):
         acm_invariant(UnitaryTuple.from_matrices([np.eye(2)]), 1.0)
+
+
+@pytest.mark.parametrize("entry", [3.0, np.nan], ids=["off-by-3", "nan"])
+def test_bott_oracle_rejects_a_non_hermitian_triple(entry):
+    # one entry of X changed, not its mirror: B is read through the dense
+    # oracle's Hermitian check, never from its lower triangle alone
+    U, V = clock_shift(16).unitaries
+    X = (U - U.conj().T) / 2j
+    Y = (V - V.conj().T) / 2j
+    Z = (U + U.conj().T + V + V.conj().T) / 2 - np.eye(16)
+    assert bott_index_pauli(X, Y, Z) == -1
+    X[0, 5] = X[0, 5] + entry
+    with pytest.raises(ValueError, match="not Hermitian"):
+        bott_index_pauli(X, Y, Z)
 
 
 def test_bott_oracle_rejects_singular_triple(lapack_calls):

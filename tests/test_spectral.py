@@ -479,6 +479,23 @@ def test_dense_oracle_refuses_before_it_allocates(monkeypatch, traced_peak):
     assert peak.bytes < 16 * 1024 * 1024
 
 
+def test_oracle_takes_the_band_only_on_a_narrow_sparse_matrix(lapack_calls):
+    # the operator of clock_shift(512): dim 1024, half-bandwidth 6 in reverse
+    # Cuthill-McKee order, so the band solver runs; the same matrix dense
+    # never takes the band
+    H = wilson_matrix(clock_shift(512).unitaries, clifford_rep(2), 1.0)
+    band, dense = inertia(H), inertia(H.toarray())
+    assert lapack_calls.eig_banded == [np.float64]
+    assert lapack_calls.eigvalsh == [np.float64]
+    assert (band.n_plus, band.n_minus, band.n_zero, band.method) \
+        == (dense.n_plus, dense.n_minus, dense.n_zero, "dense")
+    assert abs(band.gap - dense.gap) <= 1e-12 * dense.gap
+    # the sweep's d=2 N=24 operator, half-bandwidth 95 at dim 1152: dense
+    inertia(assemble(_flux_field(2, 24, [(1, 2, 1)]), clifford_rep(2), 1.0).matrix)
+    assert lapack_calls.eig_banded == [np.float64]
+    assert lapack_calls.eigvalsh == [np.float64, np.complex128]
+
+
 def test_dense_paths_refuse_what_does_not_fit(monkeypatch):
     f = _flux_field(2, 6, [(1, 2, 1)])
     H = assemble(f, clifford_rep(2), 1.0).matrix
