@@ -13,9 +13,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
-from .clifford import clifford_rep
+from .clifford import SIGMA_1, SIGMA_2, SIGMA_3, CliffordRep, clifford_rep
 from .gauge import (FluxMatrix, GaugeField, _unitarity_defect, estimate_curvature_norm,
                     link_shift)
 # min_abs_eigenvalue is unused here; perfbench's tracer looks it up by name
@@ -134,7 +133,8 @@ def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:
         if not 0 < m < math.inf:
             raise ParameterRangeError(
                 "parameter out of range: constant mode needs a finite m > 0")
-        if m ** 2 <= 4 * d ** 2 * curvature:
+        # m * m, not m ** 2, which raises OverflowError on a huge float
+        if m * m <= 4 * d ** 2 * curvature:
             warnings.warn(
                 "constant mass below the invertibility threshold "
                 "2 d sqrt(||R||); no guarantee", stacklevel=2)
@@ -213,8 +213,9 @@ def verify_gap_bound(f: GaugeField, m: float, kappa: float) -> BoundReport:
     """Check lambda_min((kappa pi(D_W) + m gamma)^2) >= m^2 - 4 d^2 ||R||,
     with kappa pi(D_W) + m gamma assembled as kappa (pi(D_W) + (m/kappa) gamma)."""
     N = f.geometry.N
-    if not m <= kappa <= N:
-        raise ParameterRangeError("kappa must lie in [m, N]")
+    # negated, so nan is rejected too; 0 < m <= kappa <= N keeps both finite
+    if not 0 < m <= kappa <= N:
+        raise ParameterRangeError("kappa must lie in [m, N], with m > 0")
     d = f.geometry.d
     inert = inertia(kappa * assemble(f, clifford_rep(d), m / kappa).matrix)
     lam = inert.gap
@@ -234,21 +235,41 @@ def verify_gap_bound(f: GaugeField, m: float, kappa: float) -> BoundReport:
 # almost-commuting unitary tuples
 
 
+# c_j = -i s_j and gamma = s3: the d=2 Wilson matrix of a pair is then
+# sum_j (U_j - U_j*)/2i (x) s_j + (Re U_1 + Re U_2 - 2 + mu) (x) s3, the
+# Bott matrix of Loring and Schulz-Baldes (arXiv:1701.07455)
+_PAULI = CliffordRep(2, 2, (-1j * SIGMA_1, -1j * SIGMA_2), SIGMA_3)
+
+
+def _tuple_matrix(t: UnitaryTuple, cl: CliffordRep, m: float):
+    """`wilson_matrix` of the tuple's unitaries, its build reserved before
+    any CSR copy is made.  (gamma + c_j)/2 has 2s entries (s = cl.dim_s),
+    so H has at most 4s times the unitaries' stored entries plus its
+    diagonal, and at most dim^2; the build's traced peak measured 49-55
+    bytes per such entry on sparse-stored tuples and 100 on dense-stored
+    generic ones, where the bound is reached: 7 complex copies."""
+    dim = t.n * cl.dim_s
+    entries = min(4 * cl.dim_s * sum(np.count_nonzero(U) for U in t.unitaries) + dim,
+                  dim * dim)
+    _reserve(dim, 7, "operator build", width=-(-entries // dim))
+    return wilson_matrix(t.unitaries, cl, m)
+
+
 def acm_invariant(t: UnitaryTuple, m: float) -> int:
     """I of sum_j (U_j - U_j*)/2 (x) c_j + (sum_j((U_j+U_j*)/2 - 1) + m) (x) gamma.
 
     In d=2 this always matches the Bott index (`bott_index_tuple`), but it
     is +-1 only when the tuple is close enough to commuting for m; for
-    `clock_shift(3)` at m=1 it is 0.  It needs only the signs of the
-    eigenvalues, so it takes the counts from the production factor
+    `clock_shift(3)` at m=1 it is 0.  The operator comes from
+    `_tuple_matrix`, reserved before it is built.  It needs only the signs
+    of the eigenvalues, so it takes the counts from the production factor
     (`inertia_bunch_kaufman`) and computes no spectrum and no gap; the
     Bott index takes every eigenvalue from the dense oracle, banded or
     dense, as the cross-check."""
     cl = clifford_rep(t.d)
     if not 0 < m < 2:
         raise ParameterRangeError("mass must lie in (0, 2)")
-    H = wilson_matrix(t.unitaries, cl, m)
-    inert = inertia_bunch_kaufman(H)
+    inert = inertia_bunch_kaufman(_tuple_matrix(t, cl, m))
     if inert.n_zero > 0:
         raise SingularOperatorError(
             "invariant undefined at this (tuple, m); "
@@ -277,44 +298,20 @@ def gauge_tuple(f: GaugeField) -> UnitaryTuple:
         [link_shift(f, j).toarray() for j in range(f.geometry.d)])
 
 
-def bott_index_pauli(X, Y, Z) -> int:
-    """Independent d=2 oracle: half-signature of the Pauli-coupled matrix
-    X (x) s1 + Y (x) s2 + Z (x) s3 of an almost-commuting Hermitian triple
-    (dense or sparse): every eigenvalue of its basis permutation
-    B = [[Z, X - iY], [X + iY, -Z]], built sparse, comes from the dense
-    oracle `spectral._dense_inertia` (B checked Hermitian, solved on its
+def bott_index_tuple(t: UnitaryTuple, m: float) -> int:
+    """Loring's Bott index of a d=2 tuple: the half-signature of the Bott
+    matrix X (x) s1 + Y (x) s2 + Z (x) s3 of the Hermitian triple
+    (Im U_1, Im U_2, Re U_1 + Re U_2 - 2 + m).  That is the tuple's
+    `wilson_matrix` in the Pauli basis `_PAULI`, built by `_tuple_matrix`
+    with the build's reserve, and every eigenvalue comes from the dense
+    oracle `spectral._dense_inertia` (checked Hermitian, solved on its
     band if narrow, as for `clock_shift`, zeros by `spectral._tol`), never
-    from the Bunch-Kaufman factor of `acm_invariant`."""
-    X, Y, Z = (sp.csr_matrix(A, dtype=complex) for A in (X, Y, Z))
-    B = sp.bmat([[Z, X - 1j * Y], [X + 1j * Y, -Z]], format="csr")
-    inert = _dense_inertia(B)
+    from the Bunch-Kaufman factor of `acm_invariant`.  ResourceError if
+    the build, the band or the dense copy would not fit, checked before
+    each is made."""
+    if t.d != 2:
+        raise ValueError("Bott-index oracle is d=2 only")
+    inert = _dense_inertia(_tuple_matrix(t, _PAULI, m))
     if inert.n_zero > 0:
         raise SingularOperatorError("Bott matrix is singular")
     return half_signature(inert)
-
-
-def bott_index_tuple(t: UnitaryTuple, m: float) -> int:
-    """Loring-style Bott index of a d=2 tuple via the Hermitian triple
-    (Im U_1, Im U_2, Re U_1 + Re U_2 - 2 + m), whose Bott matrix goes to
-    the dense oracle (`bott_index_pauli`).  ResourceError if its sparse
-    build would not fit in memory, checked before any of it is made, or
-    if the oracle's band or dense copy would not."""
-    if t.d != 2:
-        raise ValueError("Bott-index oracle is d=2 only")
-    n = t.n
-    # the sparse build peaks at 65-69 bytes per entry of the Bott matrix
-    # (measured: about 4 copies of its entries, as CSR and COO), reserved
-    # as 5 complex copies, 80 bytes.  X, Y and Z have at most twice the
-    # stored entries of the unitaries they are made of, so the Bott matrix
-    # has at most 8 times theirs plus its diagonal, and no more than (2n)^2
-    entries = min(8 * sum(np.count_nonzero(U) for U in t.unitaries) + 2 * n,
-                  4 * n * n)
-    _reserve(2 * n, 5, "Bott build", width=-(-entries // (2 * n)))
-    U1, U2 = (sp.csr_matrix(U) for U in t.unitaries)
-    X = (U1 - U1.conj().T) / 2j
-    Y = (U2 - U2.conj().T) / 2j
-    Z = (U1 + U1.conj().T) / 2 + (U2 + U2.conj().T) / 2 \
-        + (m - 2) * sp.identity(n, format="csr")
-    # not held through the eigensolve
-    del U1, U2
-    return bott_index_pauli(X, Y, Z)

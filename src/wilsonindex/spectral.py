@@ -47,7 +47,8 @@ It is not independent of `inertia_ldl`; the dense eigensolve is the one
 independent oracle, and the paths must agree wherever they run.
 
 The oracle's one eigensolve, `_eigenvalues`, also serves the Bott
-cross-check (`ktheory.bott_index_pauli`).  A sparse matrix whose
+cross-check (`ktheory.bott_index_tuple`), whose Bott matrix is the
+tuple's `wilson_matrix` in the Pauli basis.  A sparse matrix whose
 half-bandwidth w in reverse Cuthill-McKee order has _BAND_RATIO * w <= dim
 (the Bott matrix of `ktheory.clock_shift`) goes to LAPACK's band solver,
 any other to `eigvalsh`.  Its memory is reserved first, then the matrix

@@ -4,7 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wilsonindex import cli, make_geometry, trivial_field
+from wilsonindex import (ParameterRangeError, cli, make_geometry, trivial_field,
+                         verify_gap_bound)
 from wilsonindex.formats import write_unitary_tuple
 from wilsonindex.ktheory import SingularOperatorError, clock_shift, gauge_tuple
 
@@ -125,6 +126,13 @@ def test_acm_builtin_cross_check(capsys):
     assert "I = -1" in out and "Bott-oracle = -1" in out
 
 
+def test_acm_cross_check_stdout_is_pinned(capsys):
+    assert run(["acm", "--builtin", "clock-shift", "--n", "64", "--m", "1",
+                "--cross-check"]) == 0
+    assert capsys.readouterr() == (
+        "I = -1  (epsilon = 0.098135)\nBott-oracle = -1\n", "")
+
+
 def test_acm_singular_bott_matrix_gets_its_own_message(monkeypatch, capsys):
     # a tuple has no lattice spacing: no advice to decrease a
     def singular(t, m):
@@ -214,6 +222,18 @@ def test_verify_bound_command(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "status = pass" in out and "(dense)" in out
+
+
+@pytest.mark.parametrize("m, kappa", [(0.0, 0.0), (-np.inf, 1.0), (-2.0, -1.0)],
+                         ids=["zero", "minus-inf", "negative"])
+def test_verify_bound_needs_a_positive_mass(capsys, m, kappa):
+    # the bound's hypotheses are 0 < m <= kappa <= N: m = kappa = 0 divided
+    # by zero, -inf failed the Hermitian check and kappa < 0 gave "fail"
+    with pytest.raises(ParameterRangeError, match="kappa"):
+        verify_gap_bound(trivial_field(make_geometry(2, 8)), m, kappa)
+    assert run(["verify-bound", "--d", "2", "--N", "8", f"--m={m}",
+                f"--kappa={kappa}"]) == 1
+    assert capsys.readouterr() == ("", "error: kappa must lie in [m, N], with m > 0\n")
 
 
 def test_sweep_deterministic(tmp_path):

@@ -38,13 +38,24 @@ from wilsonindex import (
     verify_gap_bound,
 )
 from wilsonindex.formats import read_unitary_tuple, write_unitary_tuple
-from wilsonindex.ktheory import UnitaryTuple, bott_index_pauli
+from wilsonindex.ktheory import _PAULI, UnitaryTuple
+from wilsonindex.wilson import wilson_matrix
 
 import newton_degree as newton
 
 
 def _flux2(k):
     return FluxMatrix.from_entries(2, [(1, 2, k)])
+
+
+def _generic_tuple(n):
+    """(clock expm(1e-3 i G), shift) for a seeded Hermitian G: dense-stored
+    unitaries with every entry nonzero, almost commuting as clock_shift(n)."""
+    rng = np.random.default_rng(1)
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    clock, shift = clock_shift(n).unitaries
+    return UnitaryTuple.from_matrices(
+        [clock @ sla.expm(1e-3j * (G + G.conj().T) / 2), shift])
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +412,15 @@ def test_range_errors_are_typed(call):
         call()
 
 
+def test_constant_mass_too_large_to_square_still_runs():
+    # 1e200 ** 2 raises OverflowError on a Python float; m = 1e200 is a
+    # finite m > 0, so constant mode takes it: mu = m a lies past every
+    # window, where the degree and the index are 0
+    r = lattice_index(constant_flux_field(make_geometry(2, 4), _flux2(1)), 1e200,
+                      mode="constant")
+    assert (r.invariant, r.degree, r.mu) == (0, 0, 1e200 / 4)
+
+
 @pytest.mark.parametrize("call, message", [
     # constant mode, mu = m a = 2: the symbol vanishes at the corner (1/2, 0)
     (lambda: lattice_index(trivial_field(make_geometry(2, 4)), 8.0, mode="constant"),
@@ -576,7 +596,7 @@ def test_bott_oracle_calls_no_numpy_linalg(monkeypatch):
 
 
 def test_bott_block_form_has_the_kronecker_spectrum():
-    # the oracle's [[Z, X - iY], [X + iY, -Z]] is a basis permutation of
+    # the block form [[Z, X - iY], [X + iY, -Z]] is a basis permutation of
     # X (x) s1 + Y (x) s2 + Z (x) s3: same eigenvalues, same half-signature
     rng = np.random.default_rng(7)
     U, V = clock_shift(16).unitaries
@@ -591,8 +611,17 @@ def test_bott_block_form_has_the_kronecker_spectrum():
     want = sla.eigvalsh(np.kron(X, s1) + np.kron(Y, s2) + np.kron(Z, s3))
     block = sla.eigvalsh(np.block([[Z, X - 1j * Y], [X + 1j * Y, -Z]]))
     assert np.max(np.abs(block - want)) < 1e-12
-    n_pos, n_neg = int(np.sum(want > 0)), int(np.sum(want < 0))
-    assert bott_index_pauli(X, Y, Z) == (n_pos - n_neg) // 2 == -1
+    # with c_j = -i s_j and gamma = s3, a tuple's Wilson matrix is its
+    # X (x) s1 + Y (x) s2 + Z (x) s3: the interleaved rows (i, a) -> 2i + a
+    # of its block form, entry for entry to rounding (0.0 on the first two)
+    for t in (clock_shift(16),
+              gauge_tuple(perturb_field(constant_flux_field(make_geometry(2, 6), _flux2(1)),
+                                        0.1, 3)),
+              _generic_tuple(64)):
+        perm = np.concatenate([np.arange(0, 2 * t.n, 2), np.arange(1, 2 * t.n, 2)])
+        for m in (0.5, 1.0, 1.5):
+            H = wilson_matrix(t.unitaries, _PAULI, m).toarray()[np.ix_(perm, perm)]
+            assert np.max(np.abs(H - _bott_matrix(t, m))) <= 1e-15
 
 
 @pytest.mark.parametrize("t, factor, dtype", [
@@ -606,13 +635,14 @@ def test_tuple_path_is_real_exactly_when_the_operator_is(lapack_calls, t, factor
     want = acm_invariant(t, 1.0)
     assert lapack_calls.factors == [factor]
     assert bott_index_tuple(t, 1.0) == want != 0
-    # dim 128, half-bandwidth 7: too small for the band solver
+    # dim 128, half-bandwidth 6 and 23: too small for the band solver
     assert lapack_calls.eigvalsh == [dtype]
     assert lapack_calls.eig_banded == []
 
 
 def _bott_matrix(t, m):
-    """The oracle's [[Z, X - iY], [X + iY, -Z]] of a d=2 tuple, dense."""
+    """The Bott matrix of a d=2 tuple in block form [[Z, X - iY], [X + iY, -Z]],
+    dense, built by hand."""
     U1, U2 = t.unitaries
     X = (U1 - U1.conj().T) / 2j
     Y = (U2 - U2.conj().T) / 2j
@@ -621,9 +651,9 @@ def _bott_matrix(t, m):
 
 
 @pytest.mark.parametrize("t, band", [
-    # dim 1024, half-bandwidth 7 in RCM order
+    # dim 1024, half-bandwidth 6 in RCM order
     (clock_shift(512), [np.float64]),
-    # dim 512, half-bandwidth 65: the band solver would be slower
+    # dim 512, half-bandwidth 63: the band solver would be slower
     (gauge_tuple(constant_flux_field(make_geometry(2, 16), _flux2(2))), []),
 ], ids=["clock-shift-512", "flux-field-N16"])
 def test_bott_oracle_takes_the_band_only_when_narrow(lapack_calls, t, band):
@@ -668,13 +698,27 @@ def test_bott_band_that_does_not_fit_raises(monkeypatch):
 
 def test_bott_build_that_does_not_fit_raises(monkeypatch, traced_peak):
     # reserved before any CSR copy: from the 2 x 512 stored entries, the
-    # Bott matrix has at most 9216, 9 a row, reserved as 5 copies
+    # Bott matrix has at most 9216, 9 a row, reserved as 7 copies
     t = clock_shift(512)
     monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
     with traced_peak() as peak, pytest.raises(
             spectral.ResourceError,
-            match=r"dim-1024 Bott build .*\(5 x 9 x 1024 complex128\)"):
+            match=r"dim-1024 operator build .*\(7 x 9 x 1024 complex128\)"):
         bott_index_tuple(t, 1.0)
+    assert peak.bytes < 16 * 1024
+
+
+@pytest.mark.parametrize("invariant", [acm_invariant, bott_index_tuple],
+                         ids=["acm", "bott"])
+def test_dense_tuple_build_that_does_not_fit_raises(monkeypatch, traced_peak, invariant):
+    # every entry of the clock factor is stored: the bound is capped at
+    # dim^2 = 1024^2 entries, and both invariants ask for it first
+    t = _generic_tuple(512)
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
+    with traced_peak() as peak, pytest.raises(
+            spectral.ResourceError,
+            match=r"dim-1024 operator build .*\(7 x 1024 x 1024 complex128\)"):
+        invariant(t, 1.0)
     assert peak.bytes < 16 * 1024
 
 
@@ -709,24 +753,39 @@ def test_dense_bott_eigensolve_holds_one_copy(lapack_calls, traced_peak):
     assert peak.bytes <= 1.1 * 16 * 512 ** 2
 
 
-def test_bott_build_stays_within_its_reserve(monkeypatch, traced_peak):
-    # dense-stored generic unitaries: every entry is stored, and the sparse
-    # build copies them several times over before the dense Bott copy is
-    # made; the reserves, the build's first, count all of it
-    n = 512
-    rng = np.random.default_rng(1)
-    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    clock, shift = clock_shift(n).unitaries
-    t = UnitaryTuple.from_matrices(
-        [clock @ sla.expm(1e-3j * (G + G.conj().T) / 2), shift])
+def _reserves_and_peak(monkeypatch, traced_peak, call):
+    """call()'s value, the reserves it asks, (name, bytes) each, and its
+    traced peak."""
     reserve, asked = spectral._reserve, []
     for module in (ktheory, spectral):
         monkeypatch.setattr(module, "_reserve",
                             lambda *a, **k: asked.append((a[2], reserve(*a, **k))))
     with traced_peak() as peak:
-        assert bott_index_tuple(t, 1.0) == -1
-    assert [what for what, _ in asked] == ["Bott build", "operator"]
-    assert peak.bytes <= sum(need for _, need in asked)
+        value = call()
+    return value, asked, peak.bytes
+
+
+def test_bott_build_stays_within_its_reserve(monkeypatch, traced_peak):
+    # dense-stored generic unitaries: every entry is stored, and the sparse
+    # build copies them several times over before the dense Bott copy is
+    # made; the reserves, the build's first, count all of it
+    t = _generic_tuple(512)
+    value, asked, peak = _reserves_and_peak(
+        monkeypatch, traced_peak, lambda: bott_index_tuple(t, 1.0))
+    assert value == -1
+    assert [what for what, _ in asked] == ["operator build", "operator"]
+    assert peak <= sum(need for _, need in asked)
+
+
+def test_acm_build_stays_within_its_reserve(monkeypatch, traced_peak):
+    # the same tuple through the factor: the build's reserve, then the
+    # Schur complement's, count every byte the call holds at its peak
+    t = _generic_tuple(512)
+    value, asked, peak = _reserves_and_peak(
+        monkeypatch, traced_peak, lambda: acm_invariant(t, 1.0))
+    assert value == -1
+    assert [what for what, _ in asked] == ["operator build", "Schur complement"]
+    assert peak <= sum(need for _, need in asked)
 
 
 def test_commuting_tuple_has_zero_invariant():
@@ -746,23 +805,11 @@ def test_acm_parameter_validation():
         acm_invariant(UnitaryTuple.from_matrices([np.eye(2)]), 1.0)
 
 
-@pytest.mark.parametrize("entry", [3.0, np.nan], ids=["off-by-3", "nan"])
-def test_bott_oracle_rejects_a_non_hermitian_triple(entry):
-    # one entry of X changed, not its mirror: B is read through the dense
-    # oracle's Hermitian check, never from its lower triangle alone
-    U, V = clock_shift(16).unitaries
-    X = (U - U.conj().T) / 2j
-    Y = (V - V.conj().T) / 2j
-    Z = (U + U.conj().T + V + V.conj().T) / 2 - np.eye(16)
-    assert bott_index_pauli(X, Y, Z) == -1
-    X[0, 5] = X[0, 5] + entry
-    with pytest.raises(ValueError, match="not Hermitian"):
-        bott_index_pauli(X, Y, Z)
-
-
 def test_bott_oracle_rejects_singular_triple(lapack_calls):
-    Z = np.zeros((2, 2))
+    # the tuple (-I, I) at m = 2 has the triple X = Y = 0,
+    # Z = -1 + 1 + m - 2 = 0, so its Bott matrix is exactly 0
+    t = UnitaryTuple.from_matrices([-np.eye(2), np.eye(2)])
     with pytest.raises(SingularOperatorError):
-        bott_index_pauli(Z, Z, Z)
+        bott_index_tuple(t, 2.0)
     # the zero matrix has half-bandwidth 0, so the band solver ran
     assert lapack_calls.eig_banded == [np.float64]

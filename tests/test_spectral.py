@@ -551,7 +551,7 @@ def test_half_signature_values():
     assert half_signature(Inertia(2, 1, 0, 1.0, 1e-8)) == Fraction(1, 2)
 
 
-def test_non_hermitian_rejected():
+def test_non_hermitian_rejected(monkeypatch):
     A = np.array([[0, 1], [2, 0]], dtype=complex)
     with pytest.raises(ValueError, match="not Hermitian"):
         inertia(A)
@@ -571,6 +571,26 @@ def test_non_hermitian_rejected():
     for H in (C, sp.csr_matrix(C)):
         with pytest.raises(ValueError, match="not Hermitian"):
             inertia(H)
+    # one stored entry changed, not its mirror, on the sparse operators of
+    # clock_shift(512) (half-bandwidth 6: the band branch) and of
+    # clock_shift(16) (dim 32: the dense branch); each branch reserves its
+    # copy, then checks, so the eigensolve never runs
+    reserve, asked = spectral._reserve, []
+
+    def recorded(n, copies, what, *args, **kwargs):
+        asked.append(what)
+        return reserve(n, copies, what, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_reserve", recorded)
+    for n in (512, 16):
+        H = wilson_matrix(clock_shift(n).unitaries, clifford_rep(2), 1.0)
+        k = np.flatnonzero(H.indices != np.repeat(np.arange(2 * n), np.diff(H.indptr)))[0]
+        for entry in (3.0, np.nan):
+            B = H.copy()
+            B.data[k] += entry
+            with pytest.raises(ValueError, match="not Hermitian"):
+                inertia(B)
+    assert asked == ["operator band"] * 2 + ["operator"] * 2
 
 
 def test_gap_matches_smallest_abs_eigenvalue():
