@@ -152,16 +152,13 @@ def cmd_acm(args) -> int:
     else:
         raise ValueError("provide --input or --builtin clock-shift")
     print(f"I = {acm_invariant(t, args.m)}  (epsilon = {t.epsilon:.6f})")
-    if args.cross_check and t.d == 2:
+    if args.cross_check:
         try:
             print(f"Bott-oracle = {bott_index_tuple(t, args.m)}")
         except ResourceError as exc:
             # the invariant is printed; only its independent check is missing
             print(f"note: the Bott cross-check does not fit; skipped: {exc}",
                   file=sys.stderr)
-    elif args.cross_check:
-        print(f"note: the Bott cross-check is d=2 only; skipped at d={t.d}",
-              file=sys.stderr)
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .clifford import SIGMA_1, SIGMA_2, SIGMA_3, CliffordRep, clifford_rep
+from .clifford import CliffordRep, clifford_rep
 from .gauge import (FluxMatrix, GaugeField, _unitarity_defect, estimate_curvature_norm,
                     link_shift)
 # min_abs_eigenvalue is unused here; perfbench's tracer looks it up by name
@@ -235,12 +235,6 @@ def verify_gap_bound(f: GaugeField, m: float, kappa: float) -> BoundReport:
 # almost-commuting unitary tuples
 
 
-# c_j = -i s_j and gamma = s3: the d=2 Wilson matrix of a pair is then
-# sum_j (U_j - U_j*)/2i (x) s_j + (Re U_1 + Re U_2 - 2 + mu) (x) s3, the
-# Bott matrix of Loring and Schulz-Baldes (arXiv:1701.07455)
-_PAULI = CliffordRep(2, 2, (-1j * SIGMA_1, -1j * SIGMA_2), SIGMA_3)
-
-
 def _tuple_matrix(t: UnitaryTuple, cl: CliffordRep, m: float):
     """`wilson_matrix` of the tuple's unitaries, its build reserved before
     any CSR copy is made.  (gamma + c_j)/2 has 2s entries (s = cl.dim_s),
@@ -258,14 +252,13 @@ def _tuple_matrix(t: UnitaryTuple, cl: CliffordRep, m: float):
 def acm_invariant(t: UnitaryTuple, m: float) -> int:
     """I of sum_j (U_j - U_j*)/2 (x) c_j + (sum_j((U_j+U_j*)/2 - 1) + m) (x) gamma.
 
-    In d=2 this always matches the Bott index (`bott_index_tuple`), but it
-    is +-1 only when the tuple is close enough to commuting for m; for
-    `clock_shift(3)` at m=1 it is 0.  The operator comes from
+    It is +-1 for a pair only when the tuple is close enough to commuting
+    for m; for `clock_shift(3)` at m=1 it is 0.  The operator comes from
     `_tuple_matrix`, reserved before it is built.  It needs only the signs
     of the eigenvalues, so it takes the counts from the production factor
     (`inertia_bunch_kaufman`) and computes no spectrum and no gap; the
-    Bott index takes every eigenvalue from the dense oracle, banded or
-    dense, as the cross-check."""
+    cross-check `bott_index_tuple` takes every eigenvalue of the same
+    operator from the dense oracle, banded or dense."""
     cl = clifford_rep(t.d)
     if not 0 < m < 2:
         raise ParameterRangeError("mass must lie in (0, 2)")
@@ -294,24 +287,30 @@ def clock_shift(n: int) -> UnitaryTuple:
 def gauge_tuple(f: GaugeField) -> UnitaryTuple:
     """The link-times-shift unitaries of a gauge field as a UnitaryTuple."""
     _reserve(f.geometry.n_sites * f.rank, f.geometry.d, "gauge tuple")
-    return UnitaryTuple.from_matrices(
-        [link_shift(f, j).toarray() for j in range(f.geometry.d)])
+    # U_j only permutes fibres and applies links, so its unitarity defect
+    # is the link stack's (to rounding): checked there, with no n x n
+    # product; not <=, so a nan link is rejected too
+    if not _unitarity_defect(f.links) <= 1e-12:
+        raise ValueError("tuple entries must be unitary")
+    return UnitaryTuple(tuple(link_shift(f, j).toarray() for j in range(f.geometry.d)))
 
 
 def bott_index_tuple(t: UnitaryTuple, m: float) -> int:
-    """Loring's Bott index of a d=2 tuple: the half-signature of the Bott
-    matrix X (x) s1 + Y (x) s2 + Z (x) s3 of the Hermitian triple
-    (Im U_1, Im U_2, Re U_1 + Re U_2 - 2 + m).  That is the tuple's
-    `wilson_matrix` in the Pauli basis `_PAULI`, built by `_tuple_matrix`
-    with the build's reserve, and every eigenvalue comes from the dense
-    oracle `spectral._dense_inertia` (checked Hermitian, solved on its
-    band if narrow, as for `clock_shift`, zeros by `spectral._tol`), never
-    from the Bunch-Kaufman factor of `acm_invariant`.  ResourceError if
-    the build, the band or the dense copy would not fit, checked before
-    each is made."""
-    if t.d != 2:
-        raise ValueError("Bott-index oracle is d=2 only")
-    inert = _dense_inertia(_tuple_matrix(t, _PAULI, m))
+    """The cross-check of `acm_invariant` at every even d: the
+    half-signature of the same operator, `_tuple_matrix(t,
+    clifford_rep(t.d), m)`, with every eigenvalue from the dense oracle
+    `spectral._dense_inertia` (checked Hermitian, solved on its band if
+    narrow, as for `clock_shift`, zeros by `spectral._tol`).  So it is
+    independent of the Bunch-Kaufman factor, not of the operator.
+
+    At d=2 it is Loring's Bott index (Loring and Schulz-Baldes,
+    arXiv:1701.07455): the operator is (1 (x) s3) B (1 (x) s3) for the
+    Bott matrix B = X (x) s1 + Y (x) s2 + Z (x) s3 of the Hermitian triple
+    (Im U_1, Im U_2, Re U_1 + Re U_2 - 2 + m), since s3 (i s_j) s3 =
+    -i s_j and s3 commutes with gamma = s3.  ResourceError if the build,
+    the band or the dense copy would not fit, checked before each is
+    made."""
+    inert = _dense_inertia(_tuple_matrix(t, clifford_rep(t.d), m))
     if inert.n_zero > 0:
         raise SingularOperatorError("Bott matrix is singular")
     return half_signature(inert)

@@ -47,10 +47,10 @@ It is not independent of `inertia_ldl`; the dense eigensolve is the one
 independent oracle, and the paths must agree wherever they run.
 
 The oracle's one eigensolve, `_eigenvalues`, also serves the Bott
-cross-check (`ktheory.bott_index_tuple`), whose Bott matrix is the
-tuple's `wilson_matrix` in the Pauli basis.  A sparse matrix whose
+cross-check (`ktheory.bott_index_tuple`), which solves the tuple operator
+that `ktheory.acm_invariant` factors.  A sparse matrix whose
 half-bandwidth w in reverse Cuthill-McKee order has _BAND_RATIO * w <= dim
-(the Bott matrix of `ktheory.clock_shift`) goes to LAPACK's band solver,
+(the tuple operator of `ktheory.clock_shift`) goes to LAPACK's band solver,
 any other to `eigvalsh`.  Its memory is reserved first, then the matrix
 is checked Hermitian, then copied and solved.
 
@@ -60,9 +60,9 @@ place: f2py copies a C-ordered array before LAPACK sees it, so a
 `toarray()` in C order would double the peak.
 
 Every path takes a complex matrix whose imaginary parts are all 0 (the
-operator and Bott matrix of `ktheory.clock_shift`; lattice operators are
-complex) in real arithmetic, `syevr`/`ssytrf`/real ARPACK Lanczos, at a
-quarter of the flops and half the bytes (`_real_if_real`).
+tuple operator of `ktheory.clock_shift`; lattice operators are complex)
+in real arithmetic, `syevr`/`ssytrf`/real ARPACK Lanczos, at a quarter
+of the flops and half the bytes (`_real_if_real`).
 """
 
 from __future__ import annotations
@@ -146,13 +146,14 @@ def _available_memory() -> int | None:
 def _reserve(n: int, copies: int, what: str, dtype=complex, width=None) -> int:
     """Raise ResourceError unless `copies` dense n x width matrices (n x n
     if width is None) of dtype (by its itemsize: 16 bytes complex, 8 real
-    or complex64, 4 float32) fit in available memory; else their bytes."""
-    shape = f"{n}^2" if width is None else f"{width} x {n}"
+    or complex64, 4 float32) fit in available memory; else their bytes.
+    The message says "dense" only for n x n copies."""
+    kind, shape = ("dense ", f"{n}^2") if width is None else ("", f"{width} x {n}")
     need = copies * n * (n if width is None else width) * np.dtype(dtype).itemsize
     avail = _available_memory()
     if avail is not None and need > avail:
         raise ResourceError(
-            f"dense dim-{n} {what} needs {need / 2 ** 30:.2f} GiB "
+            f"{kind}dim-{n} {what} needs {need / 2 ** 30:.2f} GiB "
             f"({copies} x {shape} {np.dtype(dtype)}), "
             f"{avail / 2 ** 30:.2f} GiB available")
     return need

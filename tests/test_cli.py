@@ -4,8 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wilsonindex import (ParameterRangeError, cli, make_geometry, trivial_field,
-                         verify_gap_bound)
+from wilsonindex import (FluxMatrix, ParameterRangeError, cli, constant_flux_field,
+                         make_geometry, trivial_field, verify_gap_bound)
 from wilsonindex.formats import write_unitary_tuple
 from wilsonindex.ktheory import SingularOperatorError, clock_shift, gauge_tuple
 
@@ -174,18 +174,22 @@ def test_acm_rejects_a_nan_entry(tmp_path, capsys):
     assert capsys.readouterr().err == "error: tuple entries must be unitary\n"
 
 
-def test_acm_cross_check_off_d2_says_it_was_skipped(tmp_path, capsys):
-    # the Bott oracle is d=2 only: the cross-check is skipped with a note,
-    # and stdout and the exit code are those of a run without it
+@pytest.mark.parametrize("build, want", [
+    (lambda: trivial_field(make_geometry(4, 2)), 0),
+    (lambda: constant_flux_field(make_geometry(4, 3),
+                                 FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 1)])), 1),
+], ids=["trivial", "flux"])
+def test_acm_cross_check_runs_at_d4(tmp_path, capsys, build, want):
+    # the cross-check solves the tuple operator at every even d: its
+    # value is the invariant's, and nothing goes to stderr
     path = tmp_path / "d4.wut"
-    write_unitary_tuple(gauge_tuple(trivial_field(make_geometry(4, 2))), path)
-    assert run(["acm", "--input", str(path)]) == 0
-    plain = capsys.readouterr()
+    write_unitary_tuple(gauge_tuple(build()), path)
     assert run(["acm", "--input", str(path), "--cross-check"]) == 0
-    checked = capsys.readouterr()
-    assert checked.out == plain.out and "I = " in plain.out
-    assert plain.err == ""
-    assert checked.err == "note: the Bott cross-check is d=2 only; skipped at d=4\n"
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 2 and err == ""
+    assert lines[0].startswith(f"I = {want}  (epsilon = ")
+    assert lines[1] == f"Bott-oracle = {want}"
 
 
 def test_acm_cross_check_that_does_not_fit_says_it_was_skipped(

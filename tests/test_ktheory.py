@@ -38,7 +38,7 @@ from wilsonindex import (
     verify_gap_bound,
 )
 from wilsonindex.formats import read_unitary_tuple, write_unitary_tuple
-from wilsonindex.ktheory import _PAULI, UnitaryTuple
+from wilsonindex.ktheory import UnitaryTuple
 from wilsonindex.wilson import wilson_matrix
 
 import newton_degree as newton
@@ -568,6 +568,30 @@ def test_tuple_form_matches_lattice_form():
     assert acm_invariant(gauge_tuple(f), 1.0) == 3
 
 
+@pytest.mark.parametrize("strength", [0.0, 0.1], ids=["flat", "perturbed"])
+@pytest.mark.parametrize("k12, k34", [(1, 2), (2, 1), (-1, 2)])
+def test_bott_cross_check_at_d4(k12, k34, strength):
+    # the cross-check is the tuple operator on the dense oracle at every
+    # even d: dim 1024 here, against the factor, the lattice operator and
+    # Pf(K) (degree 1 at m = 1)
+    K = FluxMatrix.from_entries(4, [(1, 2, k12), (3, 4, k34)])
+    f = perturb_field(constant_flux_field(make_geometry(4, 4), K), strength, 3)
+    t = gauge_tuple(f)
+    assert bott_index_tuple(t, 1.0) == acm_invariant(t, 1.0) \
+        == lattice_index(f, 1.0).invariant == SIGMA * continuum_index(K) == k12 * k34
+
+
+@pytest.mark.parametrize("spoil", [lambda u: 1.001 * u, lambda u: np.nan * u],
+                         ids=["scaled", "nan"])
+def test_gauge_tuple_rejects_a_non_unitary_link(spoil):
+    # the check runs on the r x r links, not on the n x n unitaries
+    f = _perturbed_rank2(6)
+    links = f.links.copy()
+    links[7, 1] = spoil(links[7, 1])
+    with pytest.raises(ValueError, match="tuple entries must be unitary"):
+        gauge_tuple(dataclasses.replace(f, links=links))
+
+
 def test_acm_invariant_computes_no_spectrum(monkeypatch):
     # the counts come from the factor's pivots: no eigensolve, dense or
     # banded, and no Krylov gap; the Bott oracle runs scipy's eig_banded on
@@ -611,16 +635,19 @@ def test_bott_block_form_has_the_kronecker_spectrum():
     want = sla.eigvalsh(np.kron(X, s1) + np.kron(Y, s2) + np.kron(Z, s3))
     block = sla.eigvalsh(np.block([[Z, X - 1j * Y], [X + 1j * Y, -Z]]))
     assert np.max(np.abs(block - want)) < 1e-12
-    # with c_j = -i s_j and gamma = s3, a tuple's Wilson matrix is its
-    # X (x) s1 + Y (x) s2 + Z (x) s3: the interleaved rows (i, a) -> 2i + a
-    # of its block form, entry for entry to rounding (0.0 on the first two)
+    # a tuple's Wilson matrix, conjugated by 1 (x) s3, is its
+    # X (x) s1 + Y (x) s2 + Z (x) s3: s3 (i s_j) s3 = -i s_j and s3 commutes
+    # with gamma = s3.  The interleaved rows (i, a) -> 2i + a of its block
+    # form, entry for entry to rounding (0.0 on the first two)
     for t in (clock_shift(16),
               gauge_tuple(perturb_field(constant_flux_field(make_geometry(2, 6), _flux2(1)),
                                         0.1, 3)),
               _generic_tuple(64)):
         perm = np.concatenate([np.arange(0, 2 * t.n, 2), np.arange(1, 2 * t.n, 2)])
+        s3 = np.tile([1.0, -1.0], t.n)
         for m in (0.5, 1.0, 1.5):
-            H = wilson_matrix(t.unitaries, _PAULI, m).toarray()[np.ix_(perm, perm)]
+            H = wilson_matrix(t.unitaries, clifford_rep(2), m).toarray()
+            H = (s3[:, None] * H * s3)[np.ix_(perm, perm)]
             assert np.max(np.abs(H - _bott_matrix(t, m))) <= 1e-15
 
 
@@ -692,7 +719,7 @@ def test_bott_band_that_does_not_fit_raises(monkeypatch):
     B = sp.csr_matrix(_bott_matrix(clock_shift(512), 1.0).real)
     monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
     with pytest.raises(spectral.ResourceError,
-                       match=r"dim-1024 operator band .*\(1 x 8 x 1024 float64\)"):
+                       match=r"^dim-1024 operator band .*\(1 x 8 x 1024 float64\)"):
         spectral._eigenvalues(B)
 
 
@@ -703,7 +730,7 @@ def test_bott_build_that_does_not_fit_raises(monkeypatch, traced_peak):
     monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
     with traced_peak() as peak, pytest.raises(
             spectral.ResourceError,
-            match=r"dim-1024 operator build .*\(7 x 9 x 1024 complex128\)"):
+            match=r"^dim-1024 operator build .*\(7 x 9 x 1024 complex128\)"):
         bott_index_tuple(t, 1.0)
     assert peak.bytes < 16 * 1024
 
@@ -717,7 +744,7 @@ def test_dense_tuple_build_that_does_not_fit_raises(monkeypatch, traced_peak, in
     monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
     with traced_peak() as peak, pytest.raises(
             spectral.ResourceError,
-            match=r"dim-1024 operator build .*\(7 x 1024 x 1024 complex128\)"):
+            match=r"^dim-1024 operator build .*\(7 x 1024 x 1024 complex128\)"):
         invariant(t, 1.0)
     assert peak.bytes < 16 * 1024
 
