@@ -2,7 +2,7 @@
 
 Subcommands: index, gap, degree, acm, sweep, verify-bound, selftest.
 Exit codes: 0 ok, 1 usage error, 2 singular operator, 3 selftest failure,
-4 out of memory for a dense copy (ResourceError).
+4 an allocation that does not fit (any MemoryError; ResourceError is one).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import csv
 import math
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 from . import formats
 from .clifford import clifford_rep
@@ -27,7 +27,7 @@ from .ktheory import (
     symbol_degree,
     verify_gap_bound,
 )
-from .spectral import ResourceError
+from .spectral import _proc_bytes
 from .wilson import symbol_gap
 
 EXIT_OK = 0
@@ -155,7 +155,7 @@ def cmd_acm(args) -> int:
     if args.cross_check:
         try:
             print(f"Bott-oracle = {bott_index_tuple(t, args.m)}")
-        except ResourceError as exc:
+        except MemoryError as exc:
             # the invariant is printed; only its independent check is missing
             print(f"note: the Bott cross-check does not fit; skipped: {exc}",
                   file=sys.stderr)
@@ -270,15 +270,36 @@ def build_parser() -> _Parser:
     return p
 
 
+@contextmanager
+def _memory_limit():
+    """Lower the soft RLIMIT_AS (address space) to VmSize + MemAvailable,
+    never raising it, and restore it after: an allocation that does not fit
+    raises MemoryError, not an OOM kill.  No limit where either is unknown."""
+    used = _proc_bytes("/proc/self/status", "VmSize")
+    avail = _proc_bytes("/proc/meminfo", "MemAvailable")
+    if used is None or avail is None:
+        yield
+        return
+    import resource  # Unix only: imported only once /proc was read
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = used + avail if soft == resource.RLIM_INFINITY else min(soft, used + avail)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _memory_limit():
+            return args.func(args)
     except SingularOperatorError as exc:
         print(exc, file=sys.stderr)
         return EXIT_SINGULAR
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,12 +14,12 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .clifford import CliffordRep, clifford_rep
+from .clifford import clifford_rep
 from .gauge import (FluxMatrix, GaugeField, _unitarity_defect, estimate_curvature_norm,
                     link_shift)
 # min_abs_eigenvalue is unused here; perfbench's tracer looks it up by name
-from .spectral import (Inertia, _dense_inertia, _reserve, half_signature,  # noqa: F401
-                       inertia, inertia_bunch_kaufman, min_abs_eigenvalue)
+from .spectral import (Inertia, _dense_inertia, half_signature, inertia,  # noqa: F401
+                       inertia_bunch_kaufman, min_abs_eigenvalue)
 from .wilson import assemble, symbol_gap, wilson_matrix
 
 # Global orientation sign relating the lattice invariant to the Pfaffian
@@ -75,8 +75,6 @@ class UnitaryTuple:
     def epsilon(self) -> float:
         """max_{j<l} ||[U_j, U_l]||_2, measured on first read."""
         U = self.unitaries
-        # a commutator and its two products are held at once
-        _reserve(self.n, 3, "tuple commutator")
         return max((float(sla.svdvals(U[j] @ U[l] - U[l] @ U[j],
                                       overwrite_a=True, check_finite=False)[0])
                     for j in range(self.d) for l in range(j + 1, self.d)),
@@ -88,8 +86,6 @@ class UnitaryTuple:
         if not mats:
             raise ValueError("a tuple needs at least one unitary")
         n = mats[0].shape[0]
-        # the unitarity check holds up to 3 products at once
-        _reserve(n, 3, "tuple check")
         for U in mats:
             # not >, so a nan entry is rejected too
             if U.shape != (n, n) or not _unitarity_defect(U) <= utol:
@@ -235,34 +231,21 @@ def verify_gap_bound(f: GaugeField, m: float, kappa: float) -> BoundReport:
 # almost-commuting unitary tuples
 
 
-def _tuple_matrix(t: UnitaryTuple, cl: CliffordRep, m: float):
-    """`wilson_matrix` of the tuple's unitaries, its build reserved before
-    any CSR copy is made.  (gamma + c_j)/2 has 2s entries (s = cl.dim_s),
-    so H has at most 4s times the unitaries' stored entries plus its
-    diagonal, and at most dim^2; the build's traced peak measured 49-55
-    bytes per such entry on sparse-stored tuples and 100 on dense-stored
-    generic ones, where the bound is reached: 7 complex copies."""
-    dim = t.n * cl.dim_s
-    entries = min(4 * cl.dim_s * sum(np.count_nonzero(U) for U in t.unitaries) + dim,
-                  dim * dim)
-    _reserve(dim, 7, "operator build", width=-(-entries // dim))
-    return wilson_matrix(t.unitaries, cl, m)
-
-
 def acm_invariant(t: UnitaryTuple, m: float) -> int:
     """I of sum_j (U_j - U_j*)/2 (x) c_j + (sum_j((U_j+U_j*)/2 - 1) + m) (x) gamma.
 
     It is +-1 for a pair only when the tuple is close enough to commuting
-    for m; for `clock_shift(3)` at m=1 it is 0.  The operator comes from
-    `_tuple_matrix`, reserved before it is built.  It needs only the signs
-    of the eigenvalues, so it takes the counts from the production factor
+    for m; for `clock_shift(3)` at m=1 it is 0.  The operator is the
+    tuple's `wilson_matrix`, built sparse.  It needs only the signs of the
+    eigenvalues, so it takes the counts from the production factor
     (`inertia_bunch_kaufman`) and computes no spectrum and no gap; the
     cross-check `bott_index_tuple` takes every eigenvalue of the same
-    operator from the dense oracle, banded or dense."""
+    operator from the dense oracle, banded or dense.  ResourceError if the
+    factor's dense Schur complement would not fit."""
     cl = clifford_rep(t.d)
     if not 0 < m < 2:
         raise ParameterRangeError("mass must lie in (0, 2)")
-    inert = inertia_bunch_kaufman(_tuple_matrix(t, cl, m))
+    inert = inertia_bunch_kaufman(wilson_matrix(t.unitaries, cl, m))
     if inert.n_zero > 0:
         raise SingularOperatorError(
             "invariant undefined at this (tuple, m); "
@@ -276,7 +259,6 @@ def clock_shift(n: int) -> UnitaryTuple:
     = 2 sin(pi/n), z = exp(2 pi i/n)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    _reserve(n, 3, "clock-shift pair")
     zeta = np.exp(2j * np.pi / n)
     clock = np.diag(zeta ** np.arange(n))
     shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
@@ -286,7 +268,6 @@ def clock_shift(n: int) -> UnitaryTuple:
 
 def gauge_tuple(f: GaugeField) -> UnitaryTuple:
     """The link-times-shift unitaries of a gauge field as a UnitaryTuple."""
-    _reserve(f.geometry.n_sites * f.rank, f.geometry.d, "gauge tuple")
     # U_j only permutes fibres and applies links, so its unitarity defect
     # is the link stack's (to rounding): checked there, with no n x n
     # product; not <=, so a nan link is rejected too
@@ -297,7 +278,7 @@ def gauge_tuple(f: GaugeField) -> UnitaryTuple:
 
 def bott_index_tuple(t: UnitaryTuple, m: float) -> int:
     """The cross-check of `acm_invariant` at every even d: the
-    half-signature of the same operator, `_tuple_matrix(t,
+    half-signature of the same operator, `wilson_matrix(t.unitaries,
     clifford_rep(t.d), m)`, with every eigenvalue from the dense oracle
     `spectral._dense_inertia` (checked Hermitian, solved on its band if
     narrow, as for `clock_shift`, zeros by `spectral._tol`).  So it is
@@ -307,10 +288,9 @@ def bott_index_tuple(t: UnitaryTuple, m: float) -> int:
     arXiv:1701.07455): the operator is (1 (x) s3) B (1 (x) s3) for the
     Bott matrix B = X (x) s1 + Y (x) s2 + Z (x) s3 of the Hermitian triple
     (Im U_1, Im U_2, Re U_1 + Re U_2 - 2 + m), since s3 (i s_j) s3 =
-    -i s_j and s3 commutes with gamma = s3.  ResourceError if the build,
-    the band or the dense copy would not fit, checked before each is
-    made."""
-    inert = _dense_inertia(_tuple_matrix(t, clifford_rep(t.d), m))
+    -i s_j and s3 commutes with gamma = s3.  ResourceError if the dense
+    copy would not fit."""
+    inert = _dense_inertia(wilson_matrix(t.unitaries, clifford_rep(t.d), m))
     if inert.n_zero > 0:
         raise SingularOperatorError("Bott matrix is singular")
     return half_signature(inert)

@@ -51,13 +51,14 @@ cross-check (`ktheory.bott_index_tuple`), which solves the tuple operator
 that `ktheory.acm_invariant` factors.  A sparse matrix whose
 half-bandwidth w in reverse Cuthill-McKee order has _BAND_RATIO * w <= dim
 (the tuple operator of `ktheory.clock_shift`) goes to LAPACK's band solver,
-any other to `eigvalsh`.  Its memory is reserved first, then the matrix
-is checked Hermitian, then copied and solved.
+any other to `eigvalsh`.
 
 Every dense LAPACK call runs on one copy of its matrix, made in Fortran
-order after `_reserve` has checked that it fits, and overwritten in
-place: f2py copies a C-ordered array before LAPACK sees it, so a
-`toarray()` in C order would double the peak.
+order and overwritten in place: f2py copies a C-ordered array before
+LAPACK sees it, so a `toarray()` in C order would double the peak.
+`_reserve` checks the oracle's copy and the Schur complement against
+MemAvailable before they are made; any other allocation that does not
+fit raises numpy's MemoryError.
 
 Every path takes a complex matrix whose imaginary parts are all 0 (the
 tuple operator of `ktheory.clock_shift`; lattice operators are complex)
@@ -78,8 +79,6 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 # largest dimension `inertia` handles on the dense path
 _DENSE_LIMIT = 4096
-# copies of an n x n matrix the dense paths may hold at once
-_DENSE_COPIES = 3
 # the oracle takes the band when _BAND_RATIO * w <= dim; the band solver
 # measured slower than the dense one below dim/w ~ 16-20, so 32 keeps a margin
 _BAND_RATIO = 32
@@ -95,7 +94,7 @@ _CONTRACTION = 1e-2
 
 
 class ResourceError(MemoryError):
-    """A dense copy of the operator would not fit in available memory."""
+    """A dense copy of a matrix would not fit in available memory."""
 
 
 @dataclass(frozen=True)
@@ -131,32 +130,32 @@ def half_signature(i: Inertia):
     return int(v) if v.denominator == 1 else v
 
 
-def _available_memory() -> int | None:
-    """Bytes the kernel reports as MemAvailable, None where it is unknown."""
+def _proc_bytes(path: str, key: str) -> int | None:
+    """`key`'s kB figure in a /proc file, in bytes; None where unknown."""
     try:
-        with open("/proc/meminfo") as fh:
+        with open(path) as fh:
             for line in fh:
-                if line.startswith("MemAvailable:"):
+                if line.startswith(key + ":"):
                     return int(line.split()[1]) * 1024
     except (OSError, ValueError, IndexError):
         pass
     return None
 
 
-def _reserve(n: int, copies: int, what: str, dtype=complex, width=None) -> int:
-    """Raise ResourceError unless `copies` dense n x width matrices (n x n
-    if width is None) of dtype (by its itemsize: 16 bytes complex, 8 real
-    or complex64, 4 float32) fit in available memory; else their bytes.
-    The message says "dense" only for n x n copies."""
-    kind, shape = ("dense ", f"{n}^2") if width is None else ("", f"{width} x {n}")
-    need = copies * n * (n if width is None else width) * np.dtype(dtype).itemsize
+def _available_memory() -> int | None:
+    """Bytes the kernel reports as MemAvailable, None where it is unknown."""
+    return _proc_bytes("/proc/meminfo", "MemAvailable")
+
+
+def _reserve(n: int, what: str, dtype=complex) -> None:
+    """Raise ResourceError unless one dense n x n matrix of dtype fits in
+    available memory."""
+    need = n * n * np.dtype(dtype).itemsize
     avail = _available_memory()
     if avail is not None and need > avail:
         raise ResourceError(
-            f"{kind}dim-{n} {what} needs {need / 2 ** 30:.2f} GiB "
-            f"({copies} x {shape} {np.dtype(dtype)}), "
-            f"{avail / 2 ** 30:.2f} GiB available")
-    return need
+            f"dense dim-{n} {what} needs {need / 2 ** 30:.2f} GiB "
+            f"({n}^2 {np.dtype(dtype)}), {avail / 2 ** 30:.2f} GiB available")
 
 
 def _real_if_real(A):
@@ -175,7 +174,7 @@ def _as_dense(H) -> np.ndarray:
     reserved, then H checked Hermitian, then copied.  A dense H already in
     that order and dtype is returned as is."""
     dtype = complex if np.iscomplexobj(H) else float
-    _reserve(np.shape(H)[0], _DENSE_COPIES, "operator", dtype)
+    _reserve(np.shape(H)[0], "operator", dtype)
     _check_hermitian(H)
     return np.asarray(H.toarray(order="F") if sp.issparse(H) else H,
                       dtype=dtype, order="F")
@@ -208,7 +207,7 @@ def _eigenvalues(H) -> np.ndarray:
     `_real_if_real` makes H real: `sbevd` (`hbevd`) on the (w + 1) x dim
     lower band of a narrow sparse H in reverse Cuthill-McKee order, a
     permutation that changes no eigenvalue, else `eigvalsh` (`syevr`,
-    `heevr`) on `_as_dense`'s copy.  ResourceError if either does not fit."""
+    `heevr`) on `_as_dense`'s reserved copy."""
     H = _real_if_real(H)
     if sp.issparse(H):
         n = H.shape[0]
@@ -219,7 +218,6 @@ def _eigenvalues(H) -> np.ndarray:
         i, j = pos[C.row], pos[C.col]
         w = int(np.max(np.abs(i - j), initial=0))
         if _BAND_RATIO * w <= n:
-            _reserve(n, 1, "operator band", H.dtype, width=w + 1)
             _check_hermitian(H)
             # lower band storage, ab[i - j, j] = H_ij for i >= j in the new order
             low = i >= j
@@ -387,7 +385,7 @@ def _ldl_factor(M: sp.csr_matrix, tol: float):
     # cast as soon as it is formed, so the sparse S in double is gone
     # before the dense copy is made
     S = (M[C][:, C] - M_CI @ sp.diags(1.0 / h) @ M_IC).astype(low)
-    _reserve(len(C), 1, "Schur complement", low)
+    _reserve(len(C), "Schur complement", low)
     eigs_S, solve_S = _bunch_kaufman(S.toarray(order="F"))
     piv = np.concatenate([h, eigs_S])
     if not piv.all():

@@ -1,3 +1,4 @@
+import resource
 import tracemalloc
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -5,6 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+
+from wilsonindex.spectral import _proc_bytes
 
 
 @pytest.fixture
@@ -64,3 +67,24 @@ def traced_peak():
     tracemalloc and sets `peak.bytes` to their peak, also when the body
     raises; what was allocated before the body is not counted."""
     return _traced
+
+
+@contextmanager
+def _headroom(mib):
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    used = _proc_bytes("/proc/self/status", "VmSize")
+    resource.setrlimit(resource.RLIMIT_AS, (used + mib * 2 ** 20, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.fixture
+def headroom():
+    """`with headroom(mib):` runs the body under a soft address-space limit
+    (RLIMIT_AS) of this process's VmSize plus mib MiB, restored after, as
+    `wilsonindex` commands run under their own limit.  The body should
+    fail on one array larger than mib, as freed heap that is still mapped
+    is reused without growing VmSize, and never inside BLAS."""
+    return _headroom

@@ -1,13 +1,20 @@
 import csv
 import dataclasses
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wilsonindex
 from wilsonindex import (FluxMatrix, ParameterRangeError, cli, constant_flux_field,
                          make_geometry, trivial_field, verify_gap_bound)
 from wilsonindex.formats import write_unitary_tuple
 from wilsonindex.ktheory import SingularOperatorError, clock_shift, gauge_tuple
+from wilsonindex.spectral import _proc_bytes
 
 
 def run(argv):
@@ -15,6 +22,31 @@ def run(argv):
         return cli.main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+# the child lowers its own soft RLIMIT_AS to its VmSize (numpy, scipy and
+# their BLAS loaded) plus 150 MiB, then runs the command
+_LIMITED = """
+import resource, sys
+from wilsonindex import cli
+from wilsonindex.spectral import _proc_bytes
+used = _proc_bytes("/proc/self/status", "VmSize")
+resource.setrlimit(resource.RLIMIT_AS, (used + 150 * 2 ** 20,
+                                        resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def run_limited(argv):
+    """`wilsonindex argv` in a child process whose address-space limit is
+    set before the command to 150 MiB above what it has mapped: (exit
+    code, stdout, stderr)."""
+    src = str(Path(wilsonindex.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-c", _LIMITED, *argv],
+                       capture_output=True, text=True, env=env, timeout=300)
+    return r.returncode, r.stdout, r.stderr
 
 
 def test_index_trivial(capsys):
@@ -144,12 +176,95 @@ def test_acm_singular_bott_matrix_gets_its_own_message(monkeypatch, capsys):
     assert capsys.readouterr().err == "Bott matrix is singular\n"
 
 
-def test_acm_tuple_that_does_not_fit_exits_4(monkeypatch, capsys):
-    from wilsonindex import spectral
+def _exits_4_under_a_limit(argv):
+    rc, out, err = run_limited(argv)
+    assert (rc, out) == (4, "")
+    assert err.startswith("error: Unable to allocate ") and "Traceback" not in err
 
-    monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
-    assert run(["acm", "--builtin", "clock-shift", "--n", "64"]) == 4
-    assert "error: dense dim-64 clock-shift pair needs" in capsys.readouterr().err
+
+def test_acm_tuple_that_does_not_fit_exits_4():
+    # the clock/shift pair alone is 5.96 GiB: numpy's MemoryError under a
+    # 150 MiB limit, exit 4 with its message, and no process is killed
+    _exits_4_under_a_limit(["acm", "--builtin", "clock-shift", "--n", "20000", "--m", "1"])
+
+
+def test_index_that_does_not_fit_exits_4():
+    # the d=4 N=8 Schur complement (512 MiB complex64) passes its reserve,
+    # which is checked against MemAvailable, but not the 150 MiB limit
+    _exits_4_under_a_limit(["index", "--d", "4", "--N", "8",
+                            "--flux", "1,2=1", "--flux", "3,4=2"])
+
+
+def test_acm_cross_check_that_does_not_fit_the_limit_is_skipped(tmp_path):
+    # d=4 N=5, K = e12 + e34: the 25 MB tuple and its factor fit 150 MiB,
+    # the Bott matrix's dense copy (dim 2500, 95 MiB) on top of them does not
+    path = tmp_path / "d4.wut"
+    write_unitary_tuple(gauge_tuple(constant_flux_field(
+        make_geometry(4, 5), FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 1)]))), path)
+    rc, out, err = run_limited(["acm", "--input", str(path), "--cross-check"])
+    assert rc == 0
+    assert out.startswith("I = 1  (epsilon = ") and out.count("\n") == 1
+    assert err.startswith("note: the Bott cross-check does not fit; skipped: "
+                          "Unable to allocate ")
+
+
+def _raise(exc):
+    def call(*args):
+        raise exc
+
+    return call
+
+
+@pytest.mark.parametrize("exc, err", [
+    (MemoryError("no room for the pair"), "error: no room for the pair\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["message", "bare"])
+def test_plain_memory_error_exits_4(monkeypatch, capsys, exc, err):
+    monkeypatch.setattr(cli, "clock_shift", _raise(exc))
+    assert run(["acm", "--builtin", "clock-shift"]) == 4
+    assert capsys.readouterr() == ("", err)
+
+
+def test_plain_memory_error_in_the_cross_check_skips_it(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "bott_index_tuple", _raise(MemoryError("no room")))
+    assert run(["acm", "--builtin", "clock-shift", "--cross-check"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("I = -1  (epsilon = ") and out.count("\n") == 1
+    assert err == "note: the Bott cross-check does not fit; skipped: no room\n"
+
+
+@pytest.mark.parametrize("argv, code, preset", [
+    (["gap", "--d", "2"], 0, "highest"),
+    (["acm", "--builtin", "clock-shift"], 4, "highest"),
+    (["gap", "--d", "2"], 0, "lower"),
+], ids=["ok", "out-of-memory", "lower-preset"])
+def test_memory_limit_is_restored(monkeypatch, argv, code, preset):
+    # the command runs under min(preset soft limit, VmSize + MemAvailable),
+    # so a lower preset is kept, and the preset is back when it returns,
+    # also after a MemoryError
+    seen = []
+
+    def recorded(*args):
+        seen.append(resource.getrlimit(resource.RLIMIT_AS)[0])
+        if code:
+            raise MemoryError("no room")
+        return 1.0
+
+    monkeypatch.setattr(cli, "symbol_gap" if code == 0 else "clock_shift", recorded)
+    before = resource.getrlimit(resource.RLIMIT_AS)
+    soft = before[1] if preset == "highest" else (
+        _proc_bytes("/proc/self/status", "VmSize")
+        + _proc_bytes("/proc/meminfo", "MemAvailable") // 4)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, before[1]))
+    try:
+        assert run(argv) == code
+        assert resource.getrlimit(resource.RLIMIT_AS) == (soft, before[1])
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, before)
+    # VmSize + MemAvailable moves, so below the highest preset only the
+    # presence of a limit is checked
+    inside, = seen
+    assert inside == soft if preset == "lower" else inside != resource.RLIM_INFINITY
 
 
 def test_acm_requires_input(capsys):
@@ -194,17 +309,17 @@ def test_acm_cross_check_runs_at_d4(tmp_path, capsys, build, want):
 
 def test_acm_cross_check_that_does_not_fit_says_it_was_skipped(
         tmp_path, monkeypatch, capsys):
-    # memory for the tuple, its check, epsilon and the factor, but 1 byte
-    # short of the dense oracle's reserve for the Bott matrix (3 copies of
-    # 72^2 float64, real for the trivial field): I and epsilon print as
-    # without the cross-check
+    # memory for the factor's Schur complement, but 1 byte short of the
+    # dense oracle's reserve for the Bott matrix (one copy of 72^2 float64,
+    # real for the trivial field): I and epsilon print as without the
+    # cross-check
     from wilsonindex import spectral
 
     path = tmp_path / "d2.wut"
     write_unitary_tuple(gauge_tuple(trivial_field(make_geometry(2, 6))), path)
     assert run(["acm", "--input", str(path)]) == 0
     plain = capsys.readouterr()
-    monkeypatch.setattr(spectral, "_available_memory", lambda: 3 * 72 * 72 * 8 - 1)
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 72 * 72 * 8 - 1)
     assert run(["acm", "--input", str(path), "--cross-check"]) == 0
     checked = capsys.readouterr()
     assert checked.out == plain.out and "I = " in plain.out

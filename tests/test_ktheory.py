@@ -26,7 +26,6 @@ from wilsonindex import (
     gauge_tuple,
     half_signature,
     inertia,
-    ktheory,
     lattice_index,
     make_geometry,
     min_abs_eigenvalue,
@@ -515,11 +514,14 @@ def test_replace_describes_the_new_matrices(tmp_path):
     assert back.d == 3 and all(np.array_equal(V, U) for V in back.unitaries)
 
 
-def test_epsilon_that_does_not_fit_raises(monkeypatch):
-    t = clock_shift(64)
-    monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
-    with pytest.raises(spectral.ResourceError, match="dim-64 tuple commutator"):
+def test_epsilon_that_does_not_fit_raises(headroom):
+    # the 4000 x 4000 product alone is 244 MiB: numpy refuses it under the
+    # limit, so the commutator is never formed and nothing is cached
+    U = np.eye(4000, dtype=complex)
+    t = UnitaryTuple((U, U))
+    with headroom(150), pytest.raises(MemoryError):
         t.epsilon
+    assert "epsilon" not in vars(t)
 
 
 def _perturbed_rank2(N):
@@ -706,58 +708,35 @@ def test_bott_oracle_on_a_large_clock_shift():
 
 
 def test_bott_matrix_that_does_not_fit_raises(monkeypatch):
-    # the sparse Bott matrix is built first: `bott_index_tuple` reserves
-    # for that build before the band or the dense copy, and more than
-    # either needs here (test_bott_build_that_does_not_fit_raises)
+    # the dense branch reserves its one copy before it checks or copies
     B = sp.csr_matrix(_bott_matrix(clock_shift(8), 1.0).real)
     monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
     with pytest.raises(spectral.ResourceError, match="dim-16 operator needs"):
         spectral._eigenvalues(B)
 
 
-def test_bott_band_that_does_not_fit_raises(monkeypatch):
-    B = sp.csr_matrix(_bott_matrix(clock_shift(512), 1.0).real)
-    monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
-    with pytest.raises(spectral.ResourceError,
-                       match=r"^dim-1024 operator band .*\(1 x 8 x 1024 float64\)"):
-        spectral._eigenvalues(B)
-
-
-def test_bott_build_that_does_not_fit_raises(monkeypatch, traced_peak):
-    # reserved before any CSR copy: from the 2 x 512 stored entries, the
-    # Bott matrix has at most 9216, 9 a row, reserved as 7 copies
-    t = clock_shift(512)
-    monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
-    with traced_peak() as peak, pytest.raises(
-            spectral.ResourceError,
-            match=r"^dim-1024 operator build .*\(7 x 9 x 1024 complex128\)"):
-        bott_index_tuple(t, 1.0)
-    assert peak.bytes < 16 * 1024
-
-
 @pytest.mark.parametrize("invariant", [acm_invariant, bott_index_tuple],
                          ids=["acm", "bott"])
-def test_dense_tuple_build_that_does_not_fit_raises(monkeypatch, traced_peak, invariant):
-    # every entry of the clock factor is stored: the bound is capped at
-    # dim^2 = 1024^2 entries, and both invariants ask for it first
-    t = _generic_tuple(512)
-    monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
-    with traced_peak() as peak, pytest.raises(
-            spectral.ResourceError,
-            match=r"^dim-1024 operator build .*\(7 x 1024 x 1024 complex128\)"):
-        invariant(t, 1.0)
-    assert peak.bytes < 16 * 1024
+def test_dense_tuple_build_that_does_not_fit_raises(headroom, invariant):
+    # the DFT matrix has no zero entry, so the sparse build of the dim-4096
+    # operator makes arrays of 16 M entries, 256 MiB each: numpy's
+    # MemoryError under a 150 MiB limit, before any factor or eigensolve
+    F = np.fft.fft(np.eye(2048)) / np.sqrt(2048)
+    with headroom(150), pytest.raises(MemoryError):
+        invariant(UnitaryTuple((F, F)), 1.0)
 
 
-@pytest.mark.parametrize("build, what", [
-    (lambda: clock_shift(64), "dim-64 clock-shift pair"),
-    (lambda: gauge_tuple(trivial_field(make_geometry(2, 8))), "dim-64 gauge tuple"),
-    (lambda: UnitaryTuple.from_matrices([np.eye(64)] * 2), "dim-64 tuple check"),
+@pytest.mark.parametrize("arg, build", [
+    (lambda: 20000, clock_shift),
+    (lambda: trivial_field(make_geometry(2, 100)), gauge_tuple),
+    (lambda: [np.eye(6000)] * 2, UnitaryTuple.from_matrices),
 ], ids=["clock-shift", "gauge-tuple", "from-matrices"])
-def test_tuple_that_does_not_fit_raises(monkeypatch, build, what):
-    monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
-    with pytest.raises(spectral.ResourceError, match=what):
-        build()
+def test_tuple_that_does_not_fit_raises(headroom, arg, build):
+    # a dense n x n unitary of 5.96 GiB, 1.49 GiB and, cast to complex,
+    # 549 MiB: the builders hold no reserve, and numpy refuses the array
+    a = arg()
+    with headroom(150), pytest.raises(MemoryError):
+        build(a)
 
 
 def test_acm_invariant_builds_no_dense_operator(traced_peak):
@@ -778,41 +757,6 @@ def test_dense_bott_eigensolve_holds_one_copy(lapack_calls, traced_peak):
         spectral._eigenvalues(B)
     assert lapack_calls.eigvalsh == [np.complex128]
     assert peak.bytes <= 1.1 * 16 * 512 ** 2
-
-
-def _reserves_and_peak(monkeypatch, traced_peak, call):
-    """call()'s value, the reserves it asks, (name, bytes) each, and its
-    traced peak."""
-    reserve, asked = spectral._reserve, []
-    for module in (ktheory, spectral):
-        monkeypatch.setattr(module, "_reserve",
-                            lambda *a, **k: asked.append((a[2], reserve(*a, **k))))
-    with traced_peak() as peak:
-        value = call()
-    return value, asked, peak.bytes
-
-
-def test_bott_build_stays_within_its_reserve(monkeypatch, traced_peak):
-    # dense-stored generic unitaries: every entry is stored, and the sparse
-    # build copies them several times over before the dense Bott copy is
-    # made; the reserves, the build's first, count all of it
-    t = _generic_tuple(512)
-    value, asked, peak = _reserves_and_peak(
-        monkeypatch, traced_peak, lambda: bott_index_tuple(t, 1.0))
-    assert value == -1
-    assert [what for what, _ in asked] == ["operator build", "operator"]
-    assert peak <= sum(need for _, need in asked)
-
-
-def test_acm_build_stays_within_its_reserve(monkeypatch, traced_peak):
-    # the same tuple through the factor: the build's reserve, then the
-    # Schur complement's, count every byte the call holds at its peak
-    t = _generic_tuple(512)
-    value, asked, peak = _reserves_and_peak(
-        monkeypatch, traced_peak, lambda: acm_invariant(t, 1.0))
-    assert value == -1
-    assert [what for what, _ in asked] == ["operator build", "Schur complement"]
-    assert peak <= sum(need for _, need in asked)
 
 
 def test_commuting_tuple_has_zero_invariant():

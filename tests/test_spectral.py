@@ -289,9 +289,9 @@ def test_one_imaginary_entry_keeps_the_complex_path(lapack_calls):
 
 def test_real_copies_reserve_half_the_bytes(monkeypatch):
     monkeypatch.setattr(spectral, "_available_memory", lambda: 36 * 36 * 8)
-    spectral._reserve(36, 1, "Schur complement", float)
-    with pytest.raises(ResourceError, match=r"\(1 x 36\^2 complex128\)"):
-        spectral._reserve(36, 1, "Schur complement", complex)
+    spectral._reserve(36, "Schur complement", float)
+    with pytest.raises(ResourceError, match=r"\(36\^2 complex128\)"):
+        spectral._reserve(36, "Schur complement", complex)
 
 
 def test_ldl_converts_the_factor_in_place(traced_peak):
@@ -500,7 +500,8 @@ def test_dense_paths_refuse_what_does_not_fit(monkeypatch):
     f = _flux_field(2, 6, [(1, 2, 1)])
     H = assemble(f, clifford_rep(2), 1.0).matrix
     want = inertia(H)
-    monkeypatch.setattr(spectral, "_available_memory", lambda: 3 * 72 * 72 * 16 - 1)
+    # 1 byte short of the oracle's one dense copy; the Schur complement fits
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 72 * 72 * 16 - 1)
     with pytest.raises(ResourceError, match="dim-72"):
         inertia(H)
     with pytest.raises(ResourceError):
@@ -573,13 +574,14 @@ def test_non_hermitian_rejected(monkeypatch):
             inertia(H)
     # one stored entry changed, not its mirror, on the sparse operators of
     # clock_shift(512) (half-bandwidth 6: the band branch) and of
-    # clock_shift(16) (dim 32: the dense branch); each branch reserves its
-    # copy, then checks, so the eigensolve never runs
+    # clock_shift(16) (dim 32: the dense branch); each branch checks before
+    # it copies (the dense one after reserving its copy), so the eigensolve
+    # never runs
     reserve, asked = spectral._reserve, []
 
-    def recorded(n, copies, what, *args, **kwargs):
+    def recorded(n, what, *args, **kwargs):
         asked.append(what)
-        return reserve(n, copies, what, *args, **kwargs)
+        return reserve(n, what, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "_reserve", recorded)
     for n in (512, 16):
@@ -590,7 +592,7 @@ def test_non_hermitian_rejected(monkeypatch):
             B.data[k] += entry
             with pytest.raises(ValueError, match="not Hermitian"):
                 inertia(B)
-    assert asked == ["operator band"] * 2 + ["operator"] * 2
+    assert asked == ["operator"] * 2
 
 
 def test_gap_matches_smallest_abs_eigenvalue():
