@@ -219,16 +219,6 @@ def estimate_curvature_norm(f: GaugeField) -> float:
     return worst * geom.N ** 2
 
 
-def wilson_loop(f: GaugeField, j: int) -> np.ndarray:
-    """Ordered product of the N links along the full j-cycle from every
-    site x, U_j(x+(N-1)e_j) ... U_j(x+e_j) U_j(x), as an (n_sites, r, r)
-    stack."""
-    out = f.links[:, j]
-    for step in range(1, f.geometry.N):
-        out = f.links[_neighbour(f.geometry, j, step), j] @ out
-    return out
-
-
 def gauge_transform(f: GaugeField, g) -> GaugeField:
     """Conjugate by a site-dependent unitary: U_j(x) -> g(x+e_j) U_j(x) g(x)*.
 

@@ -261,7 +261,8 @@ def clock_shift(n: int) -> UnitaryTuple:
         raise ValueError("n must be >= 2")
     zeta = np.exp(2j * np.pi / n)
     clock = np.diag(zeta ** np.arange(n))
-    shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+    shift = np.eye(n, k=-1, dtype=complex)
+    shift[0, n - 1] = 1
     # unitary by construction, so from_matrices' check is skipped
     return UnitaryTuple((clock, shift))
 

@@ -11,7 +11,7 @@ from wilsonindex.formats import (
     write_gauge_field,
     write_unitary_tuple,
 )
-from wilsonindex.ktheory import UnitaryTuple, clock_shift
+from wilsonindex.ktheory import UnitaryTuple, clock_shift, gauge_tuple
 
 
 def test_gauge_field_roundtrip(tmp_path):
@@ -129,3 +129,46 @@ def test_nonunitary_tuple_rejected(tmp_path):
         with pytest.raises(ValueError, match="tuple entries must be unitary"):
             read_unitary_tuple(path)
 
+
+
+def test_payload_one_entry_too_long_rejected(tmp_path):
+    path = tmp_path / "pair.wut"
+    write_unitary_tuple(clock_shift(6), path)
+    path.write_bytes(path.read_bytes() + struct.pack("<2d", 0, 0))
+    with pytest.raises(ValueError, match="payload size mismatch: got 146 doubles, expected 144"):
+        read_unitary_tuple(path)
+
+
+def test_wrapped_payload_size_rejected(tmp_path):
+    # 2 * 2**32 * 2**32 entries wrap to 0 in int64, which an empty payload
+    # would match; the size is a Python int
+    path = tmp_path / "huge.wut"
+    path.write_bytes(b"WUT1\n2 4294967296\n")
+    with pytest.raises(ValueError, match="payload size mismatch"):
+        read_unitary_tuple(path)
+
+
+@pytest.mark.parametrize("magic, header", [(b"WUT1", b"2 4096"), (b"WGF1", b"4 32 2")])
+def test_size_checked_before_the_payload_is_read(tmp_path, headroom, magic, header):
+    # 512 and 256 MiB of payload promised, 16 bytes given: no array is made
+    path = tmp_path / "short"
+    path.write_bytes(magic + b"\n" + header + b"\nc\n" + bytes(16))
+    read = read_unitary_tuple if magic == b"WUT1" else read_gauge_field
+    with headroom(64), pytest.raises(ValueError, match="payload size mismatch"):
+        read(path)
+
+
+def test_tuple_goes_straight_between_file_and_array(tmp_path, traced_peak):
+    # the d=4 N=5 gauge tuple is 4 x 625 x 625 complex128, 23.8 MiB: the
+    # writer holds no copy of it, and the reader holds it once plus the
+    # unitarity check of one entry (12 MiB)
+    t = gauge_tuple(constant_flux_field(
+        make_geometry(4, 5), FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 1)])))
+    path = tmp_path / "d4.wut"
+    with traced_peak() as peak:
+        write_unitary_tuple(t, path)
+    assert peak.bytes < 2 ** 20
+    with traced_peak() as peak:
+        back = read_unitary_tuple(path)
+    assert peak.bytes < 36 * 2 ** 20
+    assert all(np.array_equal(a, b) for a, b in zip(back.unitaries, t.unitaries))

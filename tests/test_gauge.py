@@ -16,7 +16,6 @@ from wilsonindex import (
     plaquette,
     tensor_field,
     trivial_field,
-    wilson_loop,
 )
 from wilsonindex.gauge import _neighbour, link_shift
 
@@ -106,14 +105,6 @@ def test_curvature_estimate_matches_closed_form():
     want = abs(np.exp(2j * np.pi / N ** 2) - 1) * N ** 2
     assert abs(estimate_curvature_norm(f) - want) < 1e-10
     assert estimate_curvature_norm(trivial_field(make_geometry(2, 4))) == 0.0
-
-
-def test_wilson_loop_flux_free_direction_is_identity():
-    f = constant_flux_field(make_geometry(2, 4), FluxMatrix.from_entries(2, [(1, 2, 1)]))
-    # the 0-direction loop at x_2 = 0 has no accumulated phase
-    w = wilson_loop(f, 0)
-    assert w.shape == (16, 1, 1)
-    assert abs(w[0, 0, 0] - 1) < 1e-12
 
 
 def test_tensor_and_direct_sum_sectors():
@@ -221,22 +212,6 @@ def test_link_shift_matches_site_loop():
         assert np.array_equal(link_shift(f, j).toarray(), want)
         # dense ndarrays, bit for bit: perfbench's checks stack them
         assert type(dense[j]) is np.ndarray and np.array_equal(dense[j], want)
-
-
-def test_wilson_loop_is_the_ordered_product_at_every_site():
-    # U_j(x + (N-1) e_j) ... U_j(x + e_j) U_j(x), written out site by site
-    f = _non_abelian_field(3, 3)
-    N = f.geometry.N
-    for j in range(3):
-        got = wilson_loop(f, j)
-        for x in np.ndindex(N, N, N):
-            want = np.eye(2, dtype=complex)
-            for step in range(N):
-                y = np.array(x)
-                y[j] = (y[j] + step) % N
-                want = f.links[np.ravel_multi_index(tuple(y), (N, N, N)), j] @ want
-            site = np.ravel_multi_index(x, (N, N, N))
-            assert np.max(np.abs(got[site] - want)) < 1e-12
 
 
 def test_perturb_field_matches_per_link_expm():

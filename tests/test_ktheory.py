@@ -450,6 +450,14 @@ def test_clock_shift_is_unitary(n):
         assert np.max(np.abs(U @ U.conj().T - np.eye(n))) < 1e-14
 
 
+def test_clock_shift_holds_only_its_pair(traced_peak):
+    # two 512 x 512 complex128 matrices, 4 MiB each, and no third
+    with traced_peak() as peak:
+        t = clock_shift(512)
+    assert peak.bytes < 2.1 * 16 * 512 ** 2
+    assert np.array_equal(t.unitaries[1], np.roll(np.eye(512), 1, axis=0))
+
+
 def test_tuple_fields_are_its_unitaries():
     assert [f.name for f in dataclasses.fields(UnitaryTuple)] == ["unitaries"]
 
