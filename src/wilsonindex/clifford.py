@@ -10,6 +10,7 @@ sign conventions are pinned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -32,13 +33,6 @@ class CliffordRep:
     grading: np.ndarray = field(repr=False)
 
 
-def _kron_chain(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def clifford_rep(d: int) -> CliffordRep:
     """Build the canonical representation in even dimension d >= 2.
 
@@ -54,9 +48,9 @@ def clifford_rep(d: int) -> CliffordRep:
     for p in range(half):
         prefix = [SIGMA_3] * p
         suffix = [eye] * (half - 1 - p)
-        gens.append(1j * _kron_chain(prefix + [SIGMA_1] + suffix))
-        gens.append(1j * _kron_chain(prefix + [SIGMA_2] + suffix))
-    grading = _kron_chain([SIGMA_3] * half)
+        gens.append(1j * reduce(np.kron, prefix + [SIGMA_1] + suffix))
+        gens.append(1j * reduce(np.kron, prefix + [SIGMA_2] + suffix))
+    grading = reduce(np.kron, [SIGMA_3] * half)
     for g in gens:
         g.setflags(write=False)
     grading.setflags(write=False)

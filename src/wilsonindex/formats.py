@@ -8,8 +8,9 @@ WGF1 (gauge config): three ASCII header lines
 
 followed by a binary payload of little-endian IEEE-754 doubles: links in
 (site lexicographic, direction, row-major matrix entry) order, each complex
-entry stored as real then imaginary part.  Readers validate unitarity of
-every link to 1e-8 and reject the file otherwise.
+entry stored as real then imaginary part.  Readers check unitarity to the
+format's 1e-8, one direction's links or one tuple entry at a time, and
+reject the file otherwise; `from_matrices` checks in-memory tuples to 1e-12.
 
 WUT1 (unitary tuple): same layout with header "WUT1" and "<d> <n>", and
 the payload holding d matrices of size n x n.
@@ -83,7 +84,7 @@ def read_gauge_field(path) -> GaugeField:
     (d, N, rank), links = _read(path, b"WGF1", ("d", "N", "rank"), lambda d, N, rank:
                                 (make_geometry(d, N).n_sites, d, rank, rank))
     # not >, so a nan entry is rejected too
-    if not _unitarity_defect(links) <= _UNITARITY_TOL:
+    if not _unitarity_defect(links.swapaxes(0, 1)) <= _UNITARITY_TOL:
         raise ValueError("link matrices failed unitarity validation")
     return GaugeField(make_geometry(d, N), rank, links, None)
 
@@ -94,4 +95,6 @@ def write_unitary_tuple(t: UnitaryTuple, path) -> None:
 
 def read_unitary_tuple(path) -> UnitaryTuple:
     _, mats = _read(path, b"WUT1", ("d", "n"), lambda d, n: (d, n, n))
-    return UnitaryTuple.from_matrices(list(mats), utol=_UNITARITY_TOL)
+    if not _unitarity_defect(mats) <= _UNITARITY_TOL:
+        raise ValueError("tuple entries must be unitary")
+    return UnitaryTuple(tuple(mats))

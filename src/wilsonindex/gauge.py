@@ -104,9 +104,9 @@ def _dag(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _unitarity_defect(a: np.ndarray) -> float:
-    """max |(a a* - 1)_ij| over a matrix or a stack of matrices."""
-    return float(np.max(np.abs(a @ _dag(a) - np.eye(a.shape[-1]))))
+def _unitarity_defect(stack) -> float:
+    """max |(u u* - 1)_ij| over the stack's first axis, one entry u at a time; nan if any."""
+    return float(np.max([np.abs(u @ _dag(u) - np.eye(u.shape[-1])).max() for u in stack]))
 
 
 def _neighbour(geom: LatticeGeometry, j: int, step: int = 1) -> np.ndarray:

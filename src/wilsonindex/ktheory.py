@@ -81,15 +81,15 @@ class UnitaryTuple:
                    default=0.0)
 
     @staticmethod
-    def from_matrices(mats, utol: float = 1e-12) -> "UnitaryTuple":
+    def from_matrices(mats) -> "UnitaryTuple":
         mats = tuple(np.asarray(m, dtype=complex) for m in mats)
         if not mats:
             raise ValueError("a tuple needs at least one unitary")
-        n = mats[0].shape[0]
-        for U in mats:
-            # not >, so a nan entry is rejected too
-            if U.shape != (n, n) or not _unitarity_defect(U) <= utol:
-                raise ValueError("tuple entries must be unitary")
+        shape = mats[0].shape[:1] * 2  # (n, n), or () for a 0-d entry
+        # not >, so a nan entry is rejected too
+        if (not shape or any(U.shape != shape for U in mats)
+                or not _unitarity_defect(mats) <= 1e-12):
+            raise ValueError("tuple entries must be unitary")
         return UnitaryTuple(mats)
 
 
@@ -269,21 +269,20 @@ def clock_shift(n: int) -> UnitaryTuple:
 
 def gauge_tuple(f: GaugeField) -> UnitaryTuple:
     """The link-times-shift unitaries of a gauge field as a UnitaryTuple."""
-    # U_j only permutes fibres and applies links, so its unitarity defect
-    # is the link stack's (to rounding): checked there, with no n x n
-    # product; not <=, so a nan link is rejected too
-    if not _unitarity_defect(f.links) <= 1e-12:
+    # U_j only permutes fibres and applies links, so its unitarity defect is
+    # its links' (to rounding), with no n x n product; not >, so nan fails too
+    if not _unitarity_defect(f.links.swapaxes(0, 1)) <= 1e-12:
         raise ValueError("tuple entries must be unitary")
     return UnitaryTuple(tuple(link_shift(f, j).toarray() for j in range(f.geometry.d)))
 
 
 def bott_index_tuple(t: UnitaryTuple, m: float) -> int:
-    """The cross-check of `acm_invariant` at every even d: the
-    half-signature of the same operator, `wilson_matrix(t.unitaries,
-    clifford_rep(t.d), m)`, with every eigenvalue from the dense oracle
-    `spectral._dense_inertia` (checked Hermitian, solved on its band if
-    narrow, as for `clock_shift`, zeros by `spectral._tol`).  So it is
-    independent of the Bunch-Kaufman factor, not of the operator.
+    """The cross-check of `acm_invariant`, on the inputs it takes (even d,
+    0 < m < 2; others raise as there): the half-signature of the same operator,
+    `wilson_matrix(t.unitaries, clifford_rep(t.d), m)`, with every
+    eigenvalue from the dense oracle `spectral._dense_inertia` (checked
+    Hermitian, solved on its band if narrow, as for `clock_shift`, zeros by
+    `spectral._tol`).  So it is independent of the factor, not the operator.
 
     At d=2 it is Loring's Bott index (Loring and Schulz-Baldes,
     arXiv:1701.07455): the operator is (1 (x) s3) B (1 (x) s3) for the
@@ -291,7 +290,10 @@ def bott_index_tuple(t: UnitaryTuple, m: float) -> int:
     (Im U_1, Im U_2, Re U_1 + Re U_2 - 2 + m), since s3 (i s_j) s3 =
     -i s_j and s3 commutes with gamma = s3.  ResourceError if the dense
     copy would not fit."""
-    inert = _dense_inertia(wilson_matrix(t.unitaries, clifford_rep(t.d), m))
+    cl = clifford_rep(t.d)
+    if not 0 < m < 2:
+        raise ParameterRangeError("mass must lie in (0, 2)")
+    inert = _dense_inertia(wilson_matrix(t.unitaries, cl, m))
     if inert.n_zero > 0:
         raise SingularOperatorError("Bott matrix is singular")
     return half_signature(inert)

@@ -4,7 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wilsonindex import FluxMatrix, constant_flux_field, make_geometry, perturb_field
+from wilsonindex import (
+    FluxMatrix,
+    constant_flux_field,
+    direct_sum_field,
+    make_geometry,
+    perturb_field,
+)
 from wilsonindex.formats import (
     read_gauge_field,
     read_unitary_tuple,
@@ -172,3 +178,17 @@ def test_tuple_goes_straight_between_file_and_array(tmp_path, traced_peak):
         back = read_unitary_tuple(path)
     assert peak.bytes < 36 * 2 ** 20
     assert all(np.array_equal(a, b) for a, b in zip(back.unitaries, t.unitaries))
+
+
+def test_field_read_checks_one_direction_at_a_time(tmp_path, traced_peak):
+    # a rank-2 d=4 N=12 field is 12^4 x 4 x 2 x 2 complex128, 5.1 MiB: the
+    # reader holds it once plus the unitarity check of one direction's links
+    K = constant_flux_field(make_geometry(4, 12),
+                            FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 1)]))
+    f = perturb_field(direct_sum_field(K, K), 0.05, 3)
+    path = tmp_path / "d4.wgf"
+    write_gauge_field(f, path)
+    with traced_peak() as peak:
+        back = read_gauge_field(path)
+    assert peak.bytes <= 9 * 2 ** 20
+    assert np.array_equal(back.links, f.links)

@@ -405,7 +405,11 @@ def test_gap_bound_kappa_range():
     lambda: verify_gap_bound(trivial_field(make_geometry(2, 4)), 1.0, 10.0),
     lambda: acm_invariant(clock_shift(5), 0.0),
     lambda: acm_invariant(clock_shift(5), 2.0),
-], ids=["index-mass", "kappa-below-m", "kappa-above-N", "acm-mass-0", "acm-mass-2"])
+    lambda: bott_index_tuple(clock_shift(5), 0.0),
+    lambda: bott_index_tuple(clock_shift(5), 2.0),
+    lambda: bott_index_tuple(clock_shift(5), np.nan),
+], ids=["index-mass", "kappa-below-m", "kappa-above-N", "acm-mass-0", "acm-mass-2",
+        "bott-mass-0", "bott-mass-2", "bott-mass-nan"])
 def test_range_errors_are_typed(call):
     with pytest.raises(ParameterRangeError):
         call()
@@ -426,7 +430,8 @@ def test_constant_mass_too_large_to_square_still_runs():
      "decrease a"),
     # clock_shift(3)'s signature steps from 0 to -2 at m = (3 - sqrt 3)/2
     (lambda: acm_invariant(clock_shift(3), (3 - np.sqrt(3)) / 2), "too far from commuting"),
-], ids=["lattice-index", "acm"])
+    (lambda: bott_index_tuple(clock_shift(3), (3 - np.sqrt(3)) / 2), "Bott matrix is singular"),
+], ids=["lattice-index", "acm", "bott"])
 def test_singular_operators_raise(call, message):
     with pytest.raises(SingularOperatorError, match=message):
         call()
@@ -778,17 +783,19 @@ def test_acm_parameter_validation():
     t = clock_shift(5)
     with pytest.raises(ValueError, match="mass"):
         acm_invariant(t, 0.0)
-    with pytest.raises(ValueError, match="unitary"):
-        UnitaryTuple.from_matrices([np.ones((2, 2))])
+    # a 0-d entry has no shape[0] to read
+    for mats in ([np.ones((2, 2))], [1.0]):
+        with pytest.raises(ValueError, match="unitary"):
+            UnitaryTuple.from_matrices(mats)
     with pytest.raises(ValueError, match="even dimension"):
         acm_invariant(UnitaryTuple.from_matrices([np.eye(2)]), 1.0)
 
 
 def test_bott_oracle_rejects_singular_triple(lapack_calls):
     # the tuple (-I, I) at m = 2 has the triple X = Y = 0,
-    # Z = -1 + 1 + m - 2 = 0, so its Bott matrix is exactly 0
-    t = UnitaryTuple.from_matrices([-np.eye(2), np.eye(2)])
-    with pytest.raises(SingularOperatorError):
-        bott_index_tuple(t, 2.0)
+    # Z = -1 + 1 + m - 2 = 0, so its Bott matrix is exactly 0.  m = 2 lies
+    # outside bott_index_tuple's window, so the oracle is called directly
+    H = wilson_matrix((-np.eye(2), np.eye(2)), clifford_rep(2), 2.0)
+    assert spectral._dense_inertia(H).n_zero == 4
     # the zero matrix has half-bandwidth 0, so the band solver ran
     assert lapack_calls.eig_banded == [np.float64]
