@@ -370,6 +370,26 @@ def test_sweep_deterministic(tmp_path):
         assert all(row["I"] == "1" for row in csv.DictReader(fh))
 
 
+SWEEP_CSV = """\
+d,N,flux,m,mode,I,gap,curvature,continuum,agrees,status
+2,24,"1,2=-3",1.0,cutoff,-3,9.835891809e-01,1.884871483e+01,-3,true,ok
+2,24,"1,2=-1",1.0,cutoff,-1,9.945401191e-01,6.283154155e+00,-1,true,ok
+2,24,0,1.0,cutoff,0,1.000000000e+00,0.000000000e+00,0,true,ok
+2,24,"1,2=1",1.0,cutoff,1,9.945401191e-01,6.283154155e+00,1,true,ok
+2,24,"1,2=2",1.0,cutoff,2,9.890696270e-01,1.256612140e+01,2,true,ok
+2,24,"1,2=3",1.0,cutoff,3,9.835891809e-01,1.884871483e+01,3,true,ok
+"""
+
+
+def test_sweep_csv_is_pinned(tmp_path):
+    # the benchmark's sweep, byte for byte: a change to any printed digit
+    # of a gap or a curvature is seen
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--d", "2", "--N", "24",
+                "--sweep", "flux:1,2=-3,-1,0,1,2,3", "--out", str(out)]) == 0
+    assert out.read_bytes() == SWEEP_CSV.encode()
+
+
 def test_sweep_flux_variable(tmp_path):
     out = tmp_path / "k.csv"
     rc = run(["sweep", "--d", "2", "--N", "8",
