@@ -5,6 +5,10 @@ pair: the parallel transport from the fiber over x to the fiber over
 x + e_j.  Constant-flux line bundles are built in closed form with the
 standard boundary-twist prescription, so every plaquette in a flux-carrying
 coordinate plane has the same phase 2*pi*K_jl/N^2.
+
+`inversion_gauge` finds, and checks on every link, the gauge under which a
+field is its own image by x -> -x; every constant-flux field has one, and
+`wilson.parity_blocks` splits the operator of such a field in two.
 """
 
 from __future__ import annotations
@@ -113,6 +117,49 @@ def _neighbour(geom: LatticeGeometry, j: int, step: int = 1) -> np.ndarray:
     """Site index of x + step*e_j for every site x (periodic, lexicographic)."""
     sites = np.arange(geom.n_sites).reshape((geom.N,) * geom.d)
     return np.roll(sites, -step, axis=j).ravel()
+
+
+def _inversion(geom: LatticeGeometry) -> np.ndarray:
+    """Site index of -x (mod N) for every site x."""
+    sites = np.arange(geom.n_sites).reshape((geom.N,) * geom.d)
+    return np.roll(np.flip(sites), 1, axis=tuple(range(geom.d))).ravel()
+
+
+def _comb_gauge(f: GaugeField, inv: np.ndarray) -> np.ndarray:
+    """`inversion_gauge`'s g, unchecked: g(x + e_j) = U_j(i(x + e_j))^-1
+    g(x) U_j(x)^-1 from g(0) = 1 along the x_1 axis, then along e_2 from
+    each of its sites, and so on."""
+    geom, U = f.geometry, f.links
+    g = np.tile(np.eye(f.rank, dtype=complex), (geom.n_sites, 1, 1))
+    sites = np.arange(geom.n_sites).reshape((geom.N,) * geom.d)
+    for j in range(geom.d):
+        nb = _neighbour(geom, j)
+        for t in range(geom.N - 1):
+            # the sites with x_j = t and x_l = 0 for l > j
+            x = sites[(slice(None),) * j + (t,) + (0,) * (geom.d - j - 1)].ravel()
+            g[nb[x]] = _dag(U[inv[nb[x]], j]) @ g[x] @ _dag(U[x, j])
+    return g
+
+
+def inversion_gauge(f: GaugeField) -> np.ndarray | None:
+    """The gauge g, an (n_sites, r, r) stack with g(0) = 1, under which the
+    field is its own image by the inversion i(x) = -x:
+    U_j(i(x) - e_j)^-1 = g(x + e_j) U_j(x) g(x)^-1 on every link, to 1e-12;
+    None if there is none (a perturbed field, for instance).
+
+    The rule fixes g along a comb from the origin (`_comb_gauge`), and
+    every link is then checked.  If all hold, g(i(x)) g(x) = 1 (it is 1 at
+    x = 0 and transported by every link), so (V psi)(x) = g(i(x)) psi(i(x))
+    is an involution that sends each link-times-shift U_j to U_j*."""
+    geom, U = f.geometry, f.links
+    inv = _inversion(geom)
+    g = _comb_gauge(f, inv)
+    for j in range(geom.d):
+        nb = _neighbour(geom, j)
+        # not >, so a nan link fails too
+        if not np.abs(_dag(U[inv[nb], j]) - g[nb] @ U[:, j] @ _dag(g)).max() <= 1e-12:
+            return None
+    return g
 
 
 def trivial_field(geom: LatticeGeometry, rank: int = 1) -> GaugeField:

@@ -20,7 +20,7 @@ from .gauge import (FluxMatrix, GaugeField, _unitarity_defect, estimate_curvatur
 # min_abs_eigenvalue is unused here; perfbench's tracer looks it up by name
 from .spectral import (Inertia, _dense_inertia, half_signature, inertia,  # noqa: F401
                        inertia_bunch_kaufman, min_abs_eigenvalue)
-from .wilson import assemble, symbol_gap, wilson_matrix
+from .wilson import parity_blocks, symbol_gap, wilson_matrix
 
 # Global orientation sign relating the lattice invariant to the Pfaffian
 # index, calibrated once from the d=2, N=16, K_12=1, m=1 instance under
@@ -86,8 +86,8 @@ class UnitaryTuple:
         if not mats:
             raise ValueError("a tuple needs at least one unitary")
         shape = mats[0].shape[:1] * 2  # (n, n), or () for a 0-d entry
-        # not >, so a nan entry is rejected too
-        if (not shape or any(U.shape != shape for U in mats)
+        # not >, so a nan entry is rejected too; n = 0 has no entry to check
+        if (not shape or not shape[0] or any(U.shape != shape for U in mats)
                 or not _unitarity_defect(mats) <= 1e-12):
             raise ValueError("tuple entries must be unitary")
         return UnitaryTuple(mats)
@@ -137,8 +137,7 @@ def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:
         mu = m * a
     else:
         raise ValueError(f"unknown mass mode {mode!r}")
-    op = assemble(f, cl, mu)
-    inert = inertia(op.matrix)
+    inert = inertia(*parity_blocks(f, cl, mu))
     if inert.n_zero > 0:
         raise SingularOperatorError(
             "singular operator: decrease a (increase N) or adjust m")
@@ -213,7 +212,7 @@ def verify_gap_bound(f: GaugeField, m: float, kappa: float) -> BoundReport:
     if not 0 < m <= kappa <= N:
         raise ParameterRangeError("kappa must lie in [m, N], with m > 0")
     d = f.geometry.d
-    inert = inertia(kappa * assemble(f, clifford_rep(d), m / kappa).matrix)
+    inert = inertia(*(kappa * B for B in parity_blocks(f, clifford_rep(d), m / kappa)))
     lam = inert.gap
     curvature = estimate_curvature_norm(f)
     # curvature error terms total 4 d^2 ||R|| a^2 kappa^2 <= 4 d^2 ||R||

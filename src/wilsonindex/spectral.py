@@ -1,6 +1,9 @@
 """Exact inertia of Hermitian matrices and supporting spectral routines.
 
-`inertia` is the one entry point; it picks the path by dimension:
+`inertia` is the one entry point.  It takes a matrix whole or as the
+diagonal blocks of a block-diagonal one (the parity blocks of
+`wilson.parity_blocks`), picks the path by the total dimension and runs
+every block through it alone, with all of its checks:
 
 * up to `_DENSE_LIMIT` (the oracle): one backward-stable LAPACK
   Hermitian eigensolve (`heevr`: Householder tridiagonalization, or
@@ -103,11 +106,13 @@ class Inertia:
 
     gap is the smallest |eigenvalue| (0 if singular up to tol, nan from
     the counts-only `inertia_bunch_kaufman`); tol is the
-    zero-classification threshold that was used; method names the path:
+    zero-classification threshold that was used (the largest block's, for
+    blocks); method names the path:
     "dense" (the eigensolve oracle), "ldl" (diagonal elimination plus
     Bunch-Kaufman on the Schur complement, `inertia_ldl`), "bunch-kaufman"
     (the same factor, counts only), or "dense (ldl rejected: <reason>)"
-    when that factor or its gap was not accepted.
+    when that factor or its gap was not accepted; for blocks whose paths
+    differ, "block 0: <method>; block 1: <method>".
     """
 
     n_plus: int
@@ -244,12 +249,22 @@ def _dense_inertia(H) -> Inertia:
     return Inertia(n_plus, n_minus, n_zero, gap, tol, "dense")
 
 
-def inertia(H) -> Inertia:
-    """Inertia and gap of a Hermitian matrix: the dense oracle up to
-    dimension `_DENSE_LIMIT`, one block LDL* factor (`inertia_ldl`) above."""
-    if np.shape(H)[0] > _DENSE_LIMIT:
-        return inertia_ldl(H)
-    return _dense_inertia(H)
+def inertia(*blocks) -> Inertia:
+    """Inertia and gap of a Hermitian matrix, given whole or as the
+    diagonal blocks of a block-diagonal one: the dense oracle if the total
+    dimension is at most `_DENSE_LIMIT`, else one block LDL* factor
+    (`inertia_ldl`), for every block alike and with all of its checks.
+    The counts add up, the gap is the least block gap and tol the largest
+    block tol; method is the blocks' common method, else each block's."""
+    dense = sum(np.shape(B)[0] for B in blocks) <= _DENSE_LIMIT
+    parts = [_dense_inertia(B) if dense else inertia_ldl(B) for B in blocks]
+    methods = [p.method for p in parts]
+    return Inertia(
+        sum(p.n_plus for p in parts), sum(p.n_minus for p in parts),
+        sum(p.n_zero for p in parts), min(p.gap for p in parts),
+        max(p.tol for p in parts),
+        methods[0] if len(set(methods)) == 1
+        else "; ".join(f"block {i}: {m}" for i, m in enumerate(methods)))
 
 
 def _independent_rows(M: sp.csr_matrix, floor: float) -> np.ndarray:

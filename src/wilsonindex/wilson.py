@@ -10,6 +10,11 @@ where U_j is the link-times-shift unitary of the gauge field
 unitaries; `wilson_matrix` builds it for both.  H equals
 a * (D_W + (mu/a) gamma), and positive scaling preserves inertia, so the
 cutoff-mass regime is mu = m and the constant-mass regime is mu = a*m.
+
+For a field that is its own image by x -> -x in some gauge g
+(`gauge.inversion_gauge`), H commutes with the involution
+R = (g o -x) (x) gamma, and `parity_blocks` returns H's two half-size
+blocks on R's eigenspaces, which `spectral.inertia` takes in place of H.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .clifford import CliffordRep
-from .gauge import GaugeField, link_shift
+from .gauge import GaugeField, _inversion, inversion_gauge, link_shift
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +56,49 @@ def assemble(f: GaugeField, cl: CliffordRep, mu: float) -> WilsonOperator:
     if f.geometry.d != cl.d:
         raise ValueError("gauge field and Clifford representation dimension mismatch")
     return WilsonOperator(wilson_matrix([link_shift(f, j) for j in range(cl.d)], cl, mu))
+
+
+def _parity_bases(f: GaugeField, g: np.ndarray, cl: CliffordRep) -> list:
+    """[Q+, Q-]: orthonormal CSR bases of the +1 and -1 eigenspaces of the
+    involution R = V (x) gamma, (V psi)(x) = g(-x) psi(-x).
+
+    The columns are (e +- R e)/|e +- R e| for the fibre vectors e at the
+    sites x <= -x, in index order, less those that vanish.  At x != -x,
+    R e sits at -x, and each e gives one column of each basis.  At a fixed
+    site x = -x, where g(x) is a Hermitian involution, the fibre is first
+    written in g(x)'s eigenbasis and R is diagonal there (gamma is), so e
+    lies in one eigenspace; tr gamma = 0, so both bases get n/2 columns."""
+    n_sites, r, s = f.geometry.n_sites, f.rank, len(cl.grading)
+    inv = _inversion(f.geometry)
+    fixed = inv == np.arange(n_sites)
+    T = np.tile(np.eye(r, dtype=complex), (n_sites, 1, 1))
+    T[fixed] = np.linalg.eigh(g[fixed])[1]
+    T = sp.bsr_matrix((T, np.arange(n_sites), np.arange(n_sites + 1)))
+    V = sp.bsr_matrix((g[inv], inv, np.arange(n_sites + 1)))
+    R = sp.kron(T.conj().T @ V @ T, cl.grading, format="csc")
+    Ts = sp.kron(T, sp.identity(s), format="csr")
+    x = np.repeat(np.arange(n_sites) <= inv, r * s)
+    bases = []
+    for sigma in (1, -1):
+        P = (sp.identity(len(x), format="csc") + sigma * R)[:, x]
+        # sqrt 2 at a pair of sites; 2, or 0 to rounding, at a fixed site
+        norm = np.sqrt(np.asarray(abs(P).power(2).sum(axis=0)).ravel())
+        bases.append(Ts @ P[:, norm > 1] @ sp.diags(1 / norm[norm > 1]))
+    return bases
+
+
+def parity_blocks(f: GaugeField, cl: CliffordRep, mu: float) -> tuple:
+    """The diagonal blocks of the assembled H in a basis that
+    block-diagonalizes it: Q+* H Q+ and Q-* H Q- (`_parity_bases`) when
+    the field is its own image by x -> -x (`gauge.inversion_gauge`), as
+    every constant-flux field is, since R H = H R; else (H,).  Each block
+    is formed on its own, not cut out of Q* H Q, whose entries between
+    the blocks are rounding residues, not zeros."""
+    H = assemble(f, cl, mu).matrix
+    g = inversion_gauge(f)
+    if g is None:
+        return (H,)
+    return tuple((Q.conj().T @ H @ Q).tocsr() for Q in _parity_bases(f, g, cl))
 
 
 def symbol(cl: CliffordRep, k, mu: float) -> np.ndarray:

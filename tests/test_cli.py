@@ -102,7 +102,8 @@ def test_resource_error_exit_code(monkeypatch, capsys):
 
     monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
     assert run(["index", "--d", "2", "--N", "4"]) == cli.EXIT_RESOURCE == 4
-    assert "error: dense dim-32 operator needs" in capsys.readouterr().err
+    # the first parity block of the dim-32 operator is reserved first
+    assert "error: dense dim-16 operator needs" in capsys.readouterr().err
 
 
 def test_index_out_of_range_names_the_mode_rule(capsys):
@@ -189,9 +190,10 @@ def test_acm_tuple_that_does_not_fit_exits_4():
 
 
 def test_index_that_does_not_fit_exits_4():
-    # the d=4 N=8 Schur complement (512 MiB complex64) passes its reserve,
-    # which is checked against MemAvailable, but not the 150 MiB limit
-    _exits_4_under_a_limit(["index", "--d", "4", "--N", "8",
+    # the Schur complement of a d=4 N=10 parity block (763 MiB complex64)
+    # passes its reserve, which is checked against MemAvailable, but not
+    # the 150 MiB limit
+    _exits_4_under_a_limit(["index", "--d", "4", "--N", "10",
                             "--flux", "1,2=1", "--flux", "3,4=2"])
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,8 @@ from wilsonindex import (
     tensor_field,
     trivial_field,
 )
-from wilsonindex.gauge import _neighbour, link_shift
+from wilsonindex import gauge
+from wilsonindex.gauge import _inversion, _neighbour, inversion_gauge, link_shift
 
 
 def test_geometry_rejects_coarse_lattice():
@@ -226,3 +228,46 @@ def test_perturb_field_matches_per_link_expm():
             herm *= 0.1 / np.linalg.norm(herm, 2)
             want = f.links[site, j] @ expm(1j * herm)
             assert np.max(np.abs(got.links[site, j] - want)) < 1e-12
+
+
+def _flux_field(d, N, entries):
+    return constant_flux_field(make_geometry(d, N), FluxMatrix.from_entries(d, entries))
+
+
+def test_inversion_is_minus_x():
+    x = np.indices((4,) * 3).reshape(3, -1)
+    assert np.array_equal(_inversion(make_geometry(3, 4)),
+                          np.ravel_multi_index(-x % 4, (4,) * 3))
+
+
+@pytest.mark.parametrize("d, N, entries", [
+    (2, 2, [(1, 2, 1)]), (2, 3, [(1, 2, 1)]), (2, 8, [(1, 2, -2)]),
+    (4, 4, [(1, 2, 1), (3, 4, 2)]), (4, 3, [(1, 2, 2), (1, 3, 1), (2, 4, -1)]),
+])
+def test_constant_flux_fields_are_inversion_symmetric(d, N, entries):
+    f = _flux_field(d, N, entries)
+    g = inversion_gauge(f)
+    inv = _inversion(f.geometry)
+    n = f.geometry.n_sites
+    assert g[0, 0, 0] == 1
+    assert np.abs(g[inv] * g - 1).max() < 1e-12
+    # (V psi)(x) = g(-x) psi(-x) is an involution that takes U_j to U_j*
+    V = sp.csr_matrix((g[inv, 0, 0], (np.arange(n), inv)), shape=(n, n))
+    assert abs(V @ V - sp.identity(n)).max() < 1e-12
+    for j in range(d):
+        U = link_shift(f, j)
+        assert abs(V @ U @ V - U.conj().T).max() < 1e-12
+
+
+def test_the_link_check_rejects_a_flipped_gauge(monkeypatch):
+    f = _flux_field(2, 6, [(1, 2, 1)])
+    comb = gauge._comb_gauge
+
+    def flipped(*args):
+        g = comb(*args)
+        g[7] *= -1
+        return g
+
+    assert inversion_gauge(f) is not None
+    monkeypatch.setattr(gauge, "_comb_gauge", flipped)
+    assert inversion_gauge(f) is None

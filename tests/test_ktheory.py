@@ -37,6 +37,7 @@ from wilsonindex import (
     verify_gap_bound,
 )
 from wilsonindex.formats import read_unitary_tuple, write_unitary_tuple
+from wilsonindex.gauge import GaugeField, inversion_gauge
 from wilsonindex.ktheory import UnitaryTuple
 from wilsonindex.wilson import wilson_matrix
 
@@ -783,8 +784,8 @@ def test_acm_parameter_validation():
     t = clock_shift(5)
     with pytest.raises(ValueError, match="mass"):
         acm_invariant(t, 0.0)
-    # a 0-d entry has no shape[0] to read
-    for mats in ([np.ones((2, 2))], [1.0]):
+    # a 0-d entry has no shape[0] to read, and a 0 x 0 one no entry
+    for mats in ([np.ones((2, 2))], [1.0], [np.zeros((0, 0))]):
         with pytest.raises(ValueError, match="unitary"):
             UnitaryTuple.from_matrices(mats)
     with pytest.raises(ValueError, match="even dimension"):
@@ -799,3 +800,90 @@ def test_bott_oracle_rejects_singular_triple(lapack_calls):
     assert spectral._dense_inertia(H).n_zero == 4
     # the zero matrix has half-bandwidth 0, so the band solver ran
     assert lapack_calls.eig_banded == [np.float64]
+
+
+def _matches_the_whole_operator(f, m, mode="cutoff"):
+    """lattice_index on f, whose parity blocks it solves, against the dense
+    oracle on the whole assembled operator: the same counts, and the gap
+    to 1e-12 relative."""
+    mu = m if mode == "cutoff" else m * f.geometry.spacing
+    want = spectral._dense_inertia(assemble(f, clifford_rep(f.geometry.d), mu).matrix)
+    if want.n_zero:
+        with pytest.raises(SingularOperatorError):
+            lattice_index(f, m, mode)
+        return
+    got = lattice_index(f, m, mode).inertia
+    assert (got.n_plus, got.n_minus, got.n_zero) == (want.n_plus, want.n_minus, 0)
+    assert abs(got.gap - want.gap) <= 1e-12 * want.gap
+
+
+@pytest.mark.filterwarnings("ignore:constant mass below")
+@pytest.mark.parametrize("N", [3, 4, 5, 8])
+@pytest.mark.parametrize("k", range(-2, 3))
+def test_parity_blocks_match_the_whole_operator_at_d2(N, k):
+    f = constant_flux_field(make_geometry(2, N), _flux2(k))
+    assert inversion_gauge(f) is not None
+    # constant mode reaches every mass window, mu = m / N
+    for mu in (0.5, 1.5, 2.5, 3.5):
+        _matches_the_whole_operator(f, mu * N, "constant")
+
+
+@pytest.mark.parametrize("entries", [
+    [(1, 2, 1), (3, 4, 1)], [(1, 2, 1), (3, 4, 2)], [(1, 3, 1), (2, 4, -1), (1, 2, 1)],
+])
+def test_parity_blocks_match_the_whole_operator_at_d4(entries):
+    _matches_the_whole_operator(
+        constant_flux_field(make_geometry(4, 4), FluxMatrix.from_entries(4, entries)), 1.0)
+
+
+def test_parity_blocks_of_transformed_and_rank_two_fields():
+    geom = make_geometry(2, 4)
+    f = constant_flux_field(geom, _flux2(1))
+    rng = np.random.default_rng(11)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, geom.n_sites)).reshape(-1, 1, 1)
+    rank2 = direct_sum_field(f, constant_flux_field(geom, _flux2(-2)))
+    u2 = np.linalg.qr(rng.standard_normal((geom.n_sites, 2, 2))
+                      + 1j * rng.standard_normal((geom.n_sites, 2, 2)))[0]
+    for fld in (gauge_transform(f, phases), rank2, gauge_transform(rank2, u2)):
+        assert inversion_gauge(fld) is not None
+        _matches_the_whole_operator(fld, 1.0)
+    assert lattice_index(rank2, 1.0).invariant == -1
+
+
+def test_a_field_without_the_symmetry_is_solved_whole():
+    f = constant_flux_field(make_geometry(2, 6), _flux2(1))
+    links = f.links.copy()
+    links[7, 1] *= np.exp(1e-6j)
+    for fld in (GaugeField(f.geometry, 1, links, f.flux_sectors), perturb_field(f, 0.05, 3)):
+        assert inversion_gauge(fld) is None
+        assert lattice_index(fld, 1.0).inertia \
+            == inertia(assemble(fld, clifford_rep(2), 1.0).matrix)
+
+
+def test_d4_parity_blocks_take_the_factor_path(lapack_calls):
+    # dim 5184 > _DENSE_LIMIT: both 2592-row blocks are factored, and no
+    # block goes to the dense oracle
+    f = constant_flux_field(make_geometry(4, 6), FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 2)]))
+    r = lattice_index(f, 1.0)
+    assert r.invariant == 2 and r.inertia.method == "ldl"
+    assert lapack_calls.factors == [("chetrf", np.complex64)] * 2
+    assert lapack_calls.eigvalsh == []
+
+
+def test_d2_parity_blocks_take_the_dense_path(lapack_calls, monkeypatch):
+    # dim 1152: two 576-row eigensolves in place of one 1152-row one
+    shapes = []
+    eigenvalues = spectral._eigenvalues
+    monkeypatch.setattr(spectral, "_eigenvalues",
+                        lambda H: shapes.append(H.shape) or eigenvalues(H))
+    r = lattice_index(constant_flux_field(make_geometry(2, 24), _flux2(1)), 1.0)
+    assert r.invariant == 1 and r.inertia.method == "dense"
+    assert shapes == [(576, 576)] * 2
+    assert lapack_calls.eigvalsh == [np.complex128] * 2
+
+
+def test_gap_bound_solves_the_parity_blocks():
+    f = constant_flux_field(make_geometry(2, 8), _flux2(1))
+    rep = verify_gap_bound(f, 1.0, 2.0)
+    want = spectral._dense_inertia(2.0 * assemble(f, clifford_rep(2), 0.5).matrix).gap
+    assert rep.method == "dense" and abs(rep.lambda_min - want) <= 1e-12 * want

@@ -681,3 +681,48 @@ def test_momentum_oracle_requires_trivial_field():
     f = constant_flux_field(make_geometry(2, 4), FluxMatrix.from_entries(2, [(1, 2, 1)]))
     with pytest.raises(ValueError, match="translation invariance"):
         fourier_diagonalize(f, clifford_rep(2), 1.0)
+
+
+def _blocks(*Hs):
+    """Whole operators and their block-diagonal sum."""
+    return Hs, sp.block_diag(Hs, format="csr")
+
+
+def test_blocks_add_counts_and_take_the_least_gap():
+    # dense path: the same spectrum as the block-diagonal whole
+    (A, B), H = _blocks(_random_hermitian(30, 1), 5 * _random_hermitian(20, 2))
+    got, whole = inertia(A, B), inertia(H.toarray())
+    assert (got.n_plus, got.n_minus, got.n_zero, got.method) \
+        == (whole.n_plus, whole.n_minus, whole.n_zero, "dense")
+    assert got.gap == min(inertia(A).gap, inertia(B).gap)
+    assert abs(got.gap - whole.gap) <= 1e-12 * whole.gap
+    assert got.tol == max(inertia(A).tol, inertia(B).tol)
+
+
+@pytest.mark.parametrize("limit, engine", [(128, "_dense_inertia"), (127, "inertia_ldl")])
+def test_block_path_follows_the_total_dimension(monkeypatch, limit, engine):
+    # two blocks of 64 rows: the dense oracle for both while the total is
+    # at most the limit, the factor for both above it, never one of each
+    A, B = (assemble(constant_flux_field(make_geometry(2, 8), FluxMatrix.from_entries(
+        2, [(1, 2, k)])), clifford_rep(2), 0.5).matrix[:64, :64] for k in (1, -2))
+    seen = []
+    for name in ("_dense_inertia", "inertia_ldl"):
+        monkeypatch.setattr(spectral, name, lambda M, name=name, f=getattr(spectral, name):
+                            seen.append((name, M.shape[0])) or f(M))
+    monkeypatch.setattr(spectral, "_DENSE_LIMIT", limit)
+    got = inertia(A, B)
+    assert seen == [(engine, 64), (engine, 64)]
+    want = spectral._dense_inertia(sp.block_diag((A, B), format="csr"))
+    assert (got.n_plus, got.n_minus, got.n_zero) == (want.n_plus, want.n_minus, want.n_zero)
+    assert abs(got.gap - want.gap) <= 1e-6 * want.gap
+
+
+def test_a_rejected_block_is_named(monkeypatch):
+    # the singular trivial field at m = 0 is rejected by the factor (see
+    # test_rejected_factor_costs_one_dense_pass); the other block is not
+    bad = assemble(trivial_field(make_geometry(2, 4)), clifford_rep(2), 0.0).matrix
+    good = _random_hermitian(70, 3)
+    monkeypatch.setattr(spectral, "_DENSE_LIMIT", 50)
+    got = inertia(good, bad)
+    assert got.method.startswith("block 0: ldl; block 1: dense (ldl rejected: contraction ")
+    assert got.n_zero == inertia(bad).n_zero > 0 and got.gap == 0

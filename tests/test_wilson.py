@@ -9,15 +9,19 @@ from wilsonindex import (
     assemble,
     clifford_rep,
     constant_flux_field,
+    direct_sum_field,
+    gauge_transform,
     make_geometry,
+    perturb_field,
     symbol,
     symbol_gap,
     trivial_field,
 )
-from wilsonindex.gauge import link_shift
+from wilsonindex.gauge import inversion_gauge, link_shift
 from wilsonindex.ktheory import clock_shift, gauge_tuple
 from wilsonindex.spectral import inertia
-from wilsonindex.wilson import WilsonOperator, fourier_diagonalize, wilson_matrix
+from wilsonindex.wilson import (WilsonOperator, _parity_bases, fourier_diagonalize,
+                                parity_blocks, wilson_matrix)
 
 
 def symbol_gap_function(d: int, k_grid: np.ndarray, mu: float) -> np.ndarray:
@@ -155,3 +159,45 @@ def test_wilson_matrix_is_csr_for_dense_unitaries():
         H = wilson_matrix(dense, cl, 0.7)
         assert H.format == "csr"
         assert np.array_equal(H.toarray(), wilson_matrix(sparse, cl, 0.7).toarray())
+
+
+def _symmetric_fields():
+    geom = make_geometry(2, 4)
+    f = direct_sum_field(
+        constant_flux_field(geom, FluxMatrix.from_entries(2, [(1, 2, 1)])),
+        constant_flux_field(geom, FluxMatrix.from_entries(2, [(1, 2, -2)])))
+    rng = np.random.default_rng(5)
+    h = np.linalg.qr(rng.standard_normal((16, 2, 2)) + 1j * rng.standard_normal((16, 2, 2)))[0]
+    return [
+        constant_flux_field(make_geometry(2, 5), FluxMatrix.from_entries(2, [(1, 2, 2)])),
+        constant_flux_field(make_geometry(4, 4), FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 2)])),
+        # rank 2, and after a U(2) gauge transform, whose g is not diagonal
+        # at the fixed sites
+        f, gauge_transform(f, h),
+    ]
+
+
+@pytest.mark.parametrize("f", _symmetric_fields(), ids=["d2-N5", "d4-N4", "rank2", "rank2-U2"])
+def test_parity_bases_block_diagonalize_the_operator(f):
+    cl = clifford_rep(f.geometry.d)
+    H = assemble(f, cl, 1.0).matrix
+    n = H.shape[0]
+    Qp, Qm = _parity_bases(f, inversion_gauge(f), cl)
+    assert Qp.shape == Qm.shape == (n, n // 2)
+    Q = sp.hstack([Qp, Qm]).toarray()
+    assert np.abs(Q.conj().T @ Q - np.eye(n)).max() < 1e-12
+    B = Q.conj().T @ H.toarray() @ Q
+    # what lies between the blocks is rounding, and each block is formed
+    # on its own
+    assert np.abs(B[: n // 2, n // 2:]).max() < 1e-12
+    Hp, Hm = parity_blocks(f, cl, 1.0)
+    assert np.abs(Hp.toarray() - B[: n // 2, : n // 2]).max() < 1e-12
+    assert np.abs(Hm.toarray() - B[n // 2:, n // 2:]).max() < 1e-12
+
+
+def test_a_field_without_the_symmetry_keeps_its_whole_operator():
+    f = perturb_field(constant_flux_field(
+        make_geometry(2, 5), FluxMatrix.from_entries(2, [(1, 2, 1)])), 0.05, 2)
+    cl = clifford_rep(2)
+    (H,) = parity_blocks(f, cl, 1.0)
+    assert (H != assemble(f, cl, 1.0).matrix).nnz == 0
