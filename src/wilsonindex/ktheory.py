@@ -18,9 +18,9 @@ from .clifford import clifford_rep
 from .gauge import (FluxMatrix, GaugeField, _unitarity_defect, estimate_curvature_norm,
                     link_shift)
 # min_abs_eigenvalue is unused here; perfbench's tracer looks it up by name
-from .spectral import (Inertia, _dense_inertia, half_signature, inertia,  # noqa: F401
+from .spectral import (Inertia, _dense_inertia, _tol, half_signature, inertia,  # noqa: F401
                        inertia_bunch_kaufman, min_abs_eigenvalue)
-from .wilson import parity_blocks, symbol_gap, wilson_matrix
+from .wilson import assemble, parity_blocks, symbol_gap, wilson_matrix
 
 # Global orientation sign relating the lattice invariant to the Pfaffian
 # index, calibrated once from the d=2, N=16, K_12=1, m=1 instance under
@@ -137,7 +137,9 @@ def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:
         mu = m * a
     else:
         raise ValueError(f"unknown mass mode {mode!r}")
-    inert = inertia(*parity_blocks(f, cl, mu))
+    # the whole operator's zero threshold, for each of its parity blocks
+    H = assemble(f, cl, mu).matrix
+    inert = inertia(*parity_blocks(f, cl, H), tol=_tol(H))
     if inert.n_zero > 0:
         raise SingularOperatorError(
             "singular operator: decrease a (increase N) or adjust m")
@@ -212,7 +214,9 @@ def verify_gap_bound(f: GaugeField, m: float, kappa: float) -> BoundReport:
     if not 0 < m <= kappa <= N:
         raise ParameterRangeError("kappa must lie in [m, N], with m > 0")
     d = f.geometry.d
-    inert = inertia(*(kappa * B for B in parity_blocks(f, clifford_rep(d), m / kappa)))
+    cl = clifford_rep(d)
+    H = kappa * assemble(f, cl, m / kappa).matrix
+    inert = inertia(*parity_blocks(f, cl, H), tol=_tol(H))
     lam = inert.gap
     curvature = estimate_curvature_norm(f)
     # curvature error terms total 4 d^2 ||R|| a^2 kappa^2 <= 4 d^2 ||R||

@@ -59,9 +59,11 @@ any other to `eigvalsh`.
 Every dense LAPACK call runs on one copy of its matrix, made in Fortran
 order and overwritten in place: f2py copies a C-ordered array before
 LAPACK sees it, so a `toarray()` in C order would double the peak.
-`_reserve` checks the oracle's copy and the Schur complement against
-MemAvailable before they are made; any other allocation that does not
-fit raises numpy's MemoryError.
+`_reserve` checks the oracle's copy and the Schur complement before they
+are made, against MemAvailable and, under a soft address-space limit
+(RLIMIT_AS, as every CLI command runs), against that limit less VmSize and
+`_BLAS_MARGIN`; any other allocation that does not fit raises numpy's
+MemoryError.
 
 Every path takes a complex matrix whose imaginary parts are all 0 (the
 tuple operator of `ktheory.clock_shift`; lattice operators are complex)
@@ -80,6 +82,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+try:
+    import resource
+except ImportError:  # not Unix: no address-space limit to read
+    resource = None
+
 # largest dimension `inertia` handles on the dense path
 _DENSE_LIMIT = 4096
 # the oracle takes the band when _BAND_RATIO * w <= dim; the band solver
@@ -94,6 +101,12 @@ _REFINE = 3
 # largest accepted ||dx|| / ||x|| of the first correction, which every
 # refined solve makes and checks, the probe's included
 _CONTRACTION = 1e-2
+# address space a dense LAPACK call takes beyond its matrix: OpenBLAS maps
+# a work buffer of about 32 MiB on first use, and a factor that cannot map
+# it spins or exits instead of raising (chetrf under RLIMIT_AS, on a d=4
+# N=8 parity block and on a d=4 N=5 tuple operator: 34 MiB left beyond
+# the Schur complement ran, 31 MiB spun, with 1 or 2 OpenBLAS threads)
+_BLAS_MARGIN = 48 * 2 ** 20
 
 
 class ResourceError(MemoryError):
@@ -106,8 +119,8 @@ class Inertia:
 
     gap is the smallest |eigenvalue| (0 if singular up to tol, nan from
     the counts-only `inertia_bunch_kaufman`); tol is the
-    zero-classification threshold that was used (the largest block's, for
-    blocks); method names the path:
+    zero-classification threshold that was used (one for every block);
+    method names the path:
     "dense" (the eigensolve oracle), "ldl" (diagonal elimination plus
     Bunch-Kaufman on the Schur complement, `inertia_ldl`), "bunch-kaufman"
     (the same factor, counts only), or "dense (ldl rejected: <reason>)"
@@ -148,8 +161,16 @@ def _proc_bytes(path: str, key: str) -> int | None:
 
 
 def _available_memory() -> int | None:
-    """Bytes the kernel reports as MemAvailable, None where it is unknown."""
-    return _proc_bytes("/proc/meminfo", "MemAvailable")
+    """Bytes one more dense matrix may take: MemAvailable and, under a soft
+    RLIMIT_AS, at most that limit less VmSize and `_BLAS_MARGIN`; None
+    where neither is known."""
+    avail = _proc_bytes("/proc/meminfo", "MemAvailable")
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0] if resource else None
+    used = _proc_bytes("/proc/self/status", "VmSize")
+    if soft is None or soft == resource.RLIM_INFINITY or used is None:
+        return avail
+    room = max(soft - used - _BLAS_MARGIN, 0)
+    return room if avail is None else min(avail, room)
 
 
 def _reserve(n: int, what: str, dtype=complex) -> None:
@@ -237,11 +258,11 @@ def _eigenvalues(H) -> np.ndarray:
     return sla.eigvalsh(A, overwrite_a=A is not H, check_finite=False)
 
 
-def _dense_inertia(H) -> Inertia:
+def _dense_inertia(H, tol: float | None = None) -> Inertia:
     """Dense oracle: every eigenvalue from `_eigenvalues`, classified as
-    below -tol, at or above tol, or zero."""
+    below -tol, at or above tol, or zero; tol is `_tol(H)` unless given."""
     w = _eigenvalues(H)
-    tol = _tol(H)
+    tol = _tol(H) if tol is None else tol
     n_minus = int(np.sum(w < -tol))
     n_plus = int(np.sum(w >= tol))
     n_zero = len(w) - n_plus - n_minus
@@ -249,20 +270,34 @@ def _dense_inertia(H) -> Inertia:
     return Inertia(n_plus, n_minus, n_zero, gap, tol, "dense")
 
 
-def inertia(*blocks) -> Inertia:
+def inertia(*blocks, tol: float | None = None) -> Inertia:
     """Inertia and gap of a Hermitian matrix, given whole or as the
     diagonal blocks of a block-diagonal one: the dense oracle if the total
     dimension is at most `_DENSE_LIMIT`, else one block LDL* factor
     (`inertia_ldl`), for every block alike and with all of its checks.
-    The counts add up, the gap is the least block gap and tol the largest
-    block tol; method is the blocks' common method, else each block's."""
-    dense = sum(np.shape(B)[0] for B in blocks) <= _DENSE_LIMIT
-    parts = [_dense_inertia(B) if dense else inertia_ldl(B) for B in blocks]
+
+    tol, the zero threshold, is given by a caller that knows the norm of
+    the matrix the blocks came from (`ktheory.lattice_index` passes its
+    operator's); else it is `_tol` of the block-diagonal matrix, whose
+    ||.||_inf is its largest block's.  Every block is classified with it.
+    The counts add up and the gap is the least block gap; method is the
+    blocks' common method, else each block's.  A block's ResourceError
+    names the block."""
+    n = sum(np.shape(B)[0] for B in blocks)
+    if tol is None and len(blocks) > 1:
+        tol = max(_tol(B) for B in blocks)
+    parts = []
+    for i, B in enumerate(blocks):
+        try:
+            parts.append(_dense_inertia(B, tol) if n <= _DENSE_LIMIT else inertia_ldl(B, tol))
+        except ResourceError as exc:
+            if len(blocks) == 1:
+                raise
+            raise ResourceError(f"block {i} of the dim-{n} operator: {exc}") from exc
     methods = [p.method for p in parts]
     return Inertia(
         sum(p.n_plus for p in parts), sum(p.n_minus for p in parts),
-        sum(p.n_zero for p in parts), min(p.gap for p in parts),
-        max(p.tol for p in parts),
+        sum(p.n_zero for p in parts), min(p.gap for p in parts), parts[0].tol,
         methods[0] if len(set(methods)) == 1
         else "; ".join(f"block {i}: {m}" for i, m in enumerate(methods)))
 
@@ -447,14 +482,14 @@ def _ldl_gap(M: sp.csr_matrix, solve, probe: np.ndarray) -> float:
     return _shift_invert_gap(M, solve, probe)
 
 
-def _from_factor(H, gap: bool) -> Inertia:
+def _from_factor(H, gap: bool, tol: float | None = None) -> Inertia:
     """Counts from the signs of `_ldl_factor`'s pivots (an accepted factor
     is of a nonsingular matrix, so n_zero is 0) and, with `gap`, the
     `_ldl_gap`; if either is rejected, the dense oracle's result with the
-    reason in method."""
+    reason in method.  tol is `_tol(H)` unless given."""
     M = _real_if_real(sp.csr_matrix(H, dtype=complex))
     _check_hermitian(M)
-    tol = _tol(M)
+    tol = _tol(M) if tol is None else tol
     try:
         piv, solve, probe = _ldl_factor(M, tol)
         lam = _ldl_gap(M, solve, probe) if gap else float("nan")
@@ -468,17 +503,17 @@ def _from_factor(H, gap: bool) -> Inertia:
     # outside the handler, so the traceback no longer holds the factor;
     # nor does solve, if the gap was rejected
     solve = None
-    return replace(_dense_inertia(M), method=f"dense (ldl rejected: {reason})")
+    return replace(_dense_inertia(M, tol), method=f"dense (ldl rejected: {reason})")
 
 
-def inertia_ldl(H) -> Inertia:
+def inertia_ldl(H, tol: float | None = None) -> Inertia:
     """Inertia and gap of a sparse Hermitian matrix from one block LDL*
     factor: the factor step (`_ldl_factor`), which densifies only the Schur
     complement, then the gap step (`_ldl_gap`), ARPACK in shift-invert
     mode on the same factor.  If the factor is rejected or the gap does
     not converge, the result is the dense oracle's, with the reason in
-    method."""
-    return _from_factor(H, gap=True)
+    method.  tol is `_tol(H)` unless given."""
+    return _from_factor(H, True, tol)
 
 
 def inertia_bunch_kaufman(H) -> Inertia:

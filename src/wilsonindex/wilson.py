@@ -87,14 +87,14 @@ def _parity_bases(f: GaugeField, g: np.ndarray, cl: CliffordRep) -> list:
     return bases
 
 
-def parity_blocks(f: GaugeField, cl: CliffordRep, mu: float) -> tuple:
-    """The diagonal blocks of the assembled H in a basis that
-    block-diagonalizes it: Q+* H Q+ and Q-* H Q- (`_parity_bases`) when
-    the field is its own image by x -> -x (`gauge.inversion_gauge`), as
-    every constant-flux field is, since R H = H R; else (H,).  Each block
-    is formed on its own, not cut out of Q* H Q, whose entries between
-    the blocks are rounding residues, not zeros."""
-    H = assemble(f, cl, mu).matrix
+def parity_blocks(f: GaugeField, cl: CliffordRep, H: sp.csr_matrix) -> tuple:
+    """The diagonal blocks of H = c * assemble(f, cl, mu).matrix (any mu,
+    any real c) in a basis that block-diagonalizes it: Q+* H Q+ and
+    Q-* H Q- (`_parity_bases`) when the field is its own image by x -> -x
+    (`gauge.inversion_gauge`), as every constant-flux field is, since
+    R H = H R; else (H,).  Each block is formed on its own, not cut out of
+    Q* H Q, whose entries between the blocks are rounding residues, not
+    zeros."""
     g = inversion_gauge(f)
     if g is None:
         return (H,)

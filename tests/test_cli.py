@@ -103,7 +103,8 @@ def test_resource_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
     assert run(["index", "--d", "2", "--N", "4"]) == cli.EXIT_RESOURCE == 4
     # the first parity block of the dim-32 operator is reserved first
-    assert "error: dense dim-16 operator needs" in capsys.readouterr().err
+    assert "error: block 0 of the dim-32 operator: dense dim-16 operator needs" \
+        in capsys.readouterr().err
 
 
 def test_index_out_of_range_names_the_mode_rule(capsys):
@@ -190,16 +191,22 @@ def test_acm_tuple_that_does_not_fit_exits_4():
 
 
 def test_index_that_does_not_fit_exits_4():
-    # the Schur complement of a d=4 N=10 parity block (763 MiB complex64)
-    # passes its reserve, which is checked against MemAvailable, but not
-    # the 150 MiB limit
-    _exits_4_under_a_limit(["index", "--d", "4", "--N", "10",
-                            "--flux", "1,2=1", "--flux", "3,4=2"])
+    # the Schur complement of a d=4 N=8 parity block (128 MiB complex64)
+    # fits the 150 MiB limit less what the command has mapped, but not with
+    # room for OpenBLAS's buffers, without which chetrf spins: its reserve
+    # refuses it before it is made
+    rc, out, err = run_limited(["index", "--d", "4", "--N", "8",
+                                "--flux", "1,2=1", "--flux", "3,4=2"])
+    assert (rc, out) == (4, "")
+    assert err.startswith("error: block 0 of the dim-16384 operator: dense dim-4096 "
+                          "Schur complement needs 0.12 GiB (4096^2 complex64), ")
+    assert "Traceback" not in err
 
 
 def test_acm_cross_check_that_does_not_fit_the_limit_is_skipped(tmp_path):
     # d=4 N=5, K = e12 + e34: the 25 MB tuple and its factor fit 150 MiB,
-    # the Bott matrix's dense copy (dim 2500, 95 MiB) on top of them does not
+    # the Bott matrix's dense copy (dim 2500, 95 MiB) on top of them does
+    # not, and its reserve, which sees the limit, refuses it
     path = tmp_path / "d4.wut"
     write_unitary_tuple(gauge_tuple(constant_flux_field(
         make_geometry(4, 5), FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 1)]))), path)
@@ -207,7 +214,7 @@ def test_acm_cross_check_that_does_not_fit_the_limit_is_skipped(tmp_path):
     assert rc == 0
     assert out.startswith("I = 1  (epsilon = ") and out.count("\n") == 1
     assert err.startswith("note: the Bott cross-check does not fit; skipped: "
-                          "Unable to allocate ")
+                          "dense dim-2500 operator needs 0.09 GiB (2500^2 complex128), ")
 
 
 def _raise(exc):

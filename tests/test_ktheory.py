@@ -804,8 +804,8 @@ def test_bott_oracle_rejects_singular_triple(lapack_calls):
 
 def _matches_the_whole_operator(f, m, mode="cutoff"):
     """lattice_index on f, whose parity blocks it solves, against the dense
-    oracle on the whole assembled operator: the same counts, and the gap
-    to 1e-12 relative."""
+    oracle on the whole assembled operator: the same counts and tol, and
+    the gap to 1e-12 relative."""
     mu = m if mode == "cutoff" else m * f.geometry.spacing
     want = spectral._dense_inertia(assemble(f, clifford_rep(f.geometry.d), mu).matrix)
     if want.n_zero:
@@ -815,6 +815,8 @@ def _matches_the_whole_operator(f, m, mode="cutoff"):
     got = lattice_index(f, m, mode).inertia
     assert (got.n_plus, got.n_minus, got.n_zero) == (want.n_plus, want.n_minus, 0)
     assert abs(got.gap - want.gap) <= 1e-12 * want.gap
+    # each block is classified with the whole operator's zero threshold
+    assert got.tol == want.tol
 
 
 @pytest.mark.filterwarnings("ignore:constant mass below")

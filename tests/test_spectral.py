@@ -707,8 +707,8 @@ def test_block_path_follows_the_total_dimension(monkeypatch, limit, engine):
         2, [(1, 2, k)])), clifford_rep(2), 0.5).matrix[:64, :64] for k in (1, -2))
     seen = []
     for name in ("_dense_inertia", "inertia_ldl"):
-        monkeypatch.setattr(spectral, name, lambda M, name=name, f=getattr(spectral, name):
-                            seen.append((name, M.shape[0])) or f(M))
+        monkeypatch.setattr(spectral, name, lambda M, tol=None, name=name, f=getattr(spectral, name):
+                            seen.append((name, M.shape[0])) or f(M, tol))
     monkeypatch.setattr(spectral, "_DENSE_LIMIT", limit)
     got = inertia(A, B)
     assert seen == [(engine, 64), (engine, 64)]
@@ -726,3 +726,43 @@ def test_a_rejected_block_is_named(monkeypatch):
     got = inertia(good, bad)
     assert got.method.startswith("block 0: ldl; block 1: dense (ldl rejected: contraction ")
     assert got.n_zero == inertia(bad).n_zero > 0 and got.gap == 0
+
+
+def test_every_block_is_classified_with_one_tol():
+    # ||B||_inf = 1000 sets the block-diagonal matrix's tol to 1e-5, under
+    # which A's eigenvalue 1e-7 is zero, as in the whole matrix; alone, A's
+    # own tol (1e-8) counts it positive
+    A, B = np.diag([1e-7, 1.0]), np.diag([1e3, -1e3])
+    whole = inertia(sp.block_diag((A, B)).toarray())
+    got = inertia(A, B)
+    assert (got.n_plus, got.n_minus, got.n_zero, got.tol) \
+        == (whole.n_plus, whole.n_minus, whole.n_zero, whole.tol) == (2, 1, 1, 1e-5)
+    assert inertia(A).n_zero == 0
+    # a given tol, here a larger matrix's, is every block's
+    assert inertia(A, B, tol=1e-8).n_zero == 0 and inertia(A, tol=1e-6).n_zero == 1
+
+
+def test_a_block_that_does_not_fit_is_named(monkeypatch):
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
+    with pytest.raises(ResourceError,
+                       match=r"^block 0 of the dim-5 operator: dense dim-2 operator needs"):
+        inertia(np.eye(2), np.eye(3))
+    with pytest.raises(ResourceError, match=r"^dense dim-2 operator needs"):
+        inertia(np.eye(2))
+
+
+@pytest.mark.parametrize("soft, vmsize, want", [
+    (None, 1 << 30, 8 << 30),
+    ((1 << 30) + (200 << 20), None, 8 << 30),
+    ((1 << 30) + (200 << 20), 1 << 30, 152 << 20),
+    (1 << 30, 1 << 30, 0),
+], ids=["unlimited", "no-vmsize", "limited", "below-margin"])
+def test_available_memory_leaves_room_under_an_address_space_limit(
+        monkeypatch, soft, vmsize, want):
+    # MemAvailable is 8 GiB; a soft RLIMIT_AS leaves at most itself less
+    # VmSize and the 48 MiB BLAS margin
+    figures = {"MemAvailable": 8 << 30, "VmSize": vmsize}
+    monkeypatch.setattr(spectral, "_proc_bytes", lambda path, key: figures[key])
+    rlim = spectral.resource.RLIM_INFINITY if soft is None else soft
+    monkeypatch.setattr(spectral.resource, "getrlimit", lambda which: (rlim, rlim))
+    assert spectral._available_memory() == want
