@@ -119,6 +119,8 @@ def cmd_index(args) -> int:
     print(f"I = {r.invariant}")
     print(f"inertia: n+ = {r.inertia.n_plus}, n- = {r.inertia.n_minus}, "
           f"n0 = {r.inertia.n_zero} ({r.inertia.method})")
+    lo, hi = min(r.blocks), max(r.blocks)
+    print(f"blocks: {len(r.blocks)} ({lo if lo == hi else f'{lo}-{hi}'} rows)")
     print(f"gap = {r.inertia.gap:.6e}")
     print(f"curvature estimate = {r.curvature_estimate:.6e}")
     print(f"window degree = {r.degree} (mu = {r.mu:g})")

@@ -6,9 +6,11 @@ x + e_j.  Constant-flux line bundles are built in closed form with the
 standard boundary-twist prescription, so every plaquette in a flux-carrying
 coordinate plane has the same phase 2*pi*K_jl/N^2.
 
-`inversion_gauge` finds, and checks on every link, the gauge under which a
-field is its own image by x -> -x; every constant-flux field has one, and
-`wilson.parity_blocks` splits the operator of such a field in two.
+`symmetry_gauge` finds, and checks on every link, the gauge under which a
+field is its own image by a signed axis permutation x -> Px.
+`symmetry_group` collects the P that pass: the quarter turns of the planes
+of K = k12 e12 + k34 e34 (Z4 x Z4 at d=4, Z4 at d=2), else the inversion
+(Z2), and `wilson.symmetry_blocks` splits the operator by its characters.
 """
 
 from __future__ import annotations
@@ -119,47 +121,85 @@ def _neighbour(geom: LatticeGeometry, j: int, step: int = 1) -> np.ndarray:
     return np.roll(sites, -step, axis=j).ravel()
 
 
-def _inversion(geom: LatticeGeometry) -> np.ndarray:
-    """Site index of -x (mod N) for every site x."""
-    sites = np.arange(geom.n_sites).reshape((geom.N,) * geom.d)
-    return np.roll(np.flip(sites), 1, axis=tuple(range(geom.d))).ravel()
+def _site_map(geom: LatticeGeometry, P) -> np.ndarray:
+    """Site index of Px (mod N) for every site x, P a d x d signed permutation."""
+    x = np.indices((geom.N,) * geom.d).reshape(geom.d, -1)
+    return np.ravel_multi_index(np.asarray(P) @ x % geom.N, (geom.N,) * geom.d)
 
 
-def _comb_gauge(f: GaugeField, inv: np.ndarray) -> np.ndarray:
-    """`inversion_gauge`'s g, unchecked: g(x + e_j) = U_j(i(x + e_j))^-1
-    g(x) U_j(x)^-1 from g(0) = 1 along the x_1 axis, then along e_2 from
-    each of its sites, and so on."""
+def symmetry_gauge(f: GaugeField, P) -> np.ndarray | None:
+    """The gauge w, an (n_sites, r, r) stack with w(0) = 1, under which the
+    field is its own image by the signed axis permutation x -> Px (the
+    inversion is P = -1): with P e_j = s e_k, w(x + e_j) U_j(x) w(x)^-1 is
+    U_k(Px) if s = 1, U_k(P(x + e_j))^-1 if s = -1, on every link to 1e-12;
+    None if there is none (a perturbed field, for instance).
+
+    The rule fixes w along a comb from the origin (the x_1 axis, then e_2
+    from each of its sites, and so on), and every link is then checked.
+    If all hold, (W psi)(Px) = w(x) psi(x) sends each U_j to U_k, or U_k*,
+    and W^n = 1 where P^n = 1: W^n is on-site, commutes with every U_j and
+    is 1 at x = 0."""
     geom, U = f.geometry, f.links
-    g = np.tile(np.eye(f.rank, dtype=complex), (geom.n_sites, 1, 1))
+    P = np.asarray(P)
+    k = np.abs(P).argmax(axis=0)
+    Px = _site_map(geom, P)
+    nbs = [_neighbour(geom, j) for j in range(geom.d)]
+
+    def image(j, x):
+        if P[k[j], j] > 0:
+            return U[Px[x], k[j]]
+        return _dag(U[Px[nbs[j][x]], k[j]])
+
+    w = np.tile(np.eye(f.rank, dtype=complex), (geom.n_sites, 1, 1))
     sites = np.arange(geom.n_sites).reshape((geom.N,) * geom.d)
-    for j in range(geom.d):
-        nb = _neighbour(geom, j)
+    for j, nb in enumerate(nbs):
         for t in range(geom.N - 1):
             # the sites with x_j = t and x_l = 0 for l > j
             x = sites[(slice(None),) * j + (t,) + (0,) * (geom.d - j - 1)].ravel()
-            g[nb[x]] = _dag(U[inv[nb[x]], j]) @ g[x] @ _dag(U[x, j])
-    return g
-
-
-def inversion_gauge(f: GaugeField) -> np.ndarray | None:
-    """The gauge g, an (n_sites, r, r) stack with g(0) = 1, under which the
-    field is its own image by the inversion i(x) = -x:
-    U_j(i(x) - e_j)^-1 = g(x + e_j) U_j(x) g(x)^-1 on every link, to 1e-12;
-    None if there is none (a perturbed field, for instance).
-
-    The rule fixes g along a comb from the origin (`_comb_gauge`), and
-    every link is then checked.  If all hold, g(i(x)) g(x) = 1 (it is 1 at
-    x = 0 and transported by every link), so (V psi)(x) = g(i(x)) psi(i(x))
-    is an involution that sends each link-times-shift U_j to U_j*."""
-    geom, U = f.geometry, f.links
-    inv = _inversion(geom)
-    g = _comb_gauge(f, inv)
-    for j in range(geom.d):
-        nb = _neighbour(geom, j)
+            w[nb[x]] = image(j, x) @ w[x] @ _dag(U[x, j])
+    for j, nb in enumerate(nbs):
         # not >, so a nan link fails too
-        if not np.abs(_dag(U[inv[nb], j]) - g[nb] @ U[:, j] @ _dag(g)).max() <= 1e-12:
+        if not np.abs(image(j, sites.ravel()) - w[nb] @ U[:, j] @ _dag(w)).max() <= 1e-12:
             return None
-    return g
+    return w
+
+
+def quarter_turn(d: int, a: int, b: int) -> np.ndarray:
+    """The signed permutation e_a -> e_b, e_b -> -e_a (0-based axes)."""
+    P = np.eye(d, dtype=int)
+    P[[a, b], [a, b]] = 0
+    P[b, a], P[a, b] = 1, -1
+    return P
+
+
+def _pairings(axes: list):
+    """Every partition of axes into pairs, the consecutive pairs first."""
+    if not axes:
+        yield []
+    for i in range(1, len(axes)):
+        for rest in _pairings(axes[1:i] + axes[i + 1:]):
+            yield [(axes[0], axes[i])] + rest
+
+
+def symmetry_group(f: GaugeField) -> list:
+    """Generators (P, symmetry_gauge(f, P)) of the field's symmetry group:
+    the quarter turns of the first pairing of the axes into planes whose
+    turns all pass, else the inversion alone, else none (none at odd d,
+    where -1 reverses orientation).  A flux K passes with a pairing that no
+    K_jl joins across, (1,2)(3,4) for K = k12 e12 + k34 e34 or (1,3)(2,4)
+    for e13 - e24; K = e12 + e13 has none.  The turns of one pairing
+    commute, their W's too (the commutator is on-site, commutes with every
+    U_j and is 1 at x = 0), so the group is Z4^(d/2), or Z2."""
+    d = f.geometry.d
+    if d % 2:
+        return []
+    for pairs in _pairings(list(range(d))):
+        gens = [(P, symmetry_gauge(f, P)) for P in (quarter_turn(d, a, b) for a, b in pairs)]
+        if all(w is not None for _, w in gens):
+            return gens
+    minus = -np.eye(d, dtype=int)
+    w = symmetry_gauge(f, minus)
+    return [] if w is None else [(minus, w)]
 
 
 def trivial_field(geom: LatticeGeometry, rank: int = 1) -> GaugeField:

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .clifford import clifford_rep
 from .gauge import (FluxMatrix, GaugeField, _unitarity_defect, estimate_curvature_norm,
@@ -20,7 +21,7 @@ from .gauge import (FluxMatrix, GaugeField, _unitarity_defect, estimate_curvatur
 # min_abs_eigenvalue is unused here; perfbench's tracer looks it up by name
 from .spectral import (Inertia, _dense_inertia, _tol, half_signature, inertia,  # noqa: F401
                        inertia_bunch_kaufman, min_abs_eigenvalue)
-from .wilson import assemble, parity_blocks, symbol_gap, wilson_matrix
+from .wilson import assemble, symbol_gap, symmetry_blocks, wilson_matrix
 
 # Global orientation sign relating the lattice invariant to the Pfaffian
 # index, calibrated once from the d=2, N=16, K_12=1, m=1 instance under
@@ -46,6 +47,7 @@ class IndexReport:
     degree: int  # corner_count_degree(d, mu): the window's doubler count
     continuum_index: int | None = None
     agrees: bool | None = None
+    blocks: tuple = ()  # the dimension of each symmetry block that was solved
 
 
 @dataclass(frozen=True)
@@ -73,10 +75,10 @@ class UnitaryTuple:
 
     @cached_property
     def epsilon(self) -> float:
-        """max_{j<l} ||[U_j, U_l]||_2, measured on first read."""
-        U = self.unitaries
-        return max((float(sla.svdvals(U[j] @ U[l] - U[l] @ U[j],
-                                      overwrite_a=True, check_finite=False)[0])
+        """max_{j<l} ||[U_j, U_l]||_2, measured on first read, each
+        commutator formed sparse (`_sparse_norm`)."""
+        U = [sp.csr_matrix(u) for u in self.unitaries]
+        return max((_sparse_norm(U[j] @ U[l] - U[l] @ U[j])
                     for j in range(self.d) for l in range(j + 1, self.d)),
                    default=0.0)
 
@@ -91,6 +93,38 @@ class UnitaryTuple:
                 or not _unitarity_defect(mats) <= 1e-12):
             raise ValueError("tuple entries must be unitary")
         return UnitaryTuple(mats)
+
+
+def _sparse_norm(C: sp.csr_matrix) -> float:
+    """||C||_2, exactly: up to a permutation of rows and columns, C is block
+    diagonal over the connected components of its bipartite row/column
+    pattern, so its norm is their blocks' largest, from dense singular
+    values batched by block shape.  The blocks are 1 x 1 for `clock_shift`
+    and r x r for a rank-r `gauge_tuple`; a dense C is one block."""
+    C = C.tocoo()
+    C.eliminate_zeros()
+    n = C.shape[0]
+    pattern = sp.csr_matrix((np.ones(C.nnz), (C.row, n + C.col)), shape=(2 * n, 2 * n))
+    k, label = connected_components(pattern, directed=False)
+
+    def places(lab):
+        """Each index's place among its component's, and each component's count."""
+        order = np.argsort(lab, kind="stable")
+        place = np.empty(n, dtype=int)
+        place[order] = np.arange(n) - np.searchsorted(lab[order], lab[order])
+        return place, np.bincount(lab, minlength=k)
+
+    (row, rows), (col, cols) = places(label[:n]), places(label[n:])
+    comp = label[C.row]
+    shapes = np.stack([rows, cols], axis=1)[comp]
+    norm = 0.0
+    for shape in np.unique(shapes, axis=0):
+        same = (shapes == shape).all(axis=1)
+        slot = np.unique(comp[same], return_inverse=True)[1]
+        blocks = np.zeros((slot.max() + 1, *shape), dtype=C.dtype)
+        blocks[slot, row[C.row[same]], col[C.col[same]]] = C.data[same]
+        norm = max(norm, float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max()))
+    return norm
 
 
 def continuum_index(K: FluxMatrix) -> int:
@@ -112,6 +146,15 @@ def _pfaffian(K: np.ndarray, idx) -> int:
         rest = [q for q in idx if q != i0 and q != j]
         total += (-1) ** (pos - 1) * a * _pfaffian(K, rest)
     return total
+
+
+def _block_inertia(f: GaugeField, cl, mu: float, scale: float = 1.0) -> tuple:
+    """(inertia, block dimensions) of H = scale * assemble(f, cl, mu).matrix,
+    solved as scale times its `symmetry_blocks`, each classified with the
+    whole operator's zero threshold `_tol(H)`; H is freed first."""
+    tol = _tol(scale * assemble(f, cl, mu).matrix)
+    blocks = [scale * B for B in symmetry_blocks(f, cl, mu)]
+    return inertia(*blocks, tol=tol), tuple(B.shape[0] for B in blocks)
 
 
 def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:
@@ -137,9 +180,7 @@ def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:
         mu = m * a
     else:
         raise ValueError(f"unknown mass mode {mode!r}")
-    # the whole operator's zero threshold, for each of its parity blocks
-    H = assemble(f, cl, mu).matrix
-    inert = inertia(*parity_blocks(f, cl, H), tol=_tol(H))
+    inert, blocks = _block_inertia(f, cl, mu)
     if inert.n_zero > 0:
         raise SingularOperatorError(
             "singular operator: decrease a (increase N) or adjust m")
@@ -159,6 +200,7 @@ def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:
         degree=degree,
         continuum_index=continuum,
         agrees=agrees,
+        blocks=blocks,
     )
 
 
@@ -214,9 +256,7 @@ def verify_gap_bound(f: GaugeField, m: float, kappa: float) -> BoundReport:
     if not 0 < m <= kappa <= N:
         raise ParameterRangeError("kappa must lie in [m, N], with m > 0")
     d = f.geometry.d
-    cl = clifford_rep(d)
-    H = kappa * assemble(f, cl, m / kappa).matrix
-    inert = inertia(*parity_blocks(f, cl, H), tol=_tol(H))
+    inert, _ = _block_inertia(f, clifford_rep(d), m / kappa, kappa)
     lam = inert.gap
     curvature = estimate_curvature_norm(f)
     # curvature error terms total 4 d^2 ||R|| a^2 kappa^2 <= 4 d^2 ||R||

@@ -1,8 +1,8 @@
 """Exact inertia of Hermitian matrices and supporting spectral routines.
 
 `inertia` is the one entry point.  It takes a matrix whole or as the
-diagonal blocks of a block-diagonal one (the parity blocks of
-`wilson.parity_blocks`), picks the path by the total dimension and runs
+diagonal blocks of a block-diagonal one (the symmetry blocks of
+`wilson.symmetry_blocks`), picks the path by the total dimension and runs
 every block through it alone, with all of its checks:
 
 * up to `_DENSE_LIMIT` (the oracle): one backward-stable LAPACK
@@ -104,7 +104,7 @@ _CONTRACTION = 1e-2
 # address space a dense LAPACK call takes beyond its matrix: OpenBLAS maps
 # a work buffer of about 32 MiB on first use, and a factor that cannot map
 # it spins or exits instead of raising (chetrf under RLIMIT_AS, on a d=4
-# N=8 parity block and on a d=4 N=5 tuple operator: 34 MiB left beyond
+# N=8 inversion block and on a d=4 N=5 tuple operator: 34 MiB left beyond
 # the Schur complement ran, 31 MiB spun, with 1 or 2 OpenBLAS threads)
 _BLAS_MARGIN = 48 * 2 ** 20
 

@@ -11,10 +11,12 @@ unitaries; `wilson_matrix` builds it for both.  H equals
 a * (D_W + (mu/a) gamma), and positive scaling preserves inertia, so the
 cutoff-mass regime is mu = m and the constant-mass regime is mu = a*m.
 
-For a field that is its own image by x -> -x in some gauge g
-(`gauge.inversion_gauge`), H commutes with the involution
-R = (g o -x) (x) gamma, and `parity_blocks` returns H's two half-size
-blocks on R's eigenspaces, which `spectral.inertia` takes in place of H.
+For a field that is its own image by signed axis permutations P in some
+gauge (`gauge.symmetry_group`), H commutes with each R = W (x) S, W the
+gauge-covariant site map x -> Px and S its spinor, and `symmetry_blocks`
+returns H's blocks on the joint eigenspaces of the R's, one per character
+of the group (16 at d=4 and 4 at d=2 where the quarter turns pass, else
+2), which `spectral.inertia` takes in place of H.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .clifford import CliffordRep
-from .gauge import GaugeField, _inversion, inversion_gauge, link_shift
+from .gauge import GaugeField, _dag, _neighbour, _site_map, link_shift, symmetry_group
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,47 +60,103 @@ def assemble(f: GaugeField, cl: CliffordRep, mu: float) -> WilsonOperator:
     return WilsonOperator(wilson_matrix([link_shift(f, j) for j in range(cl.d)], cl, mu))
 
 
-def _parity_bases(f: GaugeField, g: np.ndarray, cl: CliffordRep) -> list:
-    """[Q+, Q-]: orthonormal CSR bases of the +1 and -1 eigenspaces of the
-    involution R = V (x) gamma, (V psi)(x) = g(-x) psi(-x).
-
-    The columns are (e +- R e)/|e +- R e| for the fibre vectors e at the
-    sites x <= -x, in index order, less those that vanish.  At x != -x,
-    R e sits at -x, and each e gives one column of each basis.  At a fixed
-    site x = -x, where g(x) is a Hermitian involution, the fibre is first
-    written in g(x)'s eigenbasis and R is diagonal there (gamma is), so e
-    lies in one eigenspace; tr gamma = 0, so both bases get n/2 columns."""
-    n_sites, r, s = f.geometry.n_sites, f.rank, len(cl.grading)
-    inv = _inversion(f.geometry)
-    fixed = inv == np.arange(n_sites)
-    T = np.tile(np.eye(r, dtype=complex), (n_sites, 1, 1))
-    T[fixed] = np.linalg.eigh(g[fixed])[1]
-    T = sp.bsr_matrix((T, np.arange(n_sites), np.arange(n_sites + 1)))
-    V = sp.bsr_matrix((g[inv], inv, np.arange(n_sites + 1)))
-    R = sp.kron(T.conj().T @ V @ T, cl.grading, format="csc")
-    Ts = sp.kron(T, sp.identity(s), format="csr")
-    x = np.repeat(np.arange(n_sites) <= inv, r * s)
-    bases = []
-    for sigma in (1, -1):
-        P = (sp.identity(len(x), format="csc") + sigma * R)[:, x]
-        # sqrt 2 at a pair of sites; 2, or 0 to rounding, at a fixed site
-        norm = np.sqrt(np.asarray(abs(P).power(2).sum(axis=0)).ravel())
-        bases.append(Ts @ P[:, norm > 1] @ sp.diags(1 / norm[norm > 1]))
-    return bases
+def _spinor(cl: CliffordRep, P: np.ndarray) -> tuple:
+    """(S, n): S c_j S^-1 = sum_k P_kj c_k and S gamma = gamma S, scaled so
+    that S^n = 1 for the order n of P: gamma for the inversion (n = 2), and
+    e^(i pi/4) (1 + c_a c_b)/sqrt 2 for the quarter turn e_a -> e_b
+    (n = 4), whose eigenvalues are 1 and i."""
+    if np.array_equal(P, -np.eye(cl.d)):
+        return cl.grading, 2
+    a, b = np.flatnonzero(np.diag(P) == 0)
+    a, b = (a, b) if P[b, a] > 0 else (b, a)
+    c = cl.generators
+    return np.exp(0.25j * np.pi) * (np.eye(cl.dim_s) + c[a] @ c[b]) / np.sqrt(2), 4
 
 
-def parity_blocks(f: GaugeField, cl: CliffordRep, H: sp.csr_matrix) -> tuple:
-    """The diagonal blocks of H = c * assemble(f, cl, mu).matrix (any mu,
-    any real c) in a basis that block-diagonalizes it: Q+* H Q+ and
-    Q-* H Q- (`_parity_bases`) when the field is its own image by x -> -x
-    (`gauge.inversion_gauge`), as every constant-flux field is, since
-    R H = H R; else (H,).  Each block is formed on its own, not cut out of
-    Q* H Q, whose entries between the blocks are rounding residues, not
-    zeros."""
-    g = inversion_gauge(f)
-    if g is None:
-        return (H,)
-    return tuple((Q.conj().T @ H @ Q).tocsr() for Q in _parity_bases(f, g, cl))
+def symmetry_blocks(f: GaugeField, cl: CliffordRep, mu: float) -> tuple:
+    """The diagonal blocks of H = assemble(f, cl, mu).matrix, one per
+    character chi of the field's group G (`gauge.symmetry_group`), which
+    commutes with H; (H,) if G is trivial.
+
+    Block chi is H where every R_g = W_g (x) S_g is chi(g).  There a vector
+    is fixed by its value v at each orbit's least site x0, psi(P_g x0) =
+    chi(g)^-1 A_g(x0) v with (R_g psi)(P_g x) = A_g(x) psi(x) =
+    (w_g(x) (x) S_g) psi(x), and v lies where x0's stabilizer acts as chi:
+    on the whole fibre at a free orbit, else on the eigenvectors of the
+    stabilizer's projector (the inversion's fixed sites are the Z2 case).
+    So the block is a Wilson operator on the orbits, built from the rows of
+    H at the x0: the hop x0 -> y = P_g y0 carries H(x0, y) A_g(y0), times
+    chi(g)^-1 sqrt(|orbit of x0| / |orbit of y0|).  The spin basis is first
+    turned so that every S_g is diagonal; the c_j stay monomial there
+    (cleared of rounding below 1e-12), so no block stores more entries per
+    row than H."""
+    gens = symmetry_group(f)
+    if not gens:
+        return (assemble(f, cl, mu).matrix,)
+    geom, U, r, s, rs = f.geometry, f.links, f.rank, cl.dim_s, f.rank * cl.dim_s
+    n = geom.n_sites
+    spinors, orders = zip(*(_spinor(cl, P) for P, _ in gens))
+    # each S + S* has two eigenvalues 2 apart, so powers of 3 separate the
+    # joint eigenspaces of the commuting S's
+    V = np.linalg.eigh(sum(3 ** a * (S + _dag(S)) for a, S in enumerate(spinors)))[1]
+
+    def spin(A):
+        A = _dag(V) @ A @ V
+        A[np.abs(A) < 1e-12] = 0
+        return A
+
+    # g = prod_a R_a^(k_a) for every k in C order: site map, gauge and
+    # spinor diagonal, by R_a R_g = (P_a P_g, w_a(P_g x) w_g(x), S_a S_g)
+    perm, w, D = np.arange(n)[None], np.tile(np.eye(r, dtype=complex), (1, n, 1, 1)), np.ones((1, s))
+    for (P, wa), S, order in reversed(list(zip(gens, spinors, orders))):
+        Pa, Da, ps, ws, Ds = _site_map(geom, P), np.diagonal(spin(S)), [perm], [w], [D]
+        for _ in range(order - 1):
+            ws.append(wa[ps[-1]] @ ws[-1])
+            ps.append(Pa[ps[-1]])
+            Ds.append(Da * Ds[-1])
+        perm, w, D = np.concatenate(ps), np.concatenate(ws), np.concatenate(Ds)
+    k = np.array(list(np.ndindex(*orders)))
+    chars = np.exp(2j * np.pi * (k / orders) @ k.T)  # chars[chi, g] = chi(g)
+    # P_h x = x0, the least site of x's orbit, so x = P_g x0 for g = h^-1
+    h = perm.argmin(axis=0)
+    x0 = perm[h, np.arange(n)]
+    reps = np.flatnonzero(x0 == np.arange(n))
+    pos = np.empty(n, dtype=int)
+    pos[reps] = np.arange(len(reps))
+    stab = perm[:, reps] == reps
+    n_stab = stab.sum(axis=0)
+    # the hops at the x0: on-site, then +e_j and -e_j
+    gamma = spin(cl.grading)
+    ys, links, spins = [reps], [np.eye(r)[None]], [(mu - geom.d) * gamma]
+    for j, c in enumerate(cl.generators):
+        back = _neighbour(geom, j, -1)[reps]
+        ys += [_neighbour(geom, j)[reps], back]
+        links += [_dag(U[reps, j]), U[back, j]]
+        spins += [(gamma - spin(c)) / 2, (gamma + spin(c)) / 2]
+    y = np.stack(ys)
+    g, y0 = np.ravel_multi_index((-k % orders).T, orders)[h[y]], x0[y]
+    fibre = np.stack(np.broadcast_arrays(*links)) @ w[g, y0]
+    hop = np.stack(spins)[:, None] * D[g][..., None, :]
+    T = (fibre[..., :, None, :, None] * hop[..., None, :, None, :]).reshape(*y.shape, rs, rs)
+    T *= np.sqrt(n_stab[pos[y0]] / n_stab)[..., None, None]
+    t, i, a, b = np.nonzero(T)
+    rows, cols, T, g = i * rs + a, pos[y0[t, i]] * rs + b, T[t, i, a, b], g[t, i]
+    # each x0's basis per character: the columns of E where `keep`, the
+    # eigenvectors of its stabilizer's projector (1 at a free orbit)
+    A = np.einsum("gxac,gb,bd->gxabcd", w[:, reps], D, np.eye(s)).reshape(len(k), -1, rs, rs)
+    proj = np.tensordot(chars.conj(), stab[..., None, None] * A, 1) / n_stab[:, None, None]
+    lam, E = np.linalg.eigh((proj + _dag(proj)) / 2)
+    keep = lam > 0.5
+    blocks = []
+    for chi in range(len(k)):
+        M = sp.csr_matrix((T * chars[chi, g].conj(), (rows, cols)), shape=(len(reps) * rs,) * 2)
+        Q = sp.bsr_matrix((E[chi], np.arange(len(reps)), np.arange(len(reps) + 1))).tocsr()
+        Q = Q[:, keep[chi].ravel()]
+        Q.eliminate_zeros()
+        B = (Q.conj().T @ M @ Q).tocsr()
+        B.eliminate_zeros()
+        blocks.append(B)
+    return tuple(blocks)
 
 
 def symbol(cl: CliffordRep, k, mu: float) -> np.ndarray:

@@ -56,6 +56,19 @@ def test_index_trivial(capsys):
     assert "n0 = 0 (dense)" in out
 
 
+def test_index_prints_its_blocks(capsys, monkeypatch):
+    assert run(["index", "--d", "2", "--N", "8", "--flux", "1,2=1"]) == 0
+    assert "\nblocks: 4 (31-33 rows)\n" in capsys.readouterr().out
+    # a field with no symmetry is one block
+    f = constant_flux_field(make_geometry(2, 4), FluxMatrix.from_entries(2, [(1, 2, 1)]))
+    links = f.links.copy()
+    links[5, 0] *= -1
+    monkeypatch.setattr(cli, "constant_flux_field",
+                        lambda *a: dataclasses.replace(f, links=links))
+    assert run(["index", "--d", "2", "--N", "4", "--flux", "1,2=1"]) == 0
+    assert "\nblocks: 1 (32 rows)\n" in capsys.readouterr().out
+
+
 def test_index_flux_with_csv(tmp_path, capsys):
     path = tmp_path / "row.csv"
     rc = run(["index", "--d", "2", "--N", "8", "--flux", "1,2=1",
@@ -102,8 +115,9 @@ def test_resource_error_exit_code(monkeypatch, capsys):
 
     monkeypatch.setattr(spectral, "_available_memory", lambda: 1)
     assert run(["index", "--d", "2", "--N", "4"]) == cli.EXIT_RESOURCE == 4
-    # the first parity block of the dim-32 operator is reserved first
-    assert "error: block 0 of the dim-32 operator: dense dim-16 operator needs" \
+    # the first of the four symmetry blocks (9, 9, 7 and 7 rows) of the
+    # dim-32 operator is reserved first
+    assert "error: block 0 of the dim-32 operator: dense dim-9 operator needs" \
         in capsys.readouterr().err
 
 
@@ -191,15 +205,15 @@ def test_acm_tuple_that_does_not_fit_exits_4():
 
 
 def test_index_that_does_not_fit_exits_4():
-    # the Schur complement of a d=4 N=8 parity block (128 MiB complex64)
-    # fits the 150 MiB limit less what the command has mapped, but not with
-    # room for OpenBLAS's buffers, without which chetrf spins: its reserve
-    # refuses it before it is made
-    rc, out, err = run_limited(["index", "--d", "4", "--N", "8",
+    # the Schur complement of the first of the 16 symmetry blocks of d=4
+    # N=11 (44 MiB complex64) does not fit the 150 MiB limit less what the
+    # command has mapped and room for OpenBLAS's buffers, without which
+    # chetrf spins: its reserve refuses it before it is made
+    rc, out, err = run_limited(["index", "--d", "4", "--N", "11",
                                 "--flux", "1,2=1", "--flux", "3,4=2"])
     assert (rc, out) == (4, "")
-    assert err.startswith("error: block 0 of the dim-16384 operator: dense dim-4096 "
-                          "Schur complement needs 0.12 GiB (4096^2 complex64), ")
+    assert err.startswith("error: block 0 of the dim-58564 operator: dense dim-2370 "
+                          "Schur complement needs 0.04 GiB (2370^2 complex64), ")
     assert "Traceback" not in err
 
 

@@ -19,7 +19,8 @@ from wilsonindex import (
     trivial_field,
 )
 from wilsonindex import gauge
-from wilsonindex.gauge import _inversion, _neighbour, inversion_gauge, link_shift
+from wilsonindex.gauge import (_neighbour, _site_map, link_shift, quarter_turn, symmetry_gauge,
+                               symmetry_group)
 
 
 def test_geometry_rejects_coarse_lattice():
@@ -236,8 +237,25 @@ def _flux_field(d, N, entries):
 
 def test_inversion_is_minus_x():
     x = np.indices((4,) * 3).reshape(3, -1)
-    assert np.array_equal(_inversion(make_geometry(3, 4)),
+    assert np.array_equal(_site_map(make_geometry(3, 4), -np.eye(3, dtype=int)),
                           np.ravel_multi_index(-x % 4, (4,) * 3))
+
+
+def test_a_quarter_turn_maps_each_site_to_its_image():
+    x = np.indices((5,) * 4).reshape(4, -1)
+    want = x.copy()
+    # e_1 -> e_3 and e_3 -> -e_1
+    want[3], want[1] = x[1], -x[3] % 5
+    assert np.array_equal(quarter_turn(4, 1, 3) @ np.eye(4, dtype=int)[:, 1], [0, 0, 0, 1])
+    assert np.array_equal(_site_map(make_geometry(4, 5), quarter_turn(4, 1, 3)),
+                          np.ravel_multi_index(want, (5,) * 4))
+
+
+def _site_operator(f, P, w):
+    """(W psi)(Px) = w(x) psi(x) as a sparse matrix on sites (x) C^r."""
+    n, r = f.geometry.n_sites, f.rank
+    x = np.argsort(_site_map(f.geometry, P))  # the x with Px = y, for each y
+    return sp.bsr_matrix((w[x], x, np.arange(n + 1)), shape=(n * r, n * r)).tocsr()
 
 
 @pytest.mark.parametrize("d, N, entries", [
@@ -246,28 +264,64 @@ def test_inversion_is_minus_x():
 ])
 def test_constant_flux_fields_are_inversion_symmetric(d, N, entries):
     f = _flux_field(d, N, entries)
-    g = inversion_gauge(f)
-    inv = _inversion(f.geometry)
+    minus = -np.eye(d, dtype=int)
+    g = symmetry_gauge(f, minus)
+    inv = _site_map(f.geometry, minus)
     n = f.geometry.n_sites
     assert g[0, 0, 0] == 1
     assert np.abs(g[inv] * g - 1).max() < 1e-12
-    # (V psi)(x) = g(-x) psi(-x) is an involution that takes U_j to U_j*
-    V = sp.csr_matrix((g[inv, 0, 0], (np.arange(n), inv)), shape=(n, n))
+    # (V psi)(-x) = g(x) psi(x) is an involution that takes U_j to U_j*
+    V = _site_operator(f, minus, g)
     assert abs(V @ V - sp.identity(n)).max() < 1e-12
     for j in range(d):
         U = link_shift(f, j)
         assert abs(V @ U @ V - U.conj().T).max() < 1e-12
 
 
-def test_the_link_check_rejects_a_flipped_gauge(monkeypatch):
+@pytest.mark.parametrize("d, N, entries", [
+    (2, 3, [(1, 2, 1)]), (2, 8, [(1, 2, -2)]), (4, 3, [(1, 2, 1), (3, 4, 2)]),
+    (4, 4, [(1, 3, 1), (2, 4, -1)]),
+])
+def test_quarter_turns_take_each_shift_to_its_image(d, N, entries):
+    # W U_j W^-1 is U_k where P e_j = e_k, U_k* where P e_j = -e_k; W^4 = 1
+    f = _flux_field(d, N, entries)
+    gens = symmetry_group(f)
+    assert len(gens) == d // 2
+    for P, w in gens:
+        W = _site_operator(f, P, w)
+        W4 = W @ W @ W @ W
+        assert abs(W4 - sp.identity(f.geometry.n_sites)).max() < 1e-12
+        for j in range(d):
+            k = np.flatnonzero(P[:, j])[0]
+            want = link_shift(f, k) if P[k, j] > 0 else link_shift(f, k).conj().T
+            assert abs(W @ link_shift(f, j) @ W.conj().T - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("d, entries, planes", [
+    (2, [(1, 2, 3)], [(0, 1)]),
+    (4, [], [(0, 1), (2, 3)]),
+    (4, [(1, 2, 1)], [(0, 1), (2, 3)]),
+    (4, [(1, 2, -1), (3, 4, 2)], [(0, 1), (2, 3)]),
+    (4, [(1, 3, 1), (2, 4, -1)], [(0, 2), (1, 3)]),
+    (4, [(1, 4, 2), (2, 3, 1)], [(0, 3), (1, 2)]),
+    (4, [(1, 2, 1), (1, 3, 1)], None),
+])
+def test_the_group_is_the_quarter_turns_of_the_flux_planes(d, entries, planes):
+    f = _flux_field(d, 3, entries)
+    want = ([quarter_turn(d, a, b) for a, b in planes] if planes
+            else [-np.eye(d, dtype=int)])
+    assert [P.tolist() for P, _ in symmetry_group(f)] == [P.tolist() for P in want]
+    assert symmetry_group(perturb_field(f, 0.05, 1)) == []
+
+
+def test_the_link_check_rejects_a_flipped_gauge():
+    # the comb never reads U_1 at the site (0, 1), so the gauge it builds is
+    # the same with that link flipped, and only the check on every link
+    # sees that it no longer holds there
     f = _flux_field(2, 6, [(1, 2, 1)])
-    comb = gauge._comb_gauge
-
-    def flipped(*args):
-        g = comb(*args)
-        g[7] *= -1
-        return g
-
-    assert inversion_gauge(f) is not None
-    monkeypatch.setattr(gauge, "_comb_gauge", flipped)
-    assert inversion_gauge(f) is None
+    links = f.links.copy()
+    links[1, 0] *= -1
+    flipped = gauge.GaugeField(f.geometry, 1, links, f.flux_sectors)
+    for P in (quarter_turn(2, 0, 1), -np.eye(2, dtype=int)):
+        assert symmetry_gauge(f, P) is not None
+        assert symmetry_gauge(flipped, P) is None

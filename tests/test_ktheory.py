@@ -36,8 +36,9 @@ from wilsonindex import (
     trivial_field,
     verify_gap_bound,
 )
+from wilsonindex import ktheory
 from wilsonindex.formats import read_unitary_tuple, write_unitary_tuple
-from wilsonindex.gauge import GaugeField, inversion_gauge
+from wilsonindex.gauge import GaugeField, quarter_turn, symmetry_group
 from wilsonindex.ktheory import UnitaryTuple
 from wilsonindex.wilson import wilson_matrix
 
@@ -503,12 +504,14 @@ def test_tuple_construction_runs_no_svd(monkeypatch, tmp_path):
                             FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 1)]))
     monkeypatch.setattr(sla, "svdvals", refuse)
     monkeypatch.setattr(np.linalg, "norm", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(ktheory, "_sparse_norm", refuse)
     built = [clock_shift(64), gauge_tuple(f), read_unitary_tuple(path)]
     monkeypatch.undo()
     calls = []
-    svdvals = sla.svdvals
-    monkeypatch.setattr(sla, "svdvals",
-                        lambda *a, **kw: calls.append(1) or svdvals(*a, **kw))
+    measure = ktheory._sparse_norm
+    monkeypatch.setattr(ktheory, "_sparse_norm",
+                        lambda *a, **kw: calls.append(1) or measure(*a, **kw))
     for t in built:
         calls.clear()
         first = t.epsilon
@@ -529,9 +532,10 @@ def test_replace_describes_the_new_matrices(tmp_path):
 
 
 def test_epsilon_that_does_not_fit_raises(headroom):
-    # the 4000 x 4000 product alone is 244 MiB: numpy refuses it under the
-    # limit, so the commutator is never formed and nothing is cached
-    U = np.eye(4000, dtype=complex)
+    # every entry of U is nonzero, so its sparse copy alone is 305 MiB:
+    # numpy refuses it under the limit, so the commutator is never formed
+    # and nothing is cached
+    U = np.full((4000, 4000), 1 / 4000 ** 0.5, dtype=complex)
     t = UnitaryTuple((U, U))
     with headroom(150), pytest.raises(MemoryError):
         t.epsilon
@@ -803,7 +807,7 @@ def test_bott_oracle_rejects_singular_triple(lapack_calls):
 
 
 def _matches_the_whole_operator(f, m, mode="cutoff"):
-    """lattice_index on f, whose parity blocks it solves, against the dense
+    """lattice_index on f, whose symmetry blocks it solves, against the dense
     oracle on the whole assembled operator: the same counts and tol, and
     the gap to 1e-12 relative."""
     mu = m if mode == "cutoff" else m * f.geometry.spacing
@@ -824,7 +828,7 @@ def _matches_the_whole_operator(f, m, mode="cutoff"):
 @pytest.mark.parametrize("k", range(-2, 3))
 def test_parity_blocks_match_the_whole_operator_at_d2(N, k):
     f = constant_flux_field(make_geometry(2, N), _flux2(k))
-    assert inversion_gauge(f) is not None
+    assert [P.tolist() for P, _ in symmetry_group(f)] == [quarter_turn(2, 0, 1).tolist()]
     # constant mode reaches every mass window, mu = m / N
     for mu in (0.5, 1.5, 2.5, 3.5):
         _matches_the_whole_operator(f, mu * N, "constant")
@@ -832,10 +836,21 @@ def test_parity_blocks_match_the_whole_operator_at_d2(N, k):
 
 @pytest.mark.parametrize("entries", [
     [(1, 2, 1), (3, 4, 1)], [(1, 2, 1), (3, 4, 2)], [(1, 3, 1), (2, 4, -1), (1, 2, 1)],
+    [(1, 3, 1), (2, 4, -1)], [(1, 2, 1), (1, 3, 1)],
 ])
 def test_parity_blocks_match_the_whole_operator_at_d4(entries):
     _matches_the_whole_operator(
         constant_flux_field(make_geometry(4, 4), FluxMatrix.from_entries(4, entries)), 1.0)
+
+
+@pytest.mark.parametrize("entries", [[(1, 2, 1), (3, 4, 2)], [(1, 3, 1), (2, 4, -1)]])
+def test_sixteen_blocks_match_the_whole_operator(entries):
+    # odd N, where a site is fixed only by the turns of planes in which it
+    # sits at 0 (N=4 is in the test above)
+    f = constant_flux_field(make_geometry(4, 3), FluxMatrix.from_entries(4, entries))
+    assert len(symmetry_group(f)) == 2
+    assert len(lattice_index(f, 1.0).blocks) == 16
+    _matches_the_whole_operator(f, 1.0)
 
 
 def test_parity_blocks_of_transformed_and_rank_two_fields():
@@ -847,9 +862,11 @@ def test_parity_blocks_of_transformed_and_rank_two_fields():
     u2 = np.linalg.qr(rng.standard_normal((geom.n_sites, 2, 2))
                       + 1j * rng.standard_normal((geom.n_sites, 2, 2)))[0]
     for fld in (gauge_transform(f, phases), rank2, gauge_transform(rank2, u2)):
-        assert inversion_gauge(fld) is not None
+        assert len(symmetry_group(fld)) == 1
+        assert len(lattice_index(fld, 1.0).blocks) == 4
         _matches_the_whole_operator(fld, 1.0)
     assert lattice_index(rank2, 1.0).invariant == -1
+    assert lattice_index(gauge_transform(rank2, u2), 1.0).invariant == -1
 
 
 def test_a_field_without_the_symmetry_is_solved_whole():
@@ -857,31 +874,33 @@ def test_a_field_without_the_symmetry_is_solved_whole():
     links = f.links.copy()
     links[7, 1] *= np.exp(1e-6j)
     for fld in (GaugeField(f.geometry, 1, links, f.flux_sectors), perturb_field(f, 0.05, 3)):
-        assert inversion_gauge(fld) is None
-        assert lattice_index(fld, 1.0).inertia \
-            == inertia(assemble(fld, clifford_rep(2), 1.0).matrix)
+        assert symmetry_group(fld) == []
+        r = lattice_index(fld, 1.0)
+        assert r.blocks == (fld.geometry.n_sites * 2,)
+        assert r.inertia == inertia(assemble(fld, clifford_rep(2), 1.0).matrix)
 
 
 def test_d4_parity_blocks_take_the_factor_path(lapack_calls):
-    # dim 5184 > _DENSE_LIMIT: both 2592-row blocks are factored, and no
-    # block goes to the dense oracle
+    # dim 5184 > _DENSE_LIMIT: all 16 blocks, of 306-342 rows, are
+    # factored, and no block goes to the dense oracle
     f = constant_flux_field(make_geometry(4, 6), FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 2)]))
     r = lattice_index(f, 1.0)
     assert r.invariant == 2 and r.inertia.method == "ldl"
-    assert lapack_calls.factors == [("chetrf", np.complex64)] * 2
+    assert sorted(set(r.blocks)) == [306, 324, 342] and sum(r.blocks) == 5184
+    assert lapack_calls.factors == [("chetrf", np.complex64)] * 16
     assert lapack_calls.eigvalsh == []
 
 
 def test_d2_parity_blocks_take_the_dense_path(lapack_calls, monkeypatch):
-    # dim 1152: two 576-row eigensolves in place of one 1152-row one
+    # dim 1152: four eigensolves of 287-289 rows in place of one 1152-row one
     shapes = []
     eigenvalues = spectral._eigenvalues
     monkeypatch.setattr(spectral, "_eigenvalues",
                         lambda H: shapes.append(H.shape) or eigenvalues(H))
     r = lattice_index(constant_flux_field(make_geometry(2, 24), _flux2(1)), 1.0)
     assert r.invariant == 1 and r.inertia.method == "dense"
-    assert shapes == [(576, 576)] * 2
-    assert lapack_calls.eigvalsh == [np.complex128] * 2
+    assert shapes == [(288, 288), (289, 289), (288, 288), (287, 287)]
+    assert lapack_calls.eigvalsh == [np.complex128] * 4
 
 
 def test_gap_bound_solves_the_parity_blocks():

@@ -17,11 +17,11 @@ from wilsonindex import (
     symbol_gap,
     trivial_field,
 )
-from wilsonindex.gauge import inversion_gauge, link_shift
+from wilsonindex.gauge import _site_map, link_shift, symmetry_group
 from wilsonindex.ktheory import clock_shift, gauge_tuple
 from wilsonindex.spectral import inertia
-from wilsonindex.wilson import (WilsonOperator, _parity_bases, fourier_diagonalize,
-                                parity_blocks, wilson_matrix)
+from wilsonindex.wilson import (WilsonOperator, _spinor, fourier_diagonalize, symmetry_blocks,
+                                wilson_matrix)
 
 
 def symbol_gap_function(d: int, k_grid: np.ndarray, mu: float) -> np.ndarray:
@@ -179,20 +179,61 @@ def _symmetric_fields():
 
 @pytest.mark.parametrize("f", _symmetric_fields(), ids=["d2-N5", "d4-N4", "rank2", "rank2-U2"])
 def test_parity_bases_block_diagonalize_the_operator(f):
+    # the blocks are H in an orthonormal basis: together they have H's
+    # dimension and every eigenvalue of H, and no more entries per row
     cl = clifford_rep(f.geometry.d)
     H = assemble(f, cl, 1.0).matrix
-    n = H.shape[0]
-    Qp, Qm = _parity_bases(f, inversion_gauge(f), cl)
-    assert Qp.shape == Qm.shape == (n, n // 2)
-    Q = sp.hstack([Qp, Qm]).toarray()
-    assert np.abs(Q.conj().T @ Q - np.eye(n)).max() < 1e-12
-    B = Q.conj().T @ H.toarray() @ Q
-    # what lies between the blocks is rounding, and each block is formed
-    # on its own
-    assert np.abs(B[: n // 2, n // 2:]).max() < 1e-12
-    Hp, Hm = parity_blocks(f, cl, H)
-    assert np.abs(Hp.toarray() - B[: n // 2, : n // 2]).max() < 1e-12
-    assert np.abs(Hm.toarray() - B[n // 2:, n // 2:]).max() < 1e-12
+    blocks = symmetry_blocks(f, cl, 1.0)
+    assert len(blocks) == 2 ** f.geometry.d
+    assert sum(B.shape[0] for B in blocks) == H.shape[0]
+    got = np.sort(np.concatenate([np.linalg.eigvalsh(B.toarray()) for B in blocks]))
+    assert np.abs(got - np.linalg.eigvalsh(H.toarray())).max() < 1e-12
+    assert max(np.diff(B.indptr).max() for B in blocks) <= np.diff(H.indptr).max()
+
+
+def _symmetries(f, cl):
+    """R = W (x) S for each generator of f's group, W from its gauge."""
+    n, r = f.geometry.n_sites, f.rank
+    Rs = []
+    for P, w in symmetry_group(f):
+        x = np.argsort(_site_map(f.geometry, P))  # the x with Px = y, for each y
+        W = sp.bsr_matrix((w[x], x, np.arange(n + 1)), shape=(n * r, n * r))
+        Rs.append(sp.kron(W, _spinor(cl, P)[0], format="csr"))
+    return Rs
+
+
+@pytest.mark.parametrize("d, N, entries", [
+    *((2, N, [(1, 2, k)]) for N in (3, 4, 5, 8) for k in range(-2, 3)),
+    *((4, N, K) for N in (3, 4, 6) for K in ([(1, 2, 1), (3, 4, 2)], [(1, 3, 1), (2, 4, -1)])),
+])
+def test_the_quarter_turns_commute_with_the_operator(d, N, entries):
+    f = constant_flux_field(make_geometry(d, N), FluxMatrix.from_entries(d, entries))
+    cl = clifford_rep(d)
+    H = assemble(f, cl, 1.0).matrix
+    Rs = _symmetries(f, cl)
+    assert len(Rs) == d // 2
+    one = sp.identity(H.shape[0])
+    for R in Rs:
+        assert abs(R @ H - H @ R).max() <= 1e-13
+        assert abs(R @ R @ R @ R - one).max() <= 1e-13
+    if d == 4:
+        assert abs(Rs[0] @ Rs[1] - Rs[1] @ Rs[0]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d, N, entries, sizes", [
+    (4, 6, [(1, 2, 1), (3, 4, 2)], [324] * 4 + [342] * 4 + [324] * 4 + [306] * 4),
+    (2, 24, [(1, 2, 1)], [288, 289, 288, 287]),
+    # only the inversion fixes K = e12 + e13: its two eigenspaces
+    (4, 3, [(1, 2, 1), (1, 3, 1)], [162, 162]),
+])
+def test_block_sizes(d, N, entries, sizes):
+    f = constant_flux_field(make_geometry(d, N), FluxMatrix.from_entries(d, entries))
+    cl = clifford_rep(d)
+    H = assemble(f, cl, 1.0).matrix
+    blocks = symmetry_blocks(f, cl, 1.0)
+    assert [B.shape[0] for B in blocks] == sizes and sum(sizes) == H.shape[0]
+    # no rounding fill: no block stores more entries per row than H
+    assert all(B.nnz / B.shape[0] <= H.nnz / H.shape[0] for B in blocks)
 
 
 def test_a_field_without_the_symmetry_keeps_its_whole_operator():
@@ -200,4 +241,5 @@ def test_a_field_without_the_symmetry_keeps_its_whole_operator():
         make_geometry(2, 5), FluxMatrix.from_entries(2, [(1, 2, 1)])), 0.05, 2)
     cl = clifford_rep(2)
     H = assemble(f, cl, 1.0).matrix
-    assert parity_blocks(f, cl, H) == (H,)
+    (B,) = symmetry_blocks(f, cl, 1.0)
+    assert (B != H).nnz == 0
