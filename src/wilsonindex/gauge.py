@@ -7,15 +7,16 @@ standard boundary-twist prescription, so every plaquette in a flux-carrying
 coordinate plane has the same phase 2*pi*K_jl/N^2.
 
 `symmetry_gauge` finds, and checks on every link, the gauge under which a
-field is its own image by a signed axis permutation x -> Px.
-`symmetry_group` collects the P that pass: the quarter turns of the planes
-of K = k12 e12 + k34 e34 (Z4 x Z4 at d=4, Z4 at d=2), else the inversion
-(Z2), and `wilson.symmetry_blocks` splits the operator by its characters.
+field, or its conjugate, is its own image by a signed axis permutation.
+`symmetry_group` collects the P that pass, the quarter turns of the planes
+of K = k12 e12 + k34 e34 (Z4^(d/2)) else the inversion (Z2), and the
+antiunitary T that makes `wilson.symmetry_blocks`' character blocks real.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -127,12 +128,14 @@ def _site_map(geom: LatticeGeometry, P) -> np.ndarray:
     return np.ravel_multi_index(np.asarray(P) @ x % geom.N, (geom.N,) * geom.d)
 
 
-def symmetry_gauge(f: GaugeField, P) -> np.ndarray | None:
+def symmetry_gauge(f: GaugeField, P, conj: bool = False) -> np.ndarray | None:
     """The gauge w, an (n_sites, r, r) stack with w(0) = 1, under which the
     field is its own image by the signed axis permutation x -> Px (the
     inversion is P = -1): with P e_j = s e_k, w(x + e_j) U_j(x) w(x)^-1 is
     U_k(Px) if s = 1, U_k(P(x + e_j))^-1 if s = -1, on every link to 1e-12;
-    None if there is none (a perturbed field, for instance).
+    None if there is none (a perturbed field, for instance).  With conj,
+    the source link U_j(x) is its complex conjugate: the gauge of the
+    antiunitary (W psi)(Px) = w(x) conj(psi(x)).
 
     The rule fixes w along a comb from the origin (the x_1 axis, then e_2
     from each of its sites, and so on), and every link is then checked.
@@ -140,6 +143,7 @@ def symmetry_gauge(f: GaugeField, P) -> np.ndarray | None:
     and W^n = 1 where P^n = 1: W^n is on-site, commutes with every U_j and
     is 1 at x = 0."""
     geom, U = f.geometry, f.links
+    V = U.conj() if conj else U
     P = np.asarray(P)
     k = np.abs(P).argmax(axis=0)
     Px = _site_map(geom, P)
@@ -150,18 +154,31 @@ def symmetry_gauge(f: GaugeField, P) -> np.ndarray | None:
             return U[Px[x], k[j]]
         return _dag(U[Px[nbs[j][x]], k[j]])
 
-    w = np.tile(np.eye(f.rank, dtype=complex), (geom.n_sites, 1, 1))
-    sites = np.arange(geom.n_sites).reshape((geom.N,) * geom.d)
+    e = np.eye(f.rank)
+    w = np.tile(e.astype(complex), (geom.n_sites, 1, 1))
+    L, sites = w.copy(), np.arange(geom.n_sites).reshape((geom.N,) * geom.d)
     for j, nb in enumerate(nbs):
         for t in range(geom.N - 1):
             # the sites with x_j = t and x_l = 0 for l > j
             x = sites[(slice(None),) * j + (t,) + (0,) * (geom.d - j - 1)].ravel()
-            w[nb[x]] = image(j, x) @ w[x] @ _dag(U[x, j])
+            w[nb[x]], L[nb[x]] = image(j, x) @ w[x] @ _dag(V[x, j]), image(j, x) @ L[x]
+    if conj and f.rank > 1:
+        # a non-abelian field may need w(0) != 1: w = L w0 L* w for the polar
+        # factor w0 of 1 projected on the null space of a w0 = w0 b, all links
+        R = _dag(L) @ w
+        K = np.concatenate([np.einsum("xac,bd->xabcd", _dag(L[nb]) @ image(j, sites.ravel()) @ L, e)
+                            - np.einsum("ac,xdb->xabcd", e, R[nb] @ V[:, j] @ _dag(R))
+                            for j, nb in enumerate(nbs)]).reshape(-1, f.rank ** 2, f.rank ** 2)
+        lam, Z = np.linalg.eigh(np.einsum("xji,xjk->ik", K.conj(), K))
+        Z = Z[:, lam <= 1e-16 * len(K)]
+        u, _, vh = np.linalg.svd((Z @ _dag(Z) @ e.ravel()).reshape(e.shape))
+        w = L @ (u @ vh) @ _dag(L) @ w
     for j, nb in enumerate(nbs):
         # not >, so a nan link fails too
-        if not np.abs(image(j, sites.ravel()) - w[nb] @ U[:, j] @ _dag(w)).max() <= 1e-12:
+        if not np.abs(image(j, sites.ravel()) - w[nb] @ V[:, j] @ _dag(w)).max() <= 1e-12:
             return None
-    return w
+    # the square of a conjugating W is w(Px) conj(w(x)), on-site: 1 at x = 0
+    return None if conj and not np.abs(w[0] @ w[0].conj() - e).max() <= 1e-12 else w
 
 
 def quarter_turn(d: int, a: int, b: int) -> np.ndarray:
@@ -181,25 +198,40 @@ def _pairings(axes: list):
             yield [(axes[0], axes[i])] + rest
 
 
-def symmetry_group(f: GaugeField) -> list:
-    """Generators (P, symmetry_gauge(f, P)) of the field's symmetry group:
-    the quarter turns of the first pairing of the axes into planes whose
-    turns all pass, else the inversion alone, else none (none at odd d,
-    where -1 reverses orientation).  A flux K passes with a pairing that no
-    K_jl joins across, (1,2)(3,4) for K = k12 e12 + k34 e34 or (1,3)(2,4)
-    for e13 - e24; K = e12 + e13 has none.  The turns of one pairing
-    commute, their W's too (the commutator is on-site, commutes with every
-    U_j and is 1 at x = 0), so the group is Z4^(d/2), or Z2."""
+def symmetry_group(f: GaugeField) -> tuple:
+    """(gens, T): generators (P, symmetry_gauge(f, P)) of the field's
+    symmetry group, the quarter turns of the first pairing of the axes into
+    planes whose turns all pass, else the inversion alone, else none (none
+    at odd d, where -1 reverses orientation), and an antiunitary T = (P, w)
+    or None.  A flux K passes with a pairing that no K_jl joins across,
+    (1,2)(3,4) for K = k12 e12 + k34 e34 or (1,3)(2,4) for e13 - e24;
+    K = e12 + e13 has none.  The turns of one pairing commute, their W's
+    too (the commutator is on-site, commutes with every U_j and is 1 at
+    x = 0), so the group is Z4^(d/2), or Z2.
+
+    T, sought where there are gens, is the first reflection P = diag(+-1)
+    of axes A, |A| = d/2 mod 4, with P Q P = Q^-1 for each generator Q and
+    a gauge `symmetry_gauge(f, P, conj=True)`.  Its spinor c_X, X = A xor
+    {j : c_j imaginary}, then has c_X conj(c_X) = 1 and inverts each S_Q:
+    T^2 = 1 and T R T^-1 = R^-1, as their gauges are 1 at x = 0."""
     d = f.geometry.d
     if d % 2:
-        return []
+        return [], None
     for pairs in _pairings(list(range(d))):
         gens = [(P, symmetry_gauge(f, P)) for P in (quarter_turn(d, a, b) for a, b in pairs)]
         if all(w is not None for _, w in gens):
-            return gens
-    minus = -np.eye(d, dtype=int)
-    w = symmetry_gauge(f, minus)
-    return [] if w is None else [(minus, w)]
+            break
+    else:
+        minus = -np.eye(d, dtype=int)
+        w = symmetry_gauge(f, minus)
+        gens = [] if w is None else [(minus, w)]
+    for A in (A for n in range(d // 2 % 4, d + 1, 4) for A in combinations(range(d), n)):
+        P = np.diag([-1 if j in A else 1 for j in range(d)])
+        if gens and all(np.array_equal(P @ Q @ P, Q.T) for Q, _ in gens):
+            w = symmetry_gauge(f, P, conj=True)
+            if w is not None:
+                return gens, (P, w)
+    return gens, None
 
 
 def trivial_field(geom: LatticeGeometry, rank: int = 1) -> GaugeField:

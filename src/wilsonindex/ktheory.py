@@ -17,11 +17,11 @@ from scipy.sparse.csgraph import connected_components
 
 from .clifford import clifford_rep
 from .gauge import (FluxMatrix, GaugeField, _unitarity_defect, estimate_curvature_norm,
-                    link_shift)
+                    link_shift, symmetry_group)
 # min_abs_eigenvalue is unused here; perfbench's tracer looks it up by name
 from .spectral import (Inertia, _dense_inertia, _tol, half_signature, inertia,  # noqa: F401
                        inertia_bunch_kaufman, min_abs_eigenvalue)
-from .wilson import assemble, symbol_gap, symmetry_blocks, wilson_matrix
+from .wilson import _blocks, assemble, symbol_gap, wilson_matrix
 
 # Global orientation sign relating the lattice invariant to the Pfaffian
 # index, calibrated once from the d=2, N=16, K_12=1, m=1 instance under
@@ -151,9 +151,12 @@ def _pfaffian(K: np.ndarray, idx) -> int:
 def _block_inertia(f: GaugeField, cl, mu: float, scale: float = 1.0) -> tuple:
     """(inertia, block dimensions) of H = scale * assemble(f, cl, mu).matrix,
     solved as scale times its `symmetry_blocks`, each classified with the
-    whole operator's zero threshold `_tol(H)`; H is freed first."""
-    tol = _tol(scale * assemble(f, cl, mu).matrix)
-    blocks = [scale * B for B in symmetry_blocks(f, cl, mu)]
+    whole operator's zero threshold `_tol(H)`: from H, assembled and freed
+    before the blocks are built, if the field has a symmetry, else from the
+    one block, H itself."""
+    gens, rf = symmetry_group(f)
+    tol = _tol(scale * assemble(f, cl, mu).matrix) if gens else None
+    blocks = [scale * B for B in _blocks(f, cl, mu, gens, rf)]
     return inertia(*blocks, tol=tol), tuple(B.shape[0] for B in blocks)
 
 

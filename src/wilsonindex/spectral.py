@@ -65,10 +65,10 @@ are made, against MemAvailable and, under a soft address-space limit
 `_BLAS_MARGIN`; any other allocation that does not fit raises numpy's
 MemoryError.
 
-Every path takes a complex matrix whose imaginary parts are all 0 (the
-tuple operator of `ktheory.clock_shift`; lattice operators are complex)
-in real arithmetic, `syevr`/`ssytrf`/real ARPACK Lanczos, at a quarter
-of the flops and half the bytes (`_real_if_real`).
+Every path takes a real matrix (the symmetry blocks of a constant-flux
+field), or a complex one whose imaginary parts are all 0 (the operator of
+`ktheory.clock_shift`; `_real_if_real`), in real arithmetic, `syevr`/
+`ssytrf`/real ARPACK Lanczos, at a quarter of the flops and half the bytes.
 """
 
 from __future__ import annotations
@@ -476,8 +476,9 @@ def _ldl_factor(M: sp.csr_matrix, tol: float):
 
 
 def _ldl_gap(M: sp.csr_matrix, solve, probe: np.ndarray) -> float:
-    """Gap of M from `_ldl_factor`'s solve and probe; dense below dim 64."""
-    if M.shape[0] < 64:
+    """Gap of M from `_ldl_factor`'s solve and probe; dense below 200 rows,
+    where ARPACK starts to pay on d=4 and d=6 symmetry blocks."""
+    if M.shape[0] < 200:
         return _dense_inertia(M).gap
     return _shift_invert_gap(M, solve, probe)
 
@@ -486,8 +487,9 @@ def _from_factor(H, gap: bool, tol: float | None = None) -> Inertia:
     """Counts from the signs of `_ldl_factor`'s pivots (an accepted factor
     is of a nonsingular matrix, so n_zero is 0) and, with `gap`, the
     `_ldl_gap`; if either is rejected, the dense oracle's result with the
-    reason in method.  tol is `_tol(H)` unless given."""
-    M = _real_if_real(sp.csr_matrix(H, dtype=complex))
+    reason in method.  tol is `_tol(H)` unless given; a float64 or
+    complex128 CSR H is factored as it is."""
+    M = _real_if_real(sp.csr_matrix(H, dtype=np.result_type(H.dtype, float)))
     _check_hermitian(M)
     tol = _tol(M) if tol is None else tol
     try:

@@ -15,13 +15,14 @@ For a field that is its own image by signed axis permutations P in some
 gauge (`gauge.symmetry_group`), H commutes with each R = W (x) S, W the
 gauge-covariant site map x -> Px and S its spinor, and `symmetry_blocks`
 returns H's blocks on the joint eigenspaces of the R's, one per character
-of the group (16 at d=4 and 4 at d=2 where the quarter turns pass, else
-2), which `spectral.inertia` takes in place of H.
+of the group (16 at d=4, 4 at d=2, else 2), real where the field has the
+antiunitary T, which `spectral.inertia` takes in place of H.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,7 +77,8 @@ def _spinor(cl: CliffordRep, P: np.ndarray) -> tuple:
 def symmetry_blocks(f: GaugeField, cl: CliffordRep, mu: float) -> tuple:
     """The diagonal blocks of H = assemble(f, cl, mu).matrix, one per
     character chi of the field's group G (`gauge.symmetry_group`), which
-    commutes with H; (H,) if G is trivial.
+    commutes with H; (H,) if G is trivial.  They are real symmetric where
+    the field also has the antiunitary T, else complex Hermitian.
 
     Block chi is H where every R_g = W_g (x) S_g is chi(g).  There a vector
     is fixed by its value v at each orbit's least site x0, psi(P_g x0) =
@@ -88,9 +90,19 @@ def symmetry_blocks(f: GaugeField, cl: CliffordRep, mu: float) -> tuple:
     H at the x0: the hop x0 -> y = P_g y0 carries H(x0, y) A_g(y0), times
     chi(g)^-1 sqrt(|orbit of x0| / |orbit of y0|).  The spin basis is first
     turned so that every S_g is diagonal; the c_j stay monomial there
-    (cleared of rounding below 1e-12), so no block stores more entries per
-    row than H."""
-    gens = symmetry_group(f)
+    (cleared of rounding below 1e-12).
+
+    T commutes with H, T^2 = 1 and T R_g T^-1 = R_g^-1, so T keeps each
+    block, which is real in a basis that T fixes (Dyson's threefold way):
+    (u + Tu)/sqrt 2 and i(u - Tu)/sqrt 2 for each basis vector u of the
+    lesser of an orbit o and T(o), a T-fixed basis where T(o) = o.  The
+    block's imaginary part, rounding, must be below 1e-12 max |B|
+    (ArithmeticError if not); it is dropped, and so are entries below it."""
+    return _blocks(f, cl, mu, *symmetry_group(f))
+
+
+def _blocks(f: GaugeField, cl: CliffordRep, mu: float, gens: list, rf) -> tuple:
+    """`symmetry_blocks` for the field's (gens, T) = symmetry_group(f)."""
     if not gens:
         return (assemble(f, cl, mu).matrix,)
     geom, U, r, s, rs = f.geometry, f.links, f.rank, cl.dim_s, f.rank * cl.dim_s
@@ -134,7 +146,8 @@ def symmetry_blocks(f: GaugeField, cl: CliffordRep, mu: float) -> tuple:
         links += [_dag(U[reps, j]), U[back, j]]
         spins += [(gamma - spin(c)) / 2, (gamma + spin(c)) / 2]
     y = np.stack(ys)
-    g, y0 = np.ravel_multi_index((-k % orders).T, orders)[h[y]], x0[y]
+    inv = np.ravel_multi_index((-k % orders).T, orders)
+    g, y0 = inv[h[y]], x0[y]
     fibre = np.stack(np.broadcast_arrays(*links)) @ w[g, y0]
     hop = np.stack(spins)[:, None] * D[g][..., None, :]
     T = (fibre[..., :, None, :, None] * hop[..., None, :, None, :]).reshape(*y.shape, rs, rs)
@@ -146,14 +159,44 @@ def symmetry_blocks(f: GaugeField, cl: CliffordRep, mu: float) -> tuple:
     A = np.einsum("gxac,gb,bd->gxabcd", w[:, reps], D, np.eye(s)).reshape(len(k), -1, rs, rs)
     proj = np.tensordot(chars.conj(), stab[..., None, None] * A, 1) / n_stab[:, None, None]
     lam, E = np.linalg.eigh((proj + _dag(proj)) / 2)
-    keep = lam > 0.5
+    keep, nr = lam > 0.5, len(reps)
+    if rf is not None:
+        # (T psi)(P_T x) = (w_T(x) (x) S_T) conj(psi(x)): on block chi, v at rep
+        # src[p] has the image tau[chi, p] conj(v) at rep p (P_T x_p = P_g x0)
+        PT, wT = rf
+        X = [c for j, c in enumerate(cl.generators) if (PT[j, j] < 0) == c.real.any()]
+        ST = spin(reduce(np.matmul, X, np.eye(s)) @ V.conj() @ _dag(V))
+        z = _site_map(geom, PT)[reps]
+        src, g2, fixed = pos[x0[z]], inv[h[z]], np.flatnonzero(pos[x0[z]] == np.arange(nr))
+        AT = np.einsum("xac,bd->xabcd", wT[z], ST).reshape(nr, rs, rs)
+        tau = chars[:, g2, None, None] * (AT @ A[g2, src].conj())
     blocks = []
     for chi in range(len(k)):
-        M = sp.csr_matrix((T * chars[chi, g].conj(), (rows, cols)), shape=(len(reps) * rs,) * 2)
-        Q = sp.bsr_matrix((E[chi], np.arange(len(reps)), np.arange(len(reps) + 1))).tocsr()
-        Q = Q[:, keep[chi].ravel()]
+        M = sp.csr_matrix((T * chars[chi, g].conj(), (rows, cols)), shape=(nr * rs,) * 2)
+        Q, mask = sp.bsr_matrix((E[chi], np.arange(nr), np.arange(nr + 1))), keep[chi]
+        if rf is not None:
+            # at p = src[p], the +1 eigenvectors of v -> t conj(v) on (Re v, Im v)
+            Tu = tau[chi, src] @ E[chi].conj()
+            home = np.concatenate([E[chi], 1j * E[chi]], axis=-1) / np.sqrt(2)
+            part = np.concatenate([Tu, -1j * Tu], axis=-1) / np.sqrt(2)
+            t = _dag(E[chi][fixed]) @ Tu[fixed] * keep[chi][fixed, None] * keep[chi][fixed, :, None]
+            t = np.array([[t.real, t.imag], [t.imag, -t.real]]).transpose(2, 3, 0, 4, 1)
+            lamT, Y = np.linalg.eigh(t.reshape(len(fixed), 2 * rs, 2 * rs))
+            home[fixed], part[fixed] = E[chi][fixed] @ (Y[:, 0::2] + 1j * Y[:, 1::2]), 0
+            mask = np.tile(keep[chi] & (src > np.arange(nr))[:, None], 2)
+            mask[fixed] = lamT > 0.5
+            Q = (sp.bsr_matrix((home, np.arange(nr), np.arange(nr + 1)))
+                 + sp.bsr_matrix((part[src], src, np.arange(nr + 1))))
+        Q = Q.tocsr()[:, mask.ravel()]
         Q.eliminate_zeros()
         B = (Q.conj().T @ M @ Q).tocsr()
+        if rf is not None:
+            big = np.abs(B.data).max(initial=0)
+            # not >, so a nan entry fails too
+            if not np.abs(B.data.imag).max(initial=0) <= 1e-12 * big:
+                raise ArithmeticError("a symmetry block is not real")
+            B = B.real
+            B.data[np.abs(B.data) < 1e-12 * big] = 0
         B.eliminate_zeros()
         blocks.append(B)
     return tuple(blocks)

@@ -205,15 +205,15 @@ def test_acm_tuple_that_does_not_fit_exits_4():
 
 
 def test_index_that_does_not_fit_exits_4():
-    # the Schur complement of the first of the 16 symmetry blocks of d=4
-    # N=11 (44 MiB complex64) does not fit the 150 MiB limit less what the
+    # the Schur complement of the first of the 16 real symmetry blocks of
+    # d=4 N=11 (23 MiB float32) does not fit the 150 MiB limit less what the
     # command has mapped and room for OpenBLAS's buffers, without which
-    # chetrf spins: its reserve refuses it before it is made
+    # the factor spins: its reserve refuses it before it is made
     rc, out, err = run_limited(["index", "--d", "4", "--N", "11",
                                 "--flux", "1,2=1", "--flux", "3,4=2"])
     assert (rc, out) == (4, "")
-    assert err.startswith("error: block 0 of the dim-58564 operator: dense dim-2370 "
-                          "Schur complement needs 0.04 GiB (2370^2 complex64), ")
+    assert err.startswith("error: block 0 of the dim-58564 operator: dense dim-2433 "
+                          "Schur complement needs 0.02 GiB (2433^2 float32), ")
     assert "Traceback" not in err
 
 

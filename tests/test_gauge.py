@@ -285,7 +285,7 @@ def test_constant_flux_fields_are_inversion_symmetric(d, N, entries):
 def test_quarter_turns_take_each_shift_to_its_image(d, N, entries):
     # W U_j W^-1 is U_k where P e_j = e_k, U_k* where P e_j = -e_k; W^4 = 1
     f = _flux_field(d, N, entries)
-    gens = symmetry_group(f)
+    gens, _ = symmetry_group(f)
     assert len(gens) == d // 2
     for P, w in gens:
         W = _site_operator(f, P, w)
@@ -310,8 +310,12 @@ def test_the_group_is_the_quarter_turns_of_the_flux_planes(d, entries, planes):
     f = _flux_field(d, 3, entries)
     want = ([quarter_turn(d, a, b) for a, b in planes] if planes
             else [-np.eye(d, dtype=int)])
-    assert [P.tolist() for P, _ in symmetry_group(f)] == [P.tolist() for P in want]
-    assert symmetry_group(perturb_field(f, 0.05, 1)) == []
+    gens, reflection = symmetry_group(f)
+    assert [P.tolist() for P, _ in gens] == [P.tolist() for P in want]
+    # every constant-flux field has the antiunitary T too, a perturbed one
+    # neither
+    assert reflection is not None
+    assert symmetry_group(perturb_field(f, 0.05, 1)) == ([], None)
 
 
 def test_the_link_check_rejects_a_flipped_gauge():
@@ -325,3 +329,22 @@ def test_the_link_check_rejects_a_flipped_gauge():
     for P in (quarter_turn(2, 0, 1), -np.eye(2, dtype=int)):
         assert symmetry_gauge(f, P) is not None
         assert symmetry_gauge(flipped, P) is None
+
+
+def test_the_conjugating_link_check_rejects_a_flipped_gauge():
+    # as above, for the conjugating gauge of the reflection x_1 -> -x_1,
+    # also at rank 2 after a U(2) gauge transform, where w(0) is solved for
+    reflect = np.diag([-1, 1])
+    f = _flux_field(2, 6, [(1, 2, 1)])
+    rank2 = direct_sum_field(f, _flux_field(2, 6, [(1, 2, -2)]))
+    rng = np.random.default_rng(2)
+    u2 = np.linalg.qr(rng.standard_normal((36, 2, 2)) + 1j * rng.standard_normal((36, 2, 2)))[0]
+    for fld in (f, rank2, gauge_transform(rank2, u2)):
+        links = fld.links.copy()
+        links[1, 0] *= -1
+        flipped = gauge.GaugeField(fld.geometry, fld.rank, links, fld.flux_sectors)
+        assert symmetry_gauge(fld, reflect, conj=True) is not None
+        assert symmetry_gauge(flipped, reflect, conj=True) is None
+        # and the unitary gauge of a reflection does not exist: it would
+        # reverse the flux
+        assert symmetry_gauge(fld, reflect) is None

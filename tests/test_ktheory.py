@@ -36,7 +36,7 @@ from wilsonindex import (
     trivial_field,
     verify_gap_bound,
 )
-from wilsonindex import ktheory
+from wilsonindex import ktheory, wilson
 from wilsonindex.formats import read_unitary_tuple, write_unitary_tuple
 from wilsonindex.gauge import GaugeField, quarter_turn, symmetry_group
 from wilsonindex.ktheory import UnitaryTuple
@@ -828,7 +828,7 @@ def _matches_the_whole_operator(f, m, mode="cutoff"):
 @pytest.mark.parametrize("k", range(-2, 3))
 def test_parity_blocks_match_the_whole_operator_at_d2(N, k):
     f = constant_flux_field(make_geometry(2, N), _flux2(k))
-    assert [P.tolist() for P, _ in symmetry_group(f)] == [quarter_turn(2, 0, 1).tolist()]
+    assert [P.tolist() for P, _ in symmetry_group(f)[0]] == [quarter_turn(2, 0, 1).tolist()]
     # constant mode reaches every mass window, mu = m / N
     for mu in (0.5, 1.5, 2.5, 3.5):
         _matches_the_whole_operator(f, mu * N, "constant")
@@ -848,7 +848,7 @@ def test_sixteen_blocks_match_the_whole_operator(entries):
     # odd N, where a site is fixed only by the turns of planes in which it
     # sits at 0 (N=4 is in the test above)
     f = constant_flux_field(make_geometry(4, 3), FluxMatrix.from_entries(4, entries))
-    assert len(symmetry_group(f)) == 2
+    assert len(symmetry_group(f)[0]) == 2
     assert len(lattice_index(f, 1.0).blocks) == 16
     _matches_the_whole_operator(f, 1.0)
 
@@ -862,22 +862,29 @@ def test_parity_blocks_of_transformed_and_rank_two_fields():
     u2 = np.linalg.qr(rng.standard_normal((geom.n_sites, 2, 2))
                       + 1j * rng.standard_normal((geom.n_sites, 2, 2)))[0]
     for fld in (gauge_transform(f, phases), rank2, gauge_transform(rank2, u2)):
-        assert len(symmetry_group(fld)) == 1
+        assert len(symmetry_group(fld)[0]) == 1
         assert len(lattice_index(fld, 1.0).blocks) == 4
         _matches_the_whole_operator(fld, 1.0)
     assert lattice_index(rank2, 1.0).invariant == -1
     assert lattice_index(gauge_transform(rank2, u2), 1.0).invariant == -1
 
 
-def test_a_field_without_the_symmetry_is_solved_whole():
+def test_a_field_without_the_symmetry_is_solved_whole(monkeypatch):
     f = constant_flux_field(make_geometry(2, 6), _flux2(1))
     links = f.links.copy()
     links[7, 1] *= np.exp(1e-6j)
+    # assembled once, as its one block, whose tol is the operator's
+    calls = []
+    assemble_once = wilson.assemble
+    monkeypatch.setattr(wilson, "assemble", lambda *a: calls.append(a) or assemble_once(*a))
+    monkeypatch.setattr(ktheory, "assemble", wilson.assemble)
     for fld in (GaugeField(f.geometry, 1, links, f.flux_sectors), perturb_field(f, 0.05, 3)):
-        assert symmetry_group(fld) == []
+        assert symmetry_group(fld) == ([], None)
+        calls.clear()
         r = lattice_index(fld, 1.0)
+        assert len(calls) == 1
         assert r.blocks == (fld.geometry.n_sites * 2,)
-        assert r.inertia == inertia(assemble(fld, clifford_rep(2), 1.0).matrix)
+        assert r.inertia == inertia(assemble_once(fld, clifford_rep(2), 1.0).matrix)
 
 
 def test_d4_parity_blocks_take_the_factor_path(lapack_calls):
@@ -887,7 +894,7 @@ def test_d4_parity_blocks_take_the_factor_path(lapack_calls):
     r = lattice_index(f, 1.0)
     assert r.invariant == 2 and r.inertia.method == "ldl"
     assert sorted(set(r.blocks)) == [306, 324, 342] and sum(r.blocks) == 5184
-    assert lapack_calls.factors == [("chetrf", np.complex64)] * 16
+    assert lapack_calls.factors == [("ssytrf", np.float32)] * 16
     assert lapack_calls.eigvalsh == []
 
 
@@ -900,7 +907,7 @@ def test_d2_parity_blocks_take_the_dense_path(lapack_calls, monkeypatch):
     r = lattice_index(constant_flux_field(make_geometry(2, 24), _flux2(1)), 1.0)
     assert r.invariant == 1 and r.inertia.method == "dense"
     assert shapes == [(288, 288), (289, 289), (288, 288), (287, 287)]
-    assert lapack_calls.eigvalsh == [np.complex128] * 4
+    assert lapack_calls.eigvalsh == [np.float64] * 4
 
 
 def test_gap_bound_solves_the_parity_blocks():

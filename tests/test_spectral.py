@@ -28,7 +28,7 @@ from wilsonindex import (
     trivial_field,
 )
 from wilsonindex.spectral import Inertia
-from wilsonindex.wilson import fourier_diagonalize, wilson_matrix
+from wilsonindex.wilson import fourier_diagonalize, symmetry_blocks, wilson_matrix
 
 
 def _random_hermitian(n, seed):
@@ -222,12 +222,12 @@ def test_ldl_rejects_the_zero_matrix_without_dividing_by_zero(zero):
 @pytest.mark.parametrize("seed", range(5))
 def test_ldl_reads_runs_of_2x2_pivots(seed):
     # a zero diagonal leaves all rows to hetrf, which then takes many 2x2
-    # pivots, some of them adjacent: n = 80 >= 64, so the gap is iterative
+    # pivots, some of them adjacent: n = 240 >= 200, so the gap is iterative
     rng = np.random.default_rng(seed)
-    A = sp.random(80, 80, density=0.05, random_state=rng) * (1 + 1j)
+    A = sp.random(240, 240, density=0.02, random_state=rng) * (1 + 1j)
     A = A + A.conj().T
     A.setdiag(0)
-    A = sp.csr_matrix(A + sp.kron(sp.identity(40), [[0, 1], [1, 0]]))
+    A = sp.csr_matrix(A + sp.kron(sp.identity(120), [[0, 1], [1, 0]]))
     want, got = inertia(A.toarray()), inertia_ldl(A)
     assert (got.n_plus, got.n_minus, got.n_zero, got.method) \
         == (want.n_plus, want.n_minus, want.n_zero, "ldl")
@@ -259,10 +259,10 @@ def test_bunch_kaufman_solve_undoes_interchanges_of_both_pivot_kinds(real):
 
 
 def test_real_symmetric_matrix_runs_on_the_real_path(lapack_calls):
-    # dim 100 >= 64, so the gap is ARPACK's, here its real Lanczos on the
+    # dim 240 >= 200, so the gap is ARPACK's, here its real Lanczos on the
     # sytrf factor; a complex copy with zero imaginary parts is taken real
     # too, so its result is identical to the last bit
-    A = _random_hermitian(100, 5).real.copy()
+    A = _random_hermitian(240, 5).real.copy()
     w = np.linalg.eigvalsh(A)
     assert np.any(w > 0) and np.any(w < 0)
     got = inertia_ldl(A)
@@ -273,6 +273,20 @@ def test_real_symmetric_matrix_runs_on_the_real_path(lapack_calls):
     assert inertia_ldl(A.astype(complex)) == got
     assert inertia_ldl(sp.csr_matrix(A, dtype=complex)) == got
     assert lapack_calls.factors == [("ssytrf", np.float32)] * 3
+
+
+def test_a_real_sparse_matrix_is_factored_as_it_is(monkeypatch):
+    # a real symmetry block (d=4 N=6, 324 rows): the factor gets the
+    # input's own float64 CSR, no complex copy of it, and the Inertia is
+    # that of its complex128 copy
+    f = _flux_field(4, 6, [(1, 2, 1), (3, 4, 2)])
+    B = symmetry_blocks(f, clifford_rep(4), 1.0)[0]
+    assert B.format == "csr" and B.dtype == np.float64
+    seen, ldl_factor = [], spectral._ldl_factor
+    monkeypatch.setattr(spectral, "_ldl_factor", lambda M, tol: seen.append(M) or ldl_factor(M, tol))
+    got = inertia_ldl(B)
+    assert seen[0].dtype == np.float64 and np.shares_memory(seen[0].data, B.data)
+    assert got.method == "ldl" and inertia_ldl(B.astype(complex)) == got
 
 
 def test_one_imaginary_entry_keeps_the_complex_path(lapack_calls):
@@ -497,12 +511,13 @@ def test_oracle_takes_the_band_only_on_a_narrow_sparse_matrix(lapack_calls):
 
 
 def test_dense_paths_refuse_what_does_not_fit(monkeypatch):
-    f = _flux_field(2, 6, [(1, 2, 1)])
+    # dim 200: the factor's gap is ARPACK's, with no dense copy
+    f = _flux_field(2, 10, [(1, 2, 1)])
     H = assemble(f, clifford_rep(2), 1.0).matrix
     want = inertia(H)
     # 1 byte short of the oracle's one dense copy; the Schur complement fits
-    monkeypatch.setattr(spectral, "_available_memory", lambda: 72 * 72 * 16 - 1)
-    with pytest.raises(ResourceError, match="dim-72"):
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 200 * 200 * 16 - 1)
+    with pytest.raises(ResourceError, match="dim-200"):
         inertia(H)
     with pytest.raises(ResourceError):
         min_abs_eigenvalue(H)
@@ -560,9 +575,9 @@ def test_non_hermitian_rejected(monkeypatch):
         inertia_bunch_kaufman(A)
     with pytest.raises(ValueError, match="not Hermitian"):
         inertia_ldl(sp.csr_matrix(A))
-    # real pivots and dim >= 64: the factor is accepted and the gap needs no
-    # dense copy, so only the sparse check can reject it
-    B = sp.diags(np.where(np.arange(64) % 2, 1.0, -2.0)).tolil()
+    # real pivots and dim >= 200: the factor is accepted and the gap needs
+    # no dense copy, so only the sparse check can reject it
+    B = sp.diags(np.where(np.arange(200) % 2, 1.0, -2.0)).tolil()
     B[0, 5] = 0.5
     with pytest.raises(ValueError, match="not Hermitian"):
         inertia_ldl(B.tocsr())
@@ -606,7 +621,8 @@ def test_gap_matches_smallest_abs_eigenvalue():
 
 
 def test_iterative_gap_falls_back_only_on_arpack_failures(monkeypatch):
-    f = constant_flux_field(make_geometry(2, 6), FluxMatrix.from_entries(2, [(1, 2, 1)]))
+    # dim 200: the gap is ARPACK's
+    f = constant_flux_field(make_geometry(2, 10), FluxMatrix.from_entries(2, [(1, 2, 1)]))
     H = assemble(f, clifford_rep(2), 1.0).matrix
     want = inertia(H)
 
@@ -666,8 +682,8 @@ def test_factor_mutants_are_rejected(monkeypatch, mutate, reason):
     # a factor whose solve is off by 10% fails the contraction guard, one
     # that refinement cannot correct fails the solve residual, and an
     # eigenpair that is not one fails the gap residual; each gives the
-    # dense oracle
-    f = constant_flux_field(make_geometry(2, 6), FluxMatrix.from_entries(2, [(1, 2, 1)]))
+    # dense oracle (dim 200, so the gap is ARPACK's)
+    f = constant_flux_field(make_geometry(2, 10), FluxMatrix.from_entries(2, [(1, 2, 1)]))
     H = assemble(f, clifford_rep(2), 1.0).matrix
     want = inertia(H)
     mutate(monkeypatch)
@@ -703,12 +719,24 @@ def test_blocks_add_counts_and_take_the_least_gap():
 def test_block_path_follows_the_total_dimension(monkeypatch, limit, engine):
     # two blocks of 64 rows: the dense oracle for both while the total is
     # at most the limit, the factor for both above it, never one of each
+    # (the factor's own dense gap below 200 rows is not counted)
     A, B = (assemble(constant_flux_field(make_geometry(2, 8), FluxMatrix.from_entries(
         2, [(1, 2, k)])), clifford_rep(2), 0.5).matrix[:64, :64] for k in (1, -2))
-    seen = []
+    seen, inside = [], []
+
+    def spy(name, f):
+        def run(M, tol=None):
+            if not inside:
+                seen.append((name, M.shape[0]))
+            inside.append(name)
+            try:
+                return f(M, tol)
+            finally:
+                inside.pop()
+        return run
+
     for name in ("_dense_inertia", "inertia_ldl"):
-        monkeypatch.setattr(spectral, name, lambda M, tol=None, name=name, f=getattr(spectral, name):
-                            seen.append((name, M.shape[0])) or f(M, tol))
+        monkeypatch.setattr(spectral, name, spy(name, getattr(spectral, name)))
     monkeypatch.setattr(spectral, "_DENSE_LIMIT", limit)
     got = inertia(A, B)
     assert seen == [(engine, 64), (engine, 64)]

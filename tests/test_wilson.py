@@ -20,8 +20,8 @@ from wilsonindex import (
 from wilsonindex.gauge import _site_map, link_shift, symmetry_group
 from wilsonindex.ktheory import clock_shift, gauge_tuple
 from wilsonindex.spectral import inertia
-from wilsonindex.wilson import (WilsonOperator, _spinor, fourier_diagonalize, symmetry_blocks,
-                                wilson_matrix)
+from wilsonindex.wilson import (WilsonOperator, _blocks, _spinor, fourier_diagonalize,
+                                symmetry_blocks, wilson_matrix)
 
 
 def symbol_gap_function(d: int, k_grid: np.ndarray, mu: float) -> np.ndarray:
@@ -179,23 +179,33 @@ def _symmetric_fields():
 
 @pytest.mark.parametrize("f", _symmetric_fields(), ids=["d2-N5", "d4-N4", "rank2", "rank2-U2"])
 def test_parity_bases_block_diagonalize_the_operator(f):
-    # the blocks are H in an orthonormal basis: together they have H's
-    # dimension and every eigenvalue of H, and no more entries per row
+    # the blocks are H in an orthonormal basis that T fixes: together they
+    # have H's dimension and every eigenvalue of H, they are real, and no
+    # row takes more bytes than H's longest
     cl = clifford_rep(f.geometry.d)
     H = assemble(f, cl, 1.0).matrix
     blocks = symmetry_blocks(f, cl, 1.0)
     assert len(blocks) == 2 ** f.geometry.d
     assert sum(B.shape[0] for B in blocks) == H.shape[0]
+    assert all(B.dtype == np.float64 for B in blocks)
     got = np.sort(np.concatenate([np.linalg.eigvalsh(B.toarray()) for B in blocks]))
     assert np.abs(got - np.linalg.eigvalsh(H.toarray())).max() < 1e-12
-    assert max(np.diff(B.indptr).max() for B in blocks) <= np.diff(H.indptr).max()
+    assert (max(8 * np.diff(B.indptr).max() for B in blocks)
+            <= H.data.itemsize * np.diff(H.indptr).max())
+    _assert_no_rounding_fill(blocks)
+
+
+def _assert_no_rounding_fill(blocks):
+    """No block stores an entry below 1e-12 of its largest."""
+    for B in blocks:
+        assert np.abs(B.data).min() >= 1e-12 * np.abs(B.data).max()
 
 
 def _symmetries(f, cl):
     """R = W (x) S for each generator of f's group, W from its gauge."""
     n, r = f.geometry.n_sites, f.rank
     Rs = []
-    for P, w in symmetry_group(f):
+    for P, w in symmetry_group(f)[0]:
         x = np.argsort(_site_map(f.geometry, P))  # the x with Px = y, for each y
         W = sp.bsr_matrix((w[x], x, np.arange(n + 1)), shape=(n * r, n * r))
         Rs.append(sp.kron(W, _spinor(cl, P)[0], format="csr"))
@@ -220,6 +230,45 @@ def test_the_quarter_turns_commute_with_the_operator(d, N, entries):
         assert abs(Rs[0] @ Rs[1] - Rs[1] @ Rs[0]).max() <= 1e-13
 
 
+def _reflection(f, cl):
+    """The unitary part U of T = U conj: W (x) c_X for T's (P, w), where X
+    holds the axes that P reflects xor those of the imaginary c_j."""
+    P, w = symmetry_group(f)[1]
+    X = [c for j, c in enumerate(cl.generators) if (P[j, j] < 0) != (not c.real.any())]
+    S = np.eye(cl.dim_s)
+    for c in X:
+        S = S @ c
+    n, r = f.geometry.n_sites, f.rank
+    x = np.argsort(_site_map(f.geometry, P))
+    return sp.kron(sp.bsr_matrix((w[x], x, np.arange(n + 1)), shape=(n * r, n * r)), S, format="csr")
+
+
+def _rank_two_fields():
+    return [f for f in _symmetric_fields() if f.rank == 2]
+
+
+@pytest.mark.parametrize("f", [
+    *(constant_flux_field(make_geometry(d, N), FluxMatrix.from_entries(d, entries))
+      for d, N, entries in [
+          *((2, N, [(1, 2, k)]) for N in (3, 4, 5, 8) for k in range(-2, 3)),
+          *((4, N, K) for N in (3, 4, 6) for K in ([(1, 2, 1), (3, 4, 2)], [(1, 3, 1), (2, 4, -1)])),
+          # only the inversion fixes K = e12 + e13
+          (4, 3, [(1, 2, 1), (1, 3, 1)]),
+      ]),
+    *_rank_two_fields(),
+])
+def test_the_reflection_is_an_antiunitary_symmetry(f):
+    # T = U conj: [T, H] = U conj(H) - H U, T^2 = U conj(U) and
+    # T R T^-1 = U conj(R) U*, which must be R^-1 = R* for each generator
+    cl = clifford_rep(f.geometry.d)
+    H = assemble(f, cl, 1.0).matrix
+    U = _reflection(f, cl)
+    assert abs(U @ H.conj() - H @ U).max() <= 1e-13
+    assert abs(U @ U.conj() - sp.identity(H.shape[0])).max() <= 1e-13
+    for R in _symmetries(f, cl):
+        assert abs(U @ R.conj() @ U.conj().T - R.conj().T).max() <= 1e-13
+
+
 @pytest.mark.parametrize("d, N, entries, sizes", [
     (4, 6, [(1, 2, 1), (3, 4, 2)], [324] * 4 + [342] * 4 + [324] * 4 + [306] * 4),
     (2, 24, [(1, 2, 1)], [288, 289, 288, 287]),
@@ -232,8 +281,22 @@ def test_block_sizes(d, N, entries, sizes):
     H = assemble(f, cl, 1.0).matrix
     blocks = symmetry_blocks(f, cl, 1.0)
     assert [B.shape[0] for B in blocks] == sizes and sum(sizes) == H.shape[0]
-    # no rounding fill: no block stores more entries per row than H
-    assert all(B.nnz / B.shape[0] <= H.nnz / H.shape[0] for B in blocks)
+    # the real blocks store more entries per row than H, in fewer bytes
+    assert all(B.dtype == np.float64 for B in blocks)
+    assert all(B.data.itemsize * B.nnz / B.shape[0] <= H.data.itemsize * H.nnz / H.shape[0]
+               for B in blocks)
+    _assert_no_rounding_fill(blocks)
+
+
+def test_a_block_that_is_not_real_raises():
+    # a T whose gauge is off by a phase at the origin does not commute with
+    # H, so the blocks are not real in the basis that it fixes
+    f = constant_flux_field(make_geometry(2, 5), FluxMatrix.from_entries(2, [(1, 2, 1)]))
+    gens, (P, w) = symmetry_group(f)
+    w = w.copy()
+    w[0] *= np.exp(0.3j)
+    with pytest.raises(ArithmeticError, match="not real"):
+        _blocks(f, clifford_rep(2), 1.0, gens, (P, w))
 
 
 def test_a_field_without_the_symmetry_keeps_its_whole_operator():
@@ -242,4 +305,4 @@ def test_a_field_without_the_symmetry_keeps_its_whole_operator():
     cl = clifford_rep(2)
     H = assemble(f, cl, 1.0).matrix
     (B,) = symmetry_blocks(f, cl, 1.0)
-    assert (B != H).nnz == 0
+    assert B.dtype == np.complex128 and (B != H).nnz == 0
