@@ -11,6 +11,8 @@ field, or its conjugate, is its own image by a signed axis permutation.
 `symmetry_group` collects the P that pass, the quarter turns of the planes
 of K = k12 e12 + k34 e34 (Z4^(d/2)) else the inversion (Z2), and the
 antiunitary T that makes `wilson.symmetry_blocks`' character blocks real.
+`_translations` finds the half-period magnetic translations that meet each
+quarter turn up to a scalar and so make pairs of those blocks equivalent.
 """
 
 from __future__ import annotations
@@ -122,31 +124,33 @@ def _neighbour(geom: LatticeGeometry, j: int, step: int = 1) -> np.ndarray:
     return np.roll(sites, -step, axis=j).ravel()
 
 
-def _site_map(geom: LatticeGeometry, P) -> np.ndarray:
-    """Site index of Px (mod N) for every site x, P a d x d signed permutation."""
+def _site_map(geom: LatticeGeometry, P, shift=0) -> np.ndarray:
+    """Site index of Px + shift (mod N) for every site x, P a d x d signed permutation."""
     x = np.indices((geom.N,) * geom.d).reshape(geom.d, -1)
-    return np.ravel_multi_index(np.asarray(P) @ x % geom.N, (geom.N,) * geom.d)
+    return np.ravel_multi_index((np.asarray(P) @ x + np.c_[shift]) % geom.N, (geom.N,) * geom.d)
 
 
-def symmetry_gauge(f: GaugeField, P, conj: bool = False) -> np.ndarray | None:
+def symmetry_gauge(f: GaugeField, P, conj: bool = False, shift=0) -> np.ndarray | None:
     """The gauge w, an (n_sites, r, r) stack with w(0) = 1, under which the
-    field is its own image by the signed axis permutation x -> Px (the
-    inversion is P = -1): with P e_j = s e_k, w(x + e_j) U_j(x) w(x)^-1 is
-    U_k(Px) if s = 1, U_k(P(x + e_j))^-1 if s = -1, on every link to 1e-12;
-    None if there is none (a perturbed field, for instance).  With conj,
-    the source link U_j(x) is its complex conjugate: the gauge of the
-    antiunitary (W psi)(Px) = w(x) conj(psi(x)).
+    field is its own image by the signed axis permutation x -> Px + shift
+    (the inversion is P = -1, a translation P = 1): with P e_j = s e_k and
+    Fx = Px + shift, w(x + e_j) U_j(x) w(x)^-1 is U_k(Fx) if s = 1,
+    U_k(F(x + e_j))^-1 if s = -1, on every link to 1e-12; None if there is
+    none (a perturbed field, for instance).  With conj, the source link
+    U_j(x) is its complex conjugate: the gauge of the antiunitary
+    (W psi)(Px) = w(x) conj(psi(x)).
 
     The rule fixes w along a comb from the origin (the x_1 axis, then e_2
     from each of its sites, and so on), and every link is then checked.
-    If all hold, (W psi)(Px) = w(x) psi(x) sends each U_j to U_k, or U_k*,
-    and W^n = 1 where P^n = 1: W^n is on-site, commutes with every U_j and
-    is 1 at x = 0."""
+    If all hold, (W psi)(Fx) = w(x) psi(x) sends each U_j to U_k, or U_k*,
+    and W^n = 1 where P^n = 1 and shift = 0: W^n is on-site, commutes with
+    every U_j and is 1 at x = 0.  A non-abelian field may need w(0) != 1
+    where F moves the origin (or W conjugates): it is solved for."""
     geom, U = f.geometry, f.links
     V = U.conj() if conj else U
     P = np.asarray(P)
     k = np.abs(P).argmax(axis=0)
-    Px = _site_map(geom, P)
+    Px = _site_map(geom, P, shift)
     nbs = [_neighbour(geom, j) for j in range(geom.d)]
 
     def image(j, x):
@@ -162,9 +166,9 @@ def symmetry_gauge(f: GaugeField, P, conj: bool = False) -> np.ndarray | None:
             # the sites with x_j = t and x_l = 0 for l > j
             x = sites[(slice(None),) * j + (t,) + (0,) * (geom.d - j - 1)].ravel()
             w[nb[x]], L[nb[x]] = image(j, x) @ w[x] @ _dag(V[x, j]), image(j, x) @ L[x]
-    if conj and f.rank > 1:
-        # a non-abelian field may need w(0) != 1: w = L w0 L* w for the polar
-        # factor w0 of 1 projected on the null space of a w0 = w0 b, all links
+    if (conj or np.any(shift)) and f.rank > 1:
+        # w = L w0 L* w for the polar factor w0 of 1 projected on the null
+        # space of a w0 = w0 b, all links
         R = _dag(L) @ w
         K = np.concatenate([np.einsum("xac,bd->xabcd", _dag(L[nb]) @ image(j, sites.ravel()) @ L, e)
                             - np.einsum("ac,xdb->xabcd", e, R[nb] @ V[:, j] @ _dag(R))
@@ -232,6 +236,30 @@ def symmetry_group(f: GaugeField) -> tuple:
             if w is not None:
                 return gens, (P, w)
     return gens, None
+
+
+def _translations(f: GaugeField, gens: list) -> list:
+    """Exponent vectors s of the field's half-period magnetic translations,
+    for gens (from `symmetry_group`) that are quarter turns: in each turn's
+    plane (a, b), at even N, x -> x + t, t = (N/2)(e_a + e_b), with gauge
+    `symmetry_gauge(f, 1, shift=t)`, kept if every generator R meets it up
+    to a scalar on every site to 1e-12, R U_t = c U_t R with
+    c = exp(i pi s_R / 2).  U_t commutes with H and maps block chi onto
+    block chi + s.  As Pt = t mod N, the commutator at P(x + t) is
+    w_R(x + t) w_t(x) [w_t(Px) w_R(x)]^-1, and c = w_R(t) (x = 0): -1 on
+    the plane's turn where its flux is 2 mod 4, 1 where it is 0 mod 4."""
+    geom, one, shifts = f.geometry, np.eye(f.geometry.d, dtype=int), []
+    for P, _ in gens:
+        t = (np.diag(P) == 0) * (geom.N // 2)
+        if geom.N % 2 or not t.any() or (wt := symmetry_gauge(f, one, shift=t)) is None:
+            continue
+        c = np.stack([wR[_site_map(geom, one, t)] @ wt @ _dag(wt[_site_map(geom, Q)] @ wR)
+                      for Q, wR in gens])
+        s = np.rint(np.angle(c[:, 0, 0, 0]) * 2 / np.pi).astype(int) % 4
+        # not >, so a nan fails too
+        if np.abs(c - np.exp(0.5j * np.pi * s)[:, None, None, None] * np.eye(f.rank)).max() <= 1e-12:
+            shifts.append(s)
+    return shifts
 
 
 def trivial_field(geom: LatticeGeometry, rank: int = 1) -> GaugeField:

@@ -16,8 +16,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .clifford import clifford_rep
-from .gauge import (FluxMatrix, GaugeField, _unitarity_defect, estimate_curvature_norm,
-                    link_shift, symmetry_group)
+from .gauge import (FluxMatrix, GaugeField, _translations, _unitarity_defect,
+                    estimate_curvature_norm, link_shift, symmetry_group)
 # min_abs_eigenvalue is unused here; perfbench's tracer looks it up by name
 from .spectral import (Inertia, _dense_inertia, _tol, half_signature, inertia,  # noqa: F401
                        inertia_bunch_kaufman, min_abs_eigenvalue)
@@ -47,7 +47,7 @@ class IndexReport:
     degree: int  # corner_count_degree(d, mu): the window's doubler count
     continuum_index: int | None = None
     agrees: bool | None = None
-    blocks: tuple = ()  # the dimension of each symmetry block that was solved
+    blocks: tuple = ()  # the dimension of each symmetry block, solved or not
 
 
 @dataclass(frozen=True)
@@ -153,11 +153,15 @@ def _block_inertia(f: GaugeField, cl, mu: float, scale: float = 1.0) -> tuple:
     solved as scale times its `symmetry_blocks`, each classified with the
     whole operator's zero threshold `_tol(H)`: from H, assembled and freed
     before the blocks are built, if the field has a symmetry, else from the
-    one block, H itself."""
+    one block, H itself.  Of the blocks that the field's translations
+    (`gauge._translations`) make equivalent, one is built and solved for
+    all; the dimensions are every character's, in character order."""
     gens, rf = symmetry_group(f)
     tol = _tol(scale * assemble(f, cl, mu).matrix) if gens else None
-    blocks = [scale * B for B in _blocks(f, cl, mu, gens, rf)]
-    return inertia(*blocks, tol=tol), tuple(B.shape[0] for B in blocks)
+    blocks, owner = _blocks(f, cl, mu, gens, rf, _translations(f, gens))
+    blocks = [scale * B for B in blocks]
+    return (inertia(*blocks, tol=tol, mult=np.bincount(owner).tolist()),
+            tuple(blocks[i].shape[0] for i in owner))
 
 
 def lattice_index(f: GaugeField, m: float, mode: str = "cutoff") -> IndexReport:

@@ -2,8 +2,9 @@
 
 `inertia` is the one entry point.  It takes a matrix whole or as the
 diagonal blocks of a block-diagonal one (the symmetry blocks of
-`wilson.symmetry_blocks`), picks the path by the total dimension and runs
-every block through it alone, with all of its checks:
+`wilson.symmetry_blocks`, each standing for `mult` equal ones), picks the
+path by the total dimension and runs each block through it alone, with all
+of its checks:
 
 * up to `_DENSE_LIMIT` (the oracle): one backward-stable LAPACK
   Hermitian eigensolve (`heevr`: Householder tridiagonalization, or
@@ -61,7 +62,8 @@ order and overwritten in place: f2py copies a C-ordered array before
 LAPACK sees it, so a `toarray()` in C order would double the peak.
 `_reserve` checks the oracle's copy and the Schur complement before they
 are made, against MemAvailable and, under a soft address-space limit
-(RLIMIT_AS, as every CLI command runs), against that limit less VmSize and
+(RLIMIT_AS, as every CLI command runs), against that limit less VmSize and,
+until a dense LAPACK call has mapped OpenBLAS's buffer into VmSize,
 `_BLAS_MARGIN`; any other allocation that does not fit raises numpy's
 MemoryError.
 
@@ -105,8 +107,10 @@ _CONTRACTION = 1e-2
 # a work buffer of about 32 MiB on first use, and a factor that cannot map
 # it spins or exits instead of raising (chetrf under RLIMIT_AS, on a d=4
 # N=8 inversion block and on a d=4 N=5 tuple operator: 34 MiB left beyond
-# the Schur complement ran, 31 MiB spun, with 1 or 2 OpenBLAS threads)
+# the Schur complement ran, 31 MiB spun, with 1 or 2 OpenBLAS threads); it
+# is mapped once per process, and VmSize counts it once `_blas_mapped`
 _BLAS_MARGIN = 48 * 2 ** 20
+_blas_mapped = False
 
 
 class ResourceError(MemoryError):
@@ -162,15 +166,26 @@ def _proc_bytes(path: str, key: str) -> int | None:
 
 def _available_memory() -> int | None:
     """Bytes one more dense matrix may take: MemAvailable and, under a soft
-    RLIMIT_AS, at most that limit less VmSize and `_BLAS_MARGIN`; None
-    where neither is known."""
+    RLIMIT_AS, at most that limit less VmSize and, until `_blas_mapped`,
+    `_BLAS_MARGIN`; None where neither is known."""
     avail = _proc_bytes("/proc/meminfo", "MemAvailable")
     soft = resource.getrlimit(resource.RLIMIT_AS)[0] if resource else None
     used = _proc_bytes("/proc/self/status", "VmSize")
     if soft is None or soft == resource.RLIM_INFINITY or used is None:
         return avail
-    room = max(soft - used - _BLAS_MARGIN, 0)
+    room = max(soft - used - (0 if _blas_mapped else _BLAS_MARGIN), 0)
     return room if avail is None else min(avail, room)
+
+
+def _lapack(f, *args, **kwargs):
+    """f(*args, **kwargs), a dense LAPACK call, setting `_blas_mapped` if
+    VmSize grew over it by at least half of `_BLAS_MARGIN`."""
+    global _blas_mapped
+    before = _proc_bytes("/proc/self/status", "VmSize")
+    out = f(*args, **kwargs)
+    after = _proc_bytes("/proc/self/status", "VmSize")
+    _blas_mapped |= None not in (before, after) and after - before >= _BLAS_MARGIN // 2
+    return out
 
 
 def _reserve(n: int, what: str, dtype=complex) -> None:
@@ -255,7 +270,7 @@ def _eigenvalues(H) -> np.ndarray:
         del C, i, j
     A = _as_dense(H)
     # overwrite only our own copy, never the caller's array
-    return sla.eigvalsh(A, overwrite_a=A is not H, check_finite=False)
+    return _lapack(sla.eigvalsh, A, overwrite_a=A is not H, check_finite=False)
 
 
 def _dense_inertia(H, tol: float | None = None) -> Inertia:
@@ -270,20 +285,22 @@ def _dense_inertia(H, tol: float | None = None) -> Inertia:
     return Inertia(n_plus, n_minus, n_zero, gap, tol, "dense")
 
 
-def inertia(*blocks, tol: float | None = None) -> Inertia:
+def inertia(*blocks, tol: float | None = None, mult=None) -> Inertia:
     """Inertia and gap of a Hermitian matrix, given whole or as the
-    diagonal blocks of a block-diagonal one: the dense oracle if the total
-    dimension is at most `_DENSE_LIMIT`, else one block LDL* factor
+    diagonal blocks of a block-diagonal one, block i standing for mult[i]
+    equal blocks (default 1): the dense oracle if the total dimension
+    sum(mult[i] dim_i) is at most `_DENSE_LIMIT`, else one block LDL* factor
     (`inertia_ldl`), for every block alike and with all of its checks.
 
     tol, the zero threshold, is given by a caller that knows the norm of
     the matrix the blocks came from (`ktheory.lattice_index` passes its
     operator's); else it is `_tol` of the block-diagonal matrix, whose
     ||.||_inf is its largest block's.  Every block is classified with it.
-    The counts add up and the gap is the least block gap; method is the
-    blocks' common method, else each block's.  A block's ResourceError
-    names the block."""
-    n = sum(np.shape(B)[0] for B in blocks)
+    The counts add up, block i's mult[i] times, and the gap is the least
+    block gap; method is the blocks' common method, else each block's.  A
+    block's ResourceError names the block."""
+    mult = [1] * len(blocks) if mult is None else mult
+    n = sum(m * np.shape(B)[0] for m, B in zip(mult, blocks))
     if tol is None and len(blocks) > 1:
         tol = max(_tol(B) for B in blocks)
     parts = []
@@ -296,8 +313,9 @@ def inertia(*blocks, tol: float | None = None) -> Inertia:
             raise ResourceError(f"block {i} of the dim-{n} operator: {exc}") from exc
     methods = [p.method for p in parts]
     return Inertia(
-        sum(p.n_plus for p in parts), sum(p.n_minus for p in parts),
-        sum(p.n_zero for p in parts), min(p.gap for p in parts), parts[0].tol,
+        sum(m * p.n_plus for m, p in zip(mult, parts)),
+        sum(m * p.n_minus for m, p in zip(mult, parts)),
+        sum(m * p.n_zero for m, p in zip(mult, parts)), min(p.gap for p in parts), parts[0].tol,
         methods[0] if len(set(methods)) == 1
         else "; ".join(f"block {i}: {m}" for i, m in enumerate(methods)))
 
@@ -364,7 +382,7 @@ def _bunch_kaufman(S: np.ndarray):
     trf, trf_lwork = sla.get_lapack_funcs((name, name + "_lwork"), (S,))
     lwork, _ = trf_lwork(len(S), lower=1)
     # info > 0 flags an exactly zero block of D, which _ldl_factor rejects
-    LD, ipiv, _ = trf(S, lower=1, lwork=int(lwork.real), overwrite_a=1)
+    LD, ipiv, _ = _lapack(trf, S, lower=1, lwork=int(lwork.real), overwrite_a=1)
     # in place to P S P^T = L D L* with unit lower triangular L: syconv
     # moves the 2x2 blocks' subdiagonal into e and swaps the rows of L left
     # of each interchange, as hetrf swapped them only right of it

@@ -16,7 +16,9 @@ gauge (`gauge.symmetry_group`), H commutes with each R = W (x) S, W the
 gauge-covariant site map x -> Px and S its spinor, and `symmetry_blocks`
 returns H's blocks on the joint eigenspaces of the R's, one per character
 of the group (16 at d=4, 4 at d=2, else 2), real where the field has the
-antiunitary T, which `spectral.inertia` takes in place of H.
+antiunitary T, which `spectral.inertia` takes in place of H.  Of the
+blocks that a translation makes equivalent (`gauge._translations`), `_blocks`
+builds one, for `spectral.inertia` to count once per block it stands for.
 """
 
 from __future__ import annotations
@@ -98,13 +100,16 @@ def symmetry_blocks(f: GaugeField, cl: CliffordRep, mu: float) -> tuple:
     lesser of an orbit o and T(o), a T-fixed basis where T(o) = o.  The
     block's imaginary part, rounding, must be below 1e-12 max |B|
     (ArithmeticError if not); it is dropped, and so are entries below it."""
-    return _blocks(f, cl, mu, *symmetry_group(f))
+    return _blocks(f, cl, mu, *symmetry_group(f))[0]
 
 
-def _blocks(f: GaugeField, cl: CliffordRep, mu: float, gens: list, rf) -> tuple:
-    """`symmetry_blocks` for the field's (gens, T) = symmetry_group(f)."""
+def _blocks(f: GaugeField, cl: CliffordRep, mu: float, gens: list, rf, shifts=()) -> tuple:
+    """(blocks, owner): `symmetry_blocks` for the field's (gens, T) =
+    symmetry_group(f), one per orbit k -> k + span(shifts) mod orders of
+    the characters k, its least k's (`gauge._translations` makes an orbit's
+    blocks equivalent), and owner[chi] the index of chi's block."""
     if not gens:
-        return (assemble(f, cl, mu).matrix,)
+        return (assemble(f, cl, mu).matrix,), np.zeros(1, dtype=int)
     geom, U, r, s, rs = f.geometry, f.links, f.rank, cl.dim_s, f.rank * cl.dim_s
     n = geom.n_sites
     spinors, orders = zip(*(_spinor(cl, P) for P, _ in gens))
@@ -129,6 +134,11 @@ def _blocks(f: GaugeField, cl: CliffordRep, mu: float, gens: list, rf) -> tuple:
         perm, w, D = np.concatenate(ps), np.concatenate(ws), np.concatenate(Ds)
     k = np.array(list(np.ndindex(*orders)))
     chars = np.exp(2j * np.pi * (k / orders) @ k.T)  # chars[chi, g] = chi(g)
+    span = np.zeros((1, len(orders)), dtype=int)
+    for sh in shifts:
+        span = (span[:, None] + np.arange(max(orders))[:, None] * sh).reshape(-1, len(orders))
+    orbit = np.ravel_multi_index(((k[:, None] + span) % orders).T, orders)
+    reps_chi, owner = np.unique(orbit.min(axis=0), return_inverse=True)
     # P_h x = x0, the least site of x's orbit, so x = P_g x0 for g = h^-1
     h = perm.argmin(axis=0)
     x0 = perm[h, np.arange(n)]
@@ -171,7 +181,7 @@ def _blocks(f: GaugeField, cl: CliffordRep, mu: float, gens: list, rf) -> tuple:
         AT = np.einsum("xac,bd->xabcd", wT[z], ST).reshape(nr, rs, rs)
         tau = chars[:, g2, None, None] * (AT @ A[g2, src].conj())
     blocks = []
-    for chi in range(len(k)):
+    for chi in reps_chi:
         M = sp.csr_matrix((T * chars[chi, g].conj(), (rows, cols)), shape=(nr * rs,) * 2)
         Q, mask = sp.bsr_matrix((E[chi], np.arange(nr), np.arange(nr + 1))), keep[chi]
         if rf is not None:
@@ -199,7 +209,7 @@ def _blocks(f: GaugeField, cl: CliffordRep, mu: float, gens: list, rf) -> tuple:
             B.data[np.abs(B.data) < 1e-12 * big] = 0
         B.eliminate_zeros()
         blocks.append(B)
-    return tuple(blocks)
+    return tuple(blocks), owner
 
 
 def symbol(cl: CliffordRep, k, mu: float) -> np.ndarray:

@@ -59,6 +59,10 @@ def test_index_trivial(capsys):
 def test_index_prints_its_blocks(capsys, monkeypatch):
     assert run(["index", "--d", "2", "--N", "8", "--flux", "1,2=1"]) == 0
     assert "\nblocks: 4 (31-33 rows)\n" in capsys.readouterr().out
+    # every character's block is listed, also those that are not solved
+    # because a translation makes them equivalent to one that is
+    assert run(["index", "--d", "4", "--N", "6", "--flux", "1,2=1", "--flux", "3,4=2"]) == 0
+    assert "\nblocks: 16 (306-342 rows)\n" in capsys.readouterr().out
     # a field with no symmetry is one block
     f = constant_flux_field(make_geometry(2, 4), FluxMatrix.from_entries(2, [(1, 2, 1)]))
     links = f.links.copy()
@@ -215,6 +219,17 @@ def test_index_that_does_not_fit_exits_4():
     assert err.startswith("error: block 0 of the dim-58564 operator: dense dim-2433 "
                           "Schur complement needs 0.02 GiB (2433^2 float32), ")
     assert "Traceback" not in err
+
+
+def test_the_blas_margin_is_left_until_the_buffer_is_mapped():
+    # d=4 N=9: the first factor maps OpenBLAS's 32 MiB buffer into VmSize,
+    # after which about 53 MiB are left under the 150 MiB limit for each
+    # 5 MiB Schur complement; leaving the 48 MiB margin as well refused
+    # block 1 with 4.7 MiB available
+    rc, out, err = run_limited(["index", "--d", "4", "--N", "9",
+                                "--flux", "1,2=1", "--flux", "3,4=2"])
+    assert (rc, err) == (0, "")
+    assert out.startswith("I = 2\n")
 
 
 def test_acm_cross_check_that_does_not_fit_the_limit_is_skipped(tmp_path):

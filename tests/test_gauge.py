@@ -19,8 +19,8 @@ from wilsonindex import (
     trivial_field,
 )
 from wilsonindex import gauge
-from wilsonindex.gauge import (_neighbour, _site_map, link_shift, quarter_turn, symmetry_gauge,
-                               symmetry_group)
+from wilsonindex.gauge import (_neighbour, _site_map, _translations, link_shift, quarter_turn,
+                               symmetry_gauge, symmetry_group)
 
 
 def test_geometry_rejects_coarse_lattice():
@@ -251,10 +251,10 @@ def test_a_quarter_turn_maps_each_site_to_its_image():
                           np.ravel_multi_index(want, (5,) * 4))
 
 
-def _site_operator(f, P, w):
-    """(W psi)(Px) = w(x) psi(x) as a sparse matrix on sites (x) C^r."""
+def _site_operator(f, P, w, shift=0):
+    """(W psi)(Px + shift) = w(x) psi(x) as a sparse matrix on sites (x) C^r."""
     n, r = f.geometry.n_sites, f.rank
-    x = np.argsort(_site_map(f.geometry, P))  # the x with Px = y, for each y
+    x = np.argsort(_site_map(f.geometry, P, shift))  # the x with Px + shift = y, for each y
     return sp.bsr_matrix((w[x], x, np.arange(n + 1)), shape=(n * r, n * r)).tocsr()
 
 
@@ -348,3 +348,93 @@ def test_the_conjugating_link_check_rejects_a_flipped_gauge():
         # and the unitary gauge of a reflection does not exist: it would
         # reverse the flux
         assert symmetry_gauge(fld, reflect) is None
+
+
+def test_a_shifted_site_map_adds_the_shift():
+    # the quarter turn takes x to (-x_2, x_1), then the shift (3, 1) is added
+    x = np.indices((6,) * 2).reshape(2, -1)
+    assert np.array_equal(_site_map(make_geometry(2, 6), quarter_turn(2, 0, 1), [3, 1]),
+                          np.ravel_multi_index(((3 - x[1]) % 6, (x[0] + 1) % 6), (6, 6)))
+
+
+def _half_period(d, N, plane):
+    t = np.zeros(d, dtype=int)
+    t[list(plane)] = N // 2
+    return t
+
+
+@pytest.mark.parametrize("d, N, entries", [
+    *((2, N, [(1, 2, k)]) for N in (8, 24) for k in range(-3, 4)),
+    *((4, N, [(1, 2, k12), (3, 4, k34)]) for N, k12, k34 in [
+        (6, 1, 2), (6, -1, 2), (6, 1, -2), (6, -1, -2), (8, 1, 2), (8, 1, 6), (8, 1, 4),
+        (5, 1, 2), (6, 1, 1), (4, 2, 2)]),
+])
+def test_a_half_period_translation_exists_where_the_plane_flux_is_even(d, N, entries):
+    # x -> x + (N/2)(e_a + e_b) is a symmetry exactly when N and K_ab are
+    # even; its phase on the plane's own turn is -1 where K_ab = 2 mod 4
+    # and 1 where K_ab = 0 mod 4, and 1 on the other turns
+    f = _flux_field(d, N, entries)
+    gens, _ = symmetry_group(f)
+    K, one, want = f.flux_sectors[0].K, np.eye(d, dtype=int), []
+    for i, (a, b) in enumerate([(0, 1), (2, 3)][:d // 2]):
+        w = symmetry_gauge(f, one, shift=_half_period(d, N, (a, b))) if N % 2 == 0 else None
+        assert (w is not None) == (N % 2 == 0 and K[a, b] % 2 == 0)
+        if w is not None:
+            # W commutes with every link shift, so with H
+            W = _site_operator(f, one, w, _half_period(d, N, (a, b)))
+            for j in range(d):
+                U = link_shift(f, j)
+                assert abs(W @ U - U @ W).max() < 1e-12
+            want.append([2 * (K[a, b] % 4 == 2) if g == i else 0 for g in range(d // 2)])
+    assert [s.tolist() for s in _translations(f, gens)] == want
+
+
+def test_the_translation_meets_each_turn_up_to_its_phase():
+    # R W_t = c W_t R as operators, c = exp(i pi s / 2), at d=4 with a
+    # translation in each plane
+    f = _flux_field(4, 4, [(1, 2, 2), (3, 4, 4)])
+    gens, _ = symmetry_group(f)
+    shifts = _translations(f, gens)
+    assert [s.tolist() for s in shifts] == [[2, 0], [0, 0]]
+    one = np.eye(4, dtype=int)
+    for plane, s in zip([(0, 1), (2, 3)], shifts):
+        t = _half_period(4, 4, plane)
+        W = _site_operator(f, one, symmetry_gauge(f, one, shift=t), t)
+        for (P, w), sg in zip(gens, s):
+            R = _site_operator(f, P, w)
+            assert abs(R @ W - np.exp(0.5j * np.pi * sg) * W @ R).max() < 1e-12
+
+
+def test_the_link_check_rejects_a_flipped_translation_gauge():
+    # the comb reads U_1 at (a, 0) and at its image (a + 3, 3), never at
+    # (0, 1): only the check on every link sees the flip there
+    f = _flux_field(2, 6, [(1, 2, 2)])
+    links = f.links.copy()
+    links[1, 0] *= -1
+    flipped = gauge.GaugeField(f.geometry, 1, links, f.flux_sectors)
+    one, t = np.eye(2, dtype=int), [3, 3]
+    assert symmetry_gauge(f, one, shift=t) is not None
+    assert symmetry_gauge(flipped, one, shift=t) is None
+
+
+def test_a_translation_without_a_scalar_phase_is_not_kept():
+    # (e12 + 2 e34) + (e12 + 4 e34): both summands have the translation of
+    # the (3,4) plane, with phases -1 and 1 on its turn, so the sum has its
+    # gauge but no scalar phase
+    f = direct_sum_field(_flux_field(4, 6, [(1, 2, 1), (3, 4, 2)]),
+                         _flux_field(4, 6, [(1, 2, 1), (3, 4, 4)]))
+    gens, _ = symmetry_group(f)
+    assert len(gens) == 2
+    assert symmetry_gauge(f, np.eye(4, dtype=int), shift=[0, 0, 3, 3]) is not None
+    assert _translations(f, gens) == []
+
+
+def test_fields_without_turns_have_no_translation():
+    f = _flux_field(4, 4, [(1, 2, 2), (3, 4, 2)])
+    assert _translations(perturb_field(f, 0.05, 1), []) == []
+    assert symmetry_group(perturb_field(f, 0.05, 1)) == ([], None)
+    # K = 2 e12 + 2 e13 is fixed by the inversion alone
+    g = _flux_field(4, 4, [(1, 2, 2), (1, 3, 2)])
+    gens, _ = symmetry_group(g)
+    assert [P.tolist() for P, _ in gens] == [(-np.eye(4, dtype=int)).tolist()]
+    assert _translations(g, gens) == []

@@ -38,9 +38,9 @@ from wilsonindex import (
 )
 from wilsonindex import ktheory, wilson
 from wilsonindex.formats import read_unitary_tuple, write_unitary_tuple
-from wilsonindex.gauge import GaugeField, quarter_turn, symmetry_group
+from wilsonindex.gauge import GaugeField, _translations, quarter_turn, symmetry_group
 from wilsonindex.ktheory import UnitaryTuple
-from wilsonindex.wilson import wilson_matrix
+from wilsonindex.wilson import _blocks, symmetry_blocks, wilson_matrix
 
 import newton_degree as newton
 
@@ -888,14 +888,75 @@ def test_a_field_without_the_symmetry_is_solved_whole(monkeypatch):
 
 
 def test_d4_parity_blocks_take_the_factor_path(lapack_calls):
-    # dim 5184 > _DENSE_LIMIT: all 16 blocks, of 306-342 rows, are
-    # factored, and no block goes to the dense oracle
+    # dim 5184 > _DENSE_LIMIT: the 16 blocks, of 306-342 rows, pair up
+    # under the translation of the (3,4) plane, and one of each pair is
+    # factored; no block goes to the dense oracle
     f = constant_flux_field(make_geometry(4, 6), FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 2)]))
     r = lattice_index(f, 1.0)
     assert r.invariant == 2 and r.inertia.method == "ldl"
     assert sorted(set(r.blocks)) == [306, 324, 342] and sum(r.blocks) == 5184
-    assert lapack_calls.factors == [("ssytrf", np.float32)] * 16
+    assert lapack_calls.factors == [("ssytrf", np.float32)] * 8
     assert lapack_calls.eigvalsh == []
+
+
+def _every_block(f, mu=1.0):
+    """The field's inertia with every character block built and solved."""
+    cl = clifford_rep(f.geometry.d)
+    gens, rf = symmetry_group(f)
+    blocks, owner = _blocks(f, cl, mu, gens, rf)
+    assert len(blocks) == len(owner) == 2 ** f.geometry.d
+    return inertia(*blocks, tol=spectral._tol(assemble(f, cl, mu).matrix))
+
+
+def _paired_fields():
+    """(field, blocks solved of 2^d) for fields whose blocks pair up: an
+    odd K_12 and K_34 = 2 mod 4 pair 16 blocks into 8, K_12 = K_34 = 2
+    into 4 (a translation in each plane), K = 2 mod 4 at d=2 4 into 2."""
+    rng = np.random.default_rng(5)
+    geom = make_geometry(2, 8)
+    rank2 = direct_sum_field(constant_flux_field(geom, _flux2(2)),
+                             constant_flux_field(geom, _flux2(-2)))
+    u2 = np.linalg.qr(rng.standard_normal((geom.n_sites, 2, 2))
+                      + 1j * rng.standard_normal((geom.n_sites, 2, 2)))[0]
+    fields = [(constant_flux_field(make_geometry(4, N), FluxMatrix.from_entries(
+        4, [(1, 2, k12), (3, 4, k34)])), 4 if k12 == 2 else 8)
+        for N in (4, 6) for k12, k34 in ((1, 2), (-1, 2), (1, -2), (-1, -2), (2, 2))]
+    return fields + [(constant_flux_field(geom, _flux2(k)), 2) for k in (2, -2)] + [
+        (rank2, 2), (gauge_transform(rank2, u2), 2)]
+
+
+@pytest.mark.parametrize("f, solved", _paired_fields(), ids=[
+    *(f"d4-N{N}-{k}" for N in (4, 6) for k in ("1,2", "-1,2", "1,-2", "-1,-2", "2,2")),
+    "d2-2", "d2--2", "rank2", "rank2-U2"])
+def test_the_blocks_a_translation_pairs_are_solved_once(f, solved):
+    # one block per class of characters that the translations make
+    # equivalent, its counts taken once per character of the class: the
+    # counts of every block, and the gap to 1e-12 relative
+    cl = clifford_rep(f.geometry.d)
+    gens, rf = symmetry_group(f)
+    blocks, owner = _blocks(f, cl, 1.0, gens, rf, _translations(f, gens))
+    assert len(blocks) == solved and len(owner) == 2 ** f.geometry.d
+    want, r = _every_block(f), lattice_index(f, 1.0)
+    got = r.inertia
+    assert (got.n_plus, got.n_minus, got.n_zero, got.tol) \
+        == (want.n_plus, want.n_minus, 0, want.tol)
+    assert abs(got.gap - want.gap) <= 1e-12 * want.gap
+    # every character's dimension, in character order
+    assert r.blocks == tuple(B.shape[0] for B in symmetry_blocks(f, cl, 1.0))
+
+
+@pytest.mark.parametrize("N, entries", [
+    (5, [(1, 2, 1), (3, 4, 2)]), (6, [(1, 2, 1), (3, 4, 1)]), (8, [(1, 2, 1), (3, 4, 4)])])
+def test_without_a_pairing_translation_every_block_is_solved(lapack_calls, N, entries):
+    # odd N has no half period, odd fluxes no translation, and that of
+    # K_34 = 4 meets each turn with phase 1: all 16 blocks are solved
+    f = constant_flux_field(make_geometry(4, N), FluxMatrix.from_entries(4, entries))
+    assert not any(s.any() for s in _translations(f, symmetry_group(f)[0]))
+    r = lattice_index(f, 1.0)
+    assert len(lapack_calls.factors) + len(lapack_calls.eigvalsh) == len(r.blocks) == 16
+    want = _every_block(f)
+    assert (r.inertia.n_plus, r.inertia.n_minus) == (want.n_plus, want.n_minus)
+    assert r.inertia.gap == want.gap
 
 
 def test_d2_parity_blocks_take_the_dense_path(lapack_calls, monkeypatch):

@@ -715,6 +715,18 @@ def test_blocks_add_counts_and_take_the_least_gap():
     assert got.tol == max(inertia(A).tol, inertia(B).tol)
 
 
+def test_a_block_stands_for_its_multiplicity(monkeypatch):
+    # block i taken mult[i] times: its counts scale, the gap is the least,
+    # as if each block were repeated; the path follows the whole
+    # dimension, 2 * 30 + 3 * 20 = 120 rows
+    (A, B), _ = _blocks(_random_hermitian(30, 1), 5 * _random_hermitian(20, 2))
+    assert inertia(A, B, mult=[2, 3]) == inertia(A, A, B, B, B)
+    assert inertia(A, B, mult=[2, 3]).method == "dense"
+    monkeypatch.setattr(spectral, "_DENSE_LIMIT", 119)
+    got, want = inertia(A, B, mult=[2, 3]), inertia(A, A, B, B, B)
+    assert got.method == "ldl" and (got.n_plus, got.n_minus) == (want.n_plus, want.n_minus)
+
+
 @pytest.mark.parametrize("limit, engine", [(128, "_dense_inertia"), (127, "inertia_ldl")])
 def test_block_path_follows_the_total_dimension(monkeypatch, limit, engine):
     # two blocks of 64 rows: the dense oracle for both while the total is
@@ -775,22 +787,39 @@ def test_a_block_that_does_not_fit_is_named(monkeypatch):
     with pytest.raises(ResourceError,
                        match=r"^block 0 of the dim-5 operator: dense dim-2 operator needs"):
         inertia(np.eye(2), np.eye(3))
+    # the dimension counts each block as often as it stands
+    with pytest.raises(ResourceError, match=r"^block 0 of the dim-11 operator: dense dim-2 "):
+        inertia(np.eye(2), np.eye(3), mult=[4, 1])
     with pytest.raises(ResourceError, match=r"^dense dim-2 operator needs"):
         inertia(np.eye(2))
 
 
-@pytest.mark.parametrize("soft, vmsize, want", [
-    (None, 1 << 30, 8 << 30),
-    ((1 << 30) + (200 << 20), None, 8 << 30),
-    ((1 << 30) + (200 << 20), 1 << 30, 152 << 20),
-    (1 << 30, 1 << 30, 0),
-], ids=["unlimited", "no-vmsize", "limited", "below-margin"])
+@pytest.mark.parametrize("soft, vmsize, mapped, want", [
+    (None, 1 << 30, False, 8 << 30),
+    ((1 << 30) + (200 << 20), None, False, 8 << 30),
+    ((1 << 30) + (200 << 20), 1 << 30, False, 152 << 20),
+    (1 << 30, 1 << 30, False, 0),
+    ((1 << 30) + (200 << 20), 1 << 30, True, 200 << 20),
+], ids=["unlimited", "no-vmsize", "limited", "below-margin", "buffer-mapped"])
 def test_available_memory_leaves_room_under_an_address_space_limit(
-        monkeypatch, soft, vmsize, want):
+        monkeypatch, soft, vmsize, mapped, want):
     # MemAvailable is 8 GiB; a soft RLIMIT_AS leaves at most itself less
-    # VmSize and the 48 MiB BLAS margin
+    # VmSize and, until OpenBLAS's buffer is mapped into VmSize, the 48 MiB
+    # BLAS margin
     figures = {"MemAvailable": 8 << 30, "VmSize": vmsize}
     monkeypatch.setattr(spectral, "_proc_bytes", lambda path, key: figures[key])
+    monkeypatch.setattr(spectral, "_blas_mapped", mapped)
     rlim = spectral.resource.RLIM_INFINITY if soft is None else soft
     monkeypatch.setattr(spectral.resource, "getrlimit", lambda which: (rlim, rlim))
     assert spectral._available_memory() == want
+
+
+def test_a_dense_call_that_grows_vmsize_marks_the_buffer_mapped(monkeypatch):
+    # a call over which VmSize grows by half the margin or more has mapped
+    # OpenBLAS's buffer; a smaller growth, or none, has not
+    for grow, want in ((spectral._BLAS_MARGIN // 2 - 1, False), (32 << 20, True)):
+        vm = iter([1 << 30, (1 << 30) + grow])
+        monkeypatch.setattr(spectral, "_proc_bytes", lambda path, key: next(vm))
+        monkeypatch.setattr(spectral, "_blas_mapped", False)
+        assert spectral._lapack(lambda a, b=0: a + b, 1, b=2) == 3
+        assert spectral._blas_mapped is want
