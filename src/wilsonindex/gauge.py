@@ -7,12 +7,16 @@ standard boundary-twist prescription, so every plaquette in a flux-carrying
 coordinate plane has the same phase 2*pi*K_jl/N^2.
 
 `symmetry_gauge` finds, and checks on every link, the gauge under which a
-field, or its conjugate, is its own image by a signed axis permutation.
-`symmetry_group` collects the P that pass, the quarter turns of the planes
-of K = k12 e12 + k34 e34 (Z4^(d/2)) else the inversion (Z2), and the
+field, or its conjugate, is its own image by a signed axis permutation; it
+fixes the gauge outward from the origin by prefix products along each axis
+(`_comb`, ceil(log2 N) batched matmuls per axis).  `symmetry_group`
+collects the P that pass, the quarter turns of the planes of
+K = k12 e12 + k34 e34 (Z4^(d/2)) else the inversion (Z2), and the
 antiunitary T that makes `wilson.symmetry_blocks`' character blocks real.
 `_translations` finds the half-period magnetic translations that meet each
-quarter turn up to a scalar and so make pairs of those blocks equivalent.
+quarter turn up to a scalar -1 and so make pairs of those blocks
+equivalent; it reads that scalar off the turns' gauges first, so it builds
+no translation gauge where none can pair blocks.
 """
 
 from __future__ import annotations
@@ -130,6 +134,39 @@ def _site_map(geom: LatticeGeometry, P, shift=0) -> np.ndarray:
     return np.ravel_multi_index((np.asarray(P) @ x + np.c_[shift]) % geom.N, (geom.N,) * geom.d)
 
 
+def _prefix(a: np.ndarray, right: bool = False) -> np.ndarray:
+    """Inclusive prefix products along axis 1 of a stack of matrices,
+    p_t = a_t ... a_1 a_0, or a_0 a_1 ... a_t if right, by doubling: one
+    batched matmul per power of 2 below the length."""
+    p, s = a.copy(), 1
+    while s < a.shape[1]:
+        p[:, s:] = p[:, :-s] @ p[:, s:] if right else p[:, s:] @ p[:, :-s]
+        s *= 2
+    return p
+
+
+def _comb(geom: LatticeGeometry, step: list, link: list) -> tuple:
+    """(w, L), (n_sites, r, r) stacks that are 1 at the origin and fixed
+    outward along each axis in turn (the x_1 axis, then e_2 from each of
+    its sites, and so on): w(x + e_j) = A(x) w(x) B(x)* and
+    L(x + e_j) = A(x) L(x), A = step[j] and B = link[j] given at every
+    site, wherever x_l = 0 for l > j.  On such a line x_0, x_1, ... that is
+    w(x_t) = A(x_t-1) ... A(x_0) w(x_0) B(x_0)* ... B(x_t-1)*: two prefix
+    products (`_prefix`), for all lines of the axis at once."""
+    N, r = geom.N, step[0].shape[-1]
+    one = np.eye(r, dtype=complex)
+    w = np.tile(one, (geom.n_sites, 1, 1))
+    L, sites = w.copy(), np.arange(geom.n_sites).reshape((N,) * geom.d)
+    for j in range(geom.d):
+        # one row per line: its sites with x_j = 0, ..., N - 1 and x_l = 0 for l > j
+        x = sites[(slice(None),) * (j + 1) + (0,) * (geom.d - j - 1)].reshape(-1, N)
+        start = np.broadcast_to(one, (len(x), 1, r, r))
+        A = _prefix(np.concatenate([start, step[j][x[:, :-1]]], axis=1))
+        B = _prefix(np.concatenate([start, _dag(link[j][x[:, :-1]])], axis=1), right=True)
+        w[x], L[x] = A @ w[x[:, :1]] @ B, A @ L[x[:, :1]]
+    return w, L
+
+
 def symmetry_gauge(f: GaugeField, P, conj: bool = False, shift=0) -> np.ndarray | None:
     """The gauge w, an (n_sites, r, r) stack with w(0) = 1, under which the
     field is its own image by the signed axis permutation x -> Px + shift
@@ -140,8 +177,8 @@ def symmetry_gauge(f: GaugeField, P, conj: bool = False, shift=0) -> np.ndarray 
     U_j(x) is its complex conjugate: the gauge of the antiunitary
     (W psi)(Px) = w(x) conj(psi(x)).
 
-    The rule fixes w along a comb from the origin (the x_1 axis, then e_2
-    from each of its sites, and so on), and every link is then checked.
+    The rule fixes w along a comb from the origin (`_comb`, by prefix
+    products), and every link is then checked.
     If all hold, (W psi)(Fx) = w(x) psi(x) sends each U_j to U_k, or U_k*,
     and W^n = 1 where P^n = 1 and shift = 0: W^n is on-site, commutes with
     every U_j and is 1 at x = 0.  A non-abelian field may need w(0) != 1
@@ -152,25 +189,16 @@ def symmetry_gauge(f: GaugeField, P, conj: bool = False, shift=0) -> np.ndarray 
     k = np.abs(P).argmax(axis=0)
     Px = _site_map(geom, P, shift)
     nbs = [_neighbour(geom, j) for j in range(geom.d)]
-
-    def image(j, x):
-        if P[k[j], j] > 0:
-            return U[Px[x], k[j]]
-        return _dag(U[Px[nbs[j][x]], k[j]])
-
+    # the image of each link U_j(x), at every site x
+    image = [U[Px, k[j]] if P[k[j], j] > 0 else _dag(U[Px[nb], k[j]])
+             for j, nb in enumerate(nbs)]
     e = np.eye(f.rank)
-    w = np.tile(e.astype(complex), (geom.n_sites, 1, 1))
-    L, sites = w.copy(), np.arange(geom.n_sites).reshape((geom.N,) * geom.d)
-    for j, nb in enumerate(nbs):
-        for t in range(geom.N - 1):
-            # the sites with x_j = t and x_l = 0 for l > j
-            x = sites[(slice(None),) * j + (t,) + (0,) * (geom.d - j - 1)].ravel()
-            w[nb[x]], L[nb[x]] = image(j, x) @ w[x] @ _dag(V[x, j]), image(j, x) @ L[x]
+    w, L = _comb(geom, image, [V[:, j] for j in range(geom.d)])
     if (conj or np.any(shift)) and f.rank > 1:
         # w = L w0 L* w for the polar factor w0 of 1 projected on the null
         # space of a w0 = w0 b, all links
         R = _dag(L) @ w
-        K = np.concatenate([np.einsum("xac,bd->xabcd", _dag(L[nb]) @ image(j, sites.ravel()) @ L, e)
+        K = np.concatenate([np.einsum("xac,bd->xabcd", _dag(L[nb]) @ image[j] @ L, e)
                             - np.einsum("ac,xdb->xabcd", e, R[nb] @ V[:, j] @ _dag(R))
                             for j, nb in enumerate(nbs)]).reshape(-1, f.rank ** 2, f.rank ** 2)
         lam, Z = np.linalg.eigh(np.einsum("xji,xjk->ik", K.conj(), K))
@@ -179,7 +207,7 @@ def symmetry_gauge(f: GaugeField, P, conj: bool = False, shift=0) -> np.ndarray 
         w = L @ (u @ vh) @ _dag(L) @ w
     for j, nb in enumerate(nbs):
         # not >, so a nan link fails too
-        if not np.abs(image(j, sites.ravel()) - w[nb] @ V[:, j] @ _dag(w)).max() <= 1e-12:
+        if not np.abs(image[j] - w[nb] @ V[:, j] @ _dag(w)).max() <= 1e-12:
             return None
     # the square of a conjugating W is w(Px) conj(w(x)), on-site: 1 at x = 0
     return None if conj and not np.abs(w[0] @ w[0].conj() - e).max() <= 1e-12 else w
@@ -239,25 +267,34 @@ def symmetry_group(f: GaugeField) -> tuple:
 
 
 def _translations(f: GaugeField, gens: list) -> list:
-    """Exponent vectors s of the field's half-period magnetic translations,
-    for gens (from `symmetry_group`) that are quarter turns: in each turn's
-    plane (a, b), at even N, x -> x + t, t = (N/2)(e_a + e_b), with gauge
-    `symmetry_gauge(f, 1, shift=t)`, kept if every generator R meets it up
-    to a scalar on every site to 1e-12, R U_t = c U_t R with
-    c = exp(i pi s_R / 2).  U_t commutes with H and maps block chi onto
-    block chi + s.  As Pt = t mod N, the commutator at P(x + t) is
-    w_R(x + t) w_t(x) [w_t(Px) w_R(x)]^-1, and c = w_R(t) (x = 0): -1 on
-    the plane's turn where its flux is 2 mod 4, 1 where it is 0 mod 4."""
+    """Exponent vectors s of the field's half-period magnetic translations
+    that pair blocks, for gens (from `symmetry_group`) that are quarter
+    turns: in each turn's plane (a, b), at even N, x -> x + t,
+    t = (N/2)(e_a + e_b), with gauge `symmetry_gauge(f, 1, shift=t)`, kept
+    if every generator R meets it up to a scalar on every site to 1e-12,
+    R U_t = c U_t R with c = exp(i pi s_R / 2), and some c is -1.  U_t
+    commutes with H and maps block chi onto block chi + s.  As Pt = t
+    mod N, the commutator at P(x + t) is w_R(x + t) w_t(x) [w_t(Px)
+    w_R(x)]^-1, and c = w_R(t) (x = 0): -1 on the plane's turn where its
+    flux is 2 mod 4, 1 where it is 0 mod 4 (s = 0: a translation that pairs
+    nothing), +-i where it is odd (no translation).  So c is read off the
+    turns' gauges first, and w_t is built and checked only where some c
+    is -1."""
     geom, one, shifts = f.geometry, np.eye(f.geometry.d, dtype=int), []
     for P, _ in gens:
         t = (np.diag(P) == 0) * (geom.N // 2)
-        if geom.N % 2 or not t.any() or (wt := symmetry_gauge(f, one, shift=t)) is None:
+        if geom.N % 2 or not t.any():
             continue
-        c = np.stack([wR[_site_map(geom, one, t)] @ wt @ _dag(wt[_site_map(geom, Q)] @ wR)
-                      for Q, wR in gens])
-        s = np.rint(np.angle(c[:, 0, 0, 0]) * 2 / np.pi).astype(int) % 4
+        c = np.stack([wR[np.ravel_multi_index(t, (geom.N,) * geom.d)] for _, wR in gens])
+        s = np.rint(np.angle(c[:, 0, 0]) * 2 / np.pi).astype(int) % 4
+        phase = np.exp(0.5j * np.pi * s)[:, None, None] * np.eye(f.rank)
         # not >, so a nan fails too
-        if np.abs(c - np.exp(0.5j * np.pi * s)[:, None, None, None] * np.eye(f.rank)).max() <= 1e-12:
+        if (not (s == 2).any() or not np.abs(c - phase).max() <= 1e-12
+                or (wt := symmetry_gauge(f, one, shift=t)) is None):
+            continue
+        shifted = _site_map(geom, one, t)
+        c = np.stack([wR[shifted] @ wt @ _dag(wt[_site_map(geom, Q)] @ wR) for Q, wR in gens])
+        if np.abs(c - phase[:, None]).max() <= 1e-12:
             shifts.append(s)
     return shifts
 
@@ -355,15 +392,26 @@ def plaquette(f: GaugeField, j: int, l: int) -> np.ndarray:
 
 
 def estimate_curvature_norm(f: GaugeField) -> float:
-    """max over sites and planes of ||P_jl(x) - 1||_2 / a^2."""
+    """max over sites and planes of ||P_jl(x) - 1||_2 / a^2; at rank 1 the
+    modulus |P_jl(x) - 1|, with no SVD."""
     geom = f.geometry
     eye = np.eye(f.rank)
     worst = 0.0
     for j in range(geom.d):
         for l in range(j + 1, geom.d):
-            dev = np.linalg.norm(plaquette(f, j, l) - eye, 2, axis=(-2, -1))
-            worst = max(worst, float(dev.max()))
-    return worst * geom.N ** 2
+            dev = plaquette(f, j, l) - eye
+            if f.rank == 1:
+                # as the 1 x 1 SVD takes it (LAPACK's dlapy3), so bit for bit
+                # the same: w sqrt(1 + (v/w)^2) for v <= w the two |parts|
+                re, im = np.abs(dev[:, 0, 0].real), np.abs(dev[:, 0, 0].imag)
+                w = np.maximum(re, im)
+                q = np.divide(np.minimum(re, im), w, out=np.zeros_like(w), where=w > 0)
+                dev = w * np.sqrt(1 + q * q)
+            else:
+                dev = np.linalg.norm(dev, 2, axis=(-2, -1))
+            # np.maximum, not max, so a nan plaquette gives nan
+            worst = np.maximum(worst, dev.max())
+    return float(worst) * geom.N ** 2
 
 
 def gauge_transform(f: GaugeField, g) -> GaugeField:

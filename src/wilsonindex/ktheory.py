@@ -21,7 +21,7 @@ from .gauge import (FluxMatrix, GaugeField, _translations, _unitarity_defect,
 # min_abs_eigenvalue is unused here; perfbench's tracer looks it up by name
 from .spectral import (Inertia, _dense_inertia, _tol, half_signature, inertia,  # noqa: F401
                        inertia_bunch_kaufman, min_abs_eigenvalue)
-from .wilson import _blocks, assemble, symbol_gap, wilson_matrix
+from .wilson import _blocks, _norm_inf, symbol_gap, wilson_matrix
 
 # Global orientation sign relating the lattice invariant to the Pfaffian
 # index, calibrated once from the d=2, N=16, K_12=1, m=1 instance under
@@ -151,13 +151,14 @@ def _pfaffian(K: np.ndarray, idx) -> int:
 def _block_inertia(f: GaugeField, cl, mu: float, scale: float = 1.0) -> tuple:
     """(inertia, block dimensions) of H = scale * assemble(f, cl, mu).matrix,
     solved as scale times its `symmetry_blocks`, each classified with the
-    whole operator's zero threshold `_tol(H)`: from H, assembled and freed
-    before the blocks are built, if the field has a symmetry, else from the
-    one block, H itself.  Of the blocks that the field's translations
-    (`gauge._translations`) make equivalent, one is built and solved for
-    all; the dimensions are every character's, in character order."""
+    whole operator's zero threshold `_tol(H)`: from ||H||_inf, which
+    `wilson._norm_inf` reads off the links with no H, if the field has a
+    symmetry, else from the one block, H itself.  Of the blocks that the
+    field's translations (`gauge._translations`) make equivalent, one is
+    built and solved for all; the dimensions are every character's, in
+    character order."""
     gens, rf = symmetry_group(f)
-    tol = _tol(scale * assemble(f, cl, mu).matrix) if gens else None
+    tol = _tol(_norm_inf(f, cl, mu, scale)) if gens else None
     blocks, owner = _blocks(f, cl, mu, gens, rf, _translations(f, gens))
     blocks = [scale * B for B in blocks]
     return (inertia(*blocks, tol=tol, mult=np.bincount(owner).tolist()),

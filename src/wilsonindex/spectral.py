@@ -239,8 +239,9 @@ def _norm_inf(A) -> float:
 
 
 def _tol(A) -> float:
-    """The zero-classification threshold 1e-8 * max(||A||_inf, 1)."""
-    return 1e-8 * max(_norm_inf(A), 1.0)
+    """The zero-classification threshold 1e-8 * max(||A||_inf, 1), of a
+    matrix A or of ||A||_inf given as a number."""
+    return 1e-8 * max(A if np.isscalar(A) else _norm_inf(A), 1.0)
 
 
 def _eigenvalues(H) -> np.ndarray:
@@ -493,18 +494,26 @@ def _ldl_factor(M: sp.csr_matrix, tol: float):
     return piv, solve, b
 
 
-def _ldl_gap(M: sp.csr_matrix, solve, probe: np.ndarray) -> float:
-    """Gap of M from `_ldl_factor`'s solve and probe; dense below 200 rows,
-    where ARPACK starts to pay on d=4 and d=6 symmetry blocks."""
-    if M.shape[0] < 200:
-        return _dense_inertia(M).gap
-    return _shift_invert_gap(M, solve, probe)
+def _ldl_gap(M: sp.csr_matrix, piv: np.ndarray, solve, probe: np.ndarray, tol: float) -> float:
+    """Gap of M from `_ldl_factor`'s pivots, solve and probe: ARPACK on
+    solve from probe, or below 200 rows, where ARPACK starts to pay on d=4
+    and d=6 symmetry blocks, the dense oracle's, classified with the
+    caller's tol.  Where the oracle runs its counts must be the pivots'
+    (RuntimeError, which rejects the factor, if not)."""
+    if M.shape[0] >= 200:
+        return _shift_invert_gap(M, solve, probe)
+    oracle, n_plus = _dense_inertia(M, tol), int(np.sum(piv > 0))
+    if (oracle.n_plus, oracle.n_minus) != (n_plus, len(piv) - n_plus):
+        raise RuntimeError(f"counts ({n_plus}, {len(piv) - n_plus}) are not the oracle's "
+                           f"({oracle.n_plus}, {oracle.n_minus}, {oracle.n_zero})")
+    return oracle.gap
 
 
 def _from_factor(H, gap: bool, tol: float | None = None) -> Inertia:
     """Counts from the signs of `_ldl_factor`'s pivots (an accepted factor
     is of a nonsingular matrix, so n_zero is 0) and, with `gap`, the
-    `_ldl_gap`; if either is rejected, the dense oracle's result with the
+    `_ldl_gap`, which also rejects the factor where its dense oracle counts
+    otherwise; if either is rejected, the dense oracle's result with the
     reason in method.  tol is `_tol(H)` unless given; a float64 or
     complex128 CSR H is factored as it is."""
     M = _real_if_real(sp.csr_matrix(H, dtype=np.result_type(H.dtype, float)))
@@ -512,7 +521,7 @@ def _from_factor(H, gap: bool, tol: float | None = None) -> Inertia:
     tol = _tol(M) if tol is None else tol
     try:
         piv, solve, probe = _ldl_factor(M, tol)
-        lam = _ldl_gap(M, solve, probe) if gap else float("nan")
+        lam = _ldl_gap(M, piv, solve, probe, tol) if gap else float("nan")
     except RuntimeError as exc:
         # a rejected factor or an unconverged gap; MemoryError propagates
         reason = str(exc)

@@ -19,6 +19,9 @@ of the group (16 at d=4, 4 at d=2, else 2), real where the field has the
 antiunitary T, which `spectral.inertia` takes in place of H.  Of the
 blocks that a translation makes equivalent (`gauge._translations`), `_blocks`
 builds one, for `spectral.inertia` to count once per block it stands for.
+The zero threshold of those blocks needs ||H||_inf, which `_norm_inf`
+reads off the links, bit for bit as from H, so a field with the symmetry
+is never assembled.
 """
 
 from __future__ import annotations
@@ -61,6 +64,50 @@ def assemble(f: GaugeField, cl: CliffordRep, mu: float) -> WilsonOperator:
     if f.geometry.d != cl.d:
         raise ValueError("gauge field and Clifford representation dimension mismatch")
     return WilsonOperator(wilson_matrix([link_shift(f, j) for j in range(cl.d)], cl, mu))
+
+
+def _hops(f: GaugeField, gamma, gens, mu: float, x) -> tuple:
+    """(sites, links, spins): the row of H at each site in x as a sum over
+    hops of links[k] (x) spins[k] in the block column of sites[k]: the mass
+    term on-site, then U_j(x)* (x) (gamma - c_j)/2 to x + e_j and
+    U_j(x - e_j) (x) (gamma + c_j)/2 to x - e_j, with gamma and the c_j
+    given in the caller's spin basis."""
+    geom, U = f.geometry, f.links
+    sites, links, spins = [x], [np.eye(f.rank)[None]], [(mu - geom.d) * gamma]
+    for j, c in enumerate(gens):
+        back = _neighbour(geom, j, -1)[x]
+        sites += [_neighbour(geom, j)[x], back]
+        links += [_dag(U[x, j]), U[back, j]]
+        spins += [(gamma - c) / 2, (gamma + c) / 2]
+    return sites, links, spins
+
+
+def _norm_inf(f: GaugeField, cl: CliffordRep, mu: float, scale: float = 1.0) -> float:
+    """`spectral._norm_inf(scale * assemble(f, cl, mu).matrix)`, bit for
+    bit, from the links and with no H: each row's |entries| in the order H
+    stores them (ascending column: target site, then fibre and spin) and
+    summed as H's row sum sums them.  Hops to one site add before the
+    modulus, as in H (x + e_j = x - e_j at N = 2), entries that are 0
+    before the scale are left out, as H stores none, and scale multiplies
+    each entry before its modulus, as it does H's."""
+    n, rs = f.geometry.n_sites, f.rank * cl.dim_s
+    sites, links, spins = _hops(f, cl.grading, cl.generators, mu, np.arange(n))
+    # the hops grouped by target site, the same grouping at every site
+    _, first, group = np.unique([x[0] for x in sites], return_index=True, return_inverse=True)
+    targets = np.stack([sites[k] for k in first], axis=1)
+    slot = (targets[:, :, None] > targets[:, None, :]).sum(axis=2)
+    # entry (y, a; b) of group g is entry slot[y, g] rs + b of row y rs + a
+    at = ((np.arange(n)[:, None, None] * rs + np.arange(rs)[:, None]) * len(first)) * rs + np.arange(rs)
+    size, stored = np.empty(at.size * len(first)), np.empty(at.size * len(first), dtype=bool)
+    for g in range(len(first)):
+        E = sum(L[:, :, None, :, None] * S[:, None, :]
+                for L, S, h in zip(links, spins, group) if h == g).reshape(-1, rs, rs)
+        place = at + (slot[:, g] * rs)[:, None, None]
+        size[place], stored[place] = np.abs(scale * E), E != 0
+    stored = stored.reshape(n * rs, -1)
+    count = np.count_nonzero(stored, axis=1)
+    start = (np.cumsum(count) - count)[count > 0]
+    return float(np.add.reduceat(size.reshape(n * rs, -1)[stored], start).max())
 
 
 def _spinor(cl: CliffordRep, P: np.ndarray) -> tuple:
@@ -107,10 +154,18 @@ def _blocks(f: GaugeField, cl: CliffordRep, mu: float, gens: list, rf, shifts=()
     """(blocks, owner): `symmetry_blocks` for the field's (gens, T) =
     symmetry_group(f), one per orbit k -> k + span(shifts) mod orders of
     the characters k, its least k's (`gauge._translations` makes an orbit's
-    blocks equivalent), and owner[chi] the index of chi's block."""
+    blocks equivalent), and owner[chi] the index of chi's block.
+
+    What does not depend on the character is formed once: the hops, the
+    merged pattern of M (H on the orbit basis) and T's map of the orbits.
+    The bases, one small block of Q per orbit with the stabilizer's
+    eigenvectors and T's pairs in it, are formed for the characters whose
+    blocks are built, all at once (an eigensolve only at orbits with a
+    stabilizer or fixed by T); then, one block at a time, M's data, Q as
+    CSR straight from its blocks (real where T is) and the block Q* M Q."""
     if not gens:
         return (assemble(f, cl, mu).matrix,), np.zeros(1, dtype=int)
-    geom, U, r, s, rs = f.geometry, f.links, f.rank, cl.dim_s, f.rank * cl.dim_s
+    geom, r, s, rs = f.geometry, f.rank, cl.dim_s, f.rank * cl.dim_s
     n = geom.n_sites
     spinors, orders = zip(*(_spinor(cl, P) for P, _ in gens))
     # each S + S* has two eigenvalues 2 apart, so powers of 3 separate the
@@ -147,14 +202,8 @@ def _blocks(f: GaugeField, cl: CliffordRep, mu: float, gens: list, rf, shifts=()
     pos[reps] = np.arange(len(reps))
     stab = perm[:, reps] == reps
     n_stab = stab.sum(axis=0)
-    # the hops at the x0: on-site, then +e_j and -e_j
-    gamma = spin(cl.grading)
-    ys, links, spins = [reps], [np.eye(r)[None]], [(mu - geom.d) * gamma]
-    for j, c in enumerate(cl.generators):
-        back = _neighbour(geom, j, -1)[reps]
-        ys += [_neighbour(geom, j)[reps], back]
-        links += [_dag(U[reps, j]), U[back, j]]
-        spins += [(gamma - spin(c)) / 2, (gamma + spin(c)) / 2]
+    # the hops at the x0
+    ys, links, spins = _hops(f, spin(cl.grading), [spin(c) for c in cl.generators], mu, reps)
     y = np.stack(ys)
     inv = np.ravel_multi_index((-k % orders).T, orders)
     g, y0 = inv[h[y]], x0[y]
@@ -163,41 +212,71 @@ def _blocks(f: GaugeField, cl: CliffordRep, mu: float, gens: list, rf, shifts=()
     T = (fibre[..., :, None, :, None] * hop[..., None, :, None, :]).reshape(*y.shape, rs, rs)
     T *= np.sqrt(n_stab[pos[y0]] / n_stab)[..., None, None]
     t, i, a, b = np.nonzero(T)
-    rows, cols, T, g = i * rs + a, pos[y0[t, i]] * rs + b, T[t, i, a, b], g[t, i]
-    # each x0's basis per character: the columns of E where `keep`, the
-    # eigenvectors of its stabilizer's projector (1 at a free orbit)
-    A = np.einsum("gxac,gb,bd->gxabcd", w[:, reps], D, np.eye(s)).reshape(len(k), -1, rs, rs)
-    proj = np.tensordot(chars.conj(), stab[..., None, None] * A, 1) / n_stab[:, None, None]
-    lam, E = np.linalg.eigh((proj + _dag(proj)) / 2)
-    keep, nr = lam > 0.5, len(reps)
-    if rf is not None:
+    nr = len(reps)
+    # M, the operator on the orbit basis, has entry T_e chi(g_e)^-1 at (row_e,
+    # col_e) summed over the hops e: its pattern is merged once, entry e
+    # adding to stored entry at[e], and only the data is formed per chi
+    key, at = np.unique((i * rs + a) * (nr * rs) + pos[y0[t, i]] * rs + b, return_inverse=True)
+    indptr = np.searchsorted(key, np.arange(nr * rs + 1) * (nr * rs))
+    T, g = T[t, i, a, b], g[t, i]
+
+    def act(g, x):
+        """A_g(x) = w_g(x) (x) S_g, S_g the diagonal D[g] in the turned basis."""
+        A = np.einsum("...ac,...b,bd->...abcd", w[g, x], D[g], np.eye(s))
+        return A.reshape(*A.shape[:-4], rs, rs)
+
+    def basis():
+        """(G, own, mask): Q, per built character, has one block per block
+        row p, G[p] in block column own[p], of which the columns where
+        mask[own[p]] are kept.  Formed for every built character at once;
+        what only leads to it is freed on return, before any block."""
+        # each x0's basis: the columns of E where `keep`, the eigenvectors of
+        # its stabilizer's projector, the identity at a free orbit and
+        # solved for at the others
+        E = np.tile(np.eye(rs, dtype=complex), (len(reps_chi), nr, 1, 1))
+        keep = np.ones((len(reps_chi), nr, rs), dtype=bool)
+        bound = np.flatnonzero(n_stab > 1)
+        proj = np.tensordot(chars[reps_chi].conj(), stab[:, bound, None, None]
+                            * act(np.arange(len(k))[:, None], reps[bound]), 1) / n_stab[bound, None, None]
+        lam, E[:, bound] = np.linalg.eigh((proj + _dag(proj)) / 2)
+        keep[:, bound] = lam > 0.5
+        if rf is None:
+            return E, np.arange(nr), keep
         # (T psi)(P_T x) = (w_T(x) (x) S_T) conj(psi(x)): on block chi, v at rep
-        # src[p] has the image tau[chi, p] conj(v) at rep p (P_T x_p = P_g x0)
+        # src[p] has the image chi(g2[p]) tau[p] conj(v) at rep p (P_T x_p = P_g x0)
         PT, wT = rf
         X = [c for j, c in enumerate(cl.generators) if (PT[j, j] < 0) == c.real.any()]
         ST = spin(reduce(np.matmul, X, np.eye(s)) @ V.conj() @ _dag(V))
         z = _site_map(geom, PT)[reps]
         src, g2, fixed = pos[x0[z]], inv[h[z]], np.flatnonzero(pos[x0[z]] == np.arange(nr))
         AT = np.einsum("xac,bd->xabcd", wT[z], ST).reshape(nr, rs, rs)
-        tau = chars[:, g2, None, None] * (AT @ A[g2, src].conj())
+        tau = AT @ act(g2, reps[src]).conj()
+        # at p = src[p], the +1 eigenvectors of v -> t conj(v) on (Re v, Im v);
+        # else the pair p < src[p] keeps block column p, with v at p and its
+        # image at src[p]
+        Tu = (chars[reps_chi][:, g2, None, None] * tau)[:, src] @ E.conj()
+        home = np.concatenate([E, 1j * E], axis=-1) / np.sqrt(2)
+        part = np.concatenate([Tu, -1j * Tu], axis=-1) / np.sqrt(2)
+        Ef, kf = E[:, fixed], keep[:, fixed]
+        t = _dag(Ef) @ Tu[:, fixed] * kf[..., None, :] * kf[..., None]
+        t = np.array([[t.real, t.imag], [t.imag, -t.real]]).transpose(2, 3, 4, 0, 5, 1)
+        lamT, Y = np.linalg.eigh(t.reshape(len(E), len(fixed), 2 * rs, 2 * rs))
+        home[:, fixed] = Ef @ (Y[..., 0::2, :] + 1j * Y[..., 1::2, :])
+        mask = np.tile(keep & (src > np.arange(nr))[:, None], 2)
+        mask[:, fixed] = lamT > 0.5
+        own = np.minimum(src, np.arange(nr))
+        return np.where((own == np.arange(nr))[:, None, None], home, part[:, src]), own, mask
+
+    G, own, mask = basis()
     blocks = []
-    for chi in reps_chi:
-        M = sp.csr_matrix((T * chars[chi, g].conj(), (rows, cols)), shape=(nr * rs,) * 2)
-        Q, mask = sp.bsr_matrix((E[chi], np.arange(nr), np.arange(nr + 1))), keep[chi]
-        if rf is not None:
-            # at p = src[p], the +1 eigenvectors of v -> t conj(v) on (Re v, Im v)
-            Tu = tau[chi, src] @ E[chi].conj()
-            home = np.concatenate([E[chi], 1j * E[chi]], axis=-1) / np.sqrt(2)
-            part = np.concatenate([Tu, -1j * Tu], axis=-1) / np.sqrt(2)
-            t = _dag(E[chi][fixed]) @ Tu[fixed] * keep[chi][fixed, None] * keep[chi][fixed, :, None]
-            t = np.array([[t.real, t.imag], [t.imag, -t.real]]).transpose(2, 3, 0, 4, 1)
-            lamT, Y = np.linalg.eigh(t.reshape(len(fixed), 2 * rs, 2 * rs))
-            home[fixed], part[fixed] = E[chi][fixed] @ (Y[:, 0::2] + 1j * Y[:, 1::2]), 0
-            mask = np.tile(keep[chi] & (src > np.arange(nr))[:, None], 2)
-            mask[fixed] = lamT > 0.5
-            Q = (sp.bsr_matrix((home, np.arange(nr), np.arange(nr + 1)))
-                 + sp.bsr_matrix((part[src], src, np.arange(nr + 1))))
-        Q = Q.tocsr()[:, mask.ravel()]
+    for Gc, mc, chi in zip(G, mask, reps_chi):
+        data = T * chars[chi, g].conj()
+        M = sp.csr_matrix((np.bincount(at, data.real, len(key)) + 1j * np.bincount(at, data.imag, len(key)),
+                           key % (nr * rs), indptr), shape=(nr * rs,) * 2)
+        kept = np.broadcast_to(mc[own][:, None], Gc.shape)
+        col = np.broadcast_to(np.cumsum(mc).reshape(mc.shape)[own][:, None] - 1, Gc.shape)
+        Q = sp.csr_matrix((Gc[kept], col[kept], np.r_[0, np.cumsum(kept.sum(axis=-1))]),
+                          shape=(nr * rs, np.count_nonzero(mc)))
         Q.eliminate_zeros()
         B = (Q.conj().T @ M @ Q).tocsr()
         if rf is not None:

@@ -19,8 +19,8 @@ from wilsonindex import (
     trivial_field,
 )
 from wilsonindex import gauge
-from wilsonindex.gauge import (_neighbour, _site_map, _translations, link_shift, quarter_turn,
-                               symmetry_gauge, symmetry_group)
+from wilsonindex.gauge import (_dag, _neighbour, _site_map, _translations, link_shift,
+                               quarter_turn, symmetry_gauge, symmetry_group)
 
 
 def test_geometry_rejects_coarse_lattice():
@@ -189,6 +189,30 @@ def _non_abelian_field(d, N, seed=3):
     K2 = FluxMatrix.from_entries(d, [(1, 2, 2)])
     f = direct_sum_field(constant_flux_field(g, K1), constant_flux_field(g, K2))
     return perturb_field(f, 0.05, seed=seed)
+
+
+@pytest.mark.parametrize("d, N, entries, seed", [
+    (2, 24, [(1, 2, 1)], 7), (2, 8, [(1, 2, -5)], 5), (2, 5, [(1, 2, 6)], 16),
+    (4, 5, [(1, 2, 1), (3, 4, 2), (1, 3, 1)], 7)])
+def test_the_rank_one_curvature_is_the_svds_bit_for_bit(d, N, entries, seed):
+    # at rank 1 the estimate takes |P - 1| with no SVD, by the 1 x 1 SVD's
+    # own formula, so it is the SVD's to the last bit, perturbed or not
+    # (np.abs, a correctly rounded hypot, differs from it in the last bit
+    # on the last three fields)
+    f = _flux_field(d, N, entries)
+    for fld in (f, perturb_field(f, 0.1, seed)):
+        want = max(float(np.linalg.norm(plaquette(fld, j, l) - 1, 2, axis=(-2, -1)).max())
+                   for j in range(d) for l in range(j + 1, d))
+        assert estimate_curvature_norm(fld) == want * N ** 2
+
+
+def test_a_nan_link_gives_a_nan_curvature():
+    # the rank-1 modulus takes no SVD, which would fail on it, so the nan
+    # must reach the estimate
+    f = _flux_field(2, 6, [(1, 2, 1)])
+    links = f.links.copy()
+    links[3, 0] = np.nan
+    assert np.isnan(estimate_curvature_norm(gauge.GaugeField(f.geometry, 1, links, f.flux_sectors)))
 
 
 def test_plaquette_and_curvature_gauge_covariant_non_abelian():
@@ -372,7 +396,8 @@ def _half_period(d, N, plane):
 def test_a_half_period_translation_exists_where_the_plane_flux_is_even(d, N, entries):
     # x -> x + (N/2)(e_a + e_b) is a symmetry exactly when N and K_ab are
     # even; its phase on the plane's own turn is -1 where K_ab = 2 mod 4
-    # and 1 where K_ab = 0 mod 4, and 1 on the other turns
+    # and 1 where K_ab = 0 mod 4, and 1 on the other turns; only those
+    # with a phase -1 pair blocks, and only they are returned
     f = _flux_field(d, N, entries)
     gens, _ = symmetry_group(f)
     K, one, want = f.flux_sectors[0].K, np.eye(d, dtype=int), []
@@ -385,24 +410,75 @@ def test_a_half_period_translation_exists_where_the_plane_flux_is_even(d, N, ent
             for j in range(d):
                 U = link_shift(f, j)
                 assert abs(W @ U - U @ W).max() < 1e-12
-            want.append([2 * (K[a, b] % 4 == 2) if g == i else 0 for g in range(d // 2)])
+            if K[a, b] % 4 == 2:
+                want.append([2 if g == i else 0 for g in range(d // 2)])
     assert [s.tolist() for s in _translations(f, gens)] == want
 
 
 def test_the_translation_meets_each_turn_up_to_its_phase():
     # R W_t = c W_t R as operators, c = exp(i pi s / 2), at d=4 with a
-    # translation in each plane
+    # translation in each plane; that of the (3,4) plane has s = 0, pairs
+    # no blocks and is not returned
     f = _flux_field(4, 4, [(1, 2, 2), (3, 4, 4)])
     gens, _ = symmetry_group(f)
-    shifts = _translations(f, gens)
-    assert [s.tolist() for s in shifts] == [[2, 0], [0, 0]]
+    assert [s.tolist() for s in _translations(f, gens)] == [[2, 0]]
     one = np.eye(4, dtype=int)
-    for plane, s in zip([(0, 1), (2, 3)], shifts):
+    for plane, s in zip([(0, 1), (2, 3)], [[2, 0], [0, 0]]):
         t = _half_period(4, 4, plane)
         W = _site_operator(f, one, symmetry_gauge(f, one, shift=t), t)
         for (P, w), sg in zip(gens, s):
             R = _site_operator(f, P, w)
             assert abs(R @ W - np.exp(0.5j * np.pi * sg) * W @ R).max() < 1e-12
+
+
+@pytest.mark.parametrize("d, entries, built", [
+    *((2, [(1, 2, k)], 0) for k in (0, 1, -1, 3, -3, 4)), (4, [(1, 2, 1), (3, 4, 4)], 0),
+    (2, [(1, 2, 2)], 1), (4, [(1, 2, 2), (3, 4, 2)], 2)])
+def test_a_translation_gauge_is_built_only_where_a_turn_has_phase_minus_one(
+        monkeypatch, d, entries, built):
+    # c = w_R(t) is read off the turns' gauges: 1 where the plane flux is
+    # 0 mod 4, +-i where it is odd, and only c = -1 (2 mod 4) needs the
+    # translation's gauge, which is then built and checked
+    f = _flux_field(d, 8, entries)
+    gens, _ = symmetry_group(f)
+    shifts, build = [], gauge.symmetry_gauge
+    monkeypatch.setattr(gauge, "symmetry_gauge",
+                        lambda f, P, conj=False, shift=0: shifts.append(shift) or build(f, P, conj, shift))
+    assert len(_translations(f, gens)) == len(shifts) == built
+
+
+def _walked_comb(geom, step, link):
+    """The comb as a walk along each axis, one site at a time."""
+    e = np.eye(step[0].shape[-1], dtype=complex)
+    w = np.tile(e, (geom.n_sites, 1, 1))
+    L, sites = w.copy(), np.arange(geom.n_sites).reshape((geom.N,) * geom.d)
+    for j in range(geom.d):
+        nb = _neighbour(geom, j)
+        for t in range(geom.N - 1):
+            x = sites[(slice(None),) * j + (t,) + (0,) * (geom.d - j - 1)].ravel()
+            w[nb[x]], L[nb[x]] = step[j][x] @ w[x] @ _dag(link[j][x]), step[j][x] @ L[x]
+    return w, L
+
+
+@pytest.mark.parametrize("N", [5, 6])
+def test_the_prefix_product_comb_is_the_walk(monkeypatch, N):
+    # every comb symmetry_gauge builds, for the quarter turns, the
+    # conjugating reflection and a shift, at rank 1 and at rank 2 after a
+    # U(2) transform, at odd and even N, is the walk's to 1e-13
+    combs, comb = [], gauge._comb
+    monkeypatch.setattr(gauge, "_comb", lambda *a: combs.append((a, comb(*a))) or combs[-1][1])
+    f = _flux_field(2, N, [(1, 2, 2)])
+    rank2 = direct_sum_field(f, _flux_field(2, N, [(1, 2, -2)]))
+    rng = np.random.default_rng(N)
+    u2 = np.linalg.qr(rng.standard_normal((N * N, 2, 2)) + 1j * rng.standard_normal((N * N, 2, 2)))[0]
+    for fld in (f, gauge_transform(rank2, u2), _flux_field(4, N, [(1, 2, 1), (3, 4, 2)])):
+        d = fld.geometry.d
+        symmetry_group(fld)
+        symmetry_gauge(fld, np.eye(d, dtype=int), shift=_half_period(d, N, (0, 1)))
+    assert len(combs) == 3 * 3 + 1
+    for args, (w, L) in combs:
+        want_w, want_L = _walked_comb(*args)
+        assert np.abs(w - want_w).max() < 1e-13 and np.abs(L - want_L).max() < 1e-13
 
 
 def test_the_link_check_rejects_a_flipped_translation_gauge():

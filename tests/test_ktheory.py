@@ -877,7 +877,6 @@ def test_a_field_without_the_symmetry_is_solved_whole(monkeypatch):
     calls = []
     assemble_once = wilson.assemble
     monkeypatch.setattr(wilson, "assemble", lambda *a: calls.append(a) or assemble_once(*a))
-    monkeypatch.setattr(ktheory, "assemble", wilson.assemble)
     for fld in (GaugeField(f.geometry, 1, links, f.flux_sectors), perturb_field(f, 0.05, 3)):
         assert symmetry_group(fld) == ([], None)
         calls.clear()
@@ -885,6 +884,22 @@ def test_a_field_without_the_symmetry_is_solved_whole(monkeypatch):
         assert len(calls) == 1
         assert r.blocks == (fld.geometry.n_sites * 2,)
         assert r.inertia == inertia(assemble_once(fld, clifford_rep(2), 1.0).matrix)
+
+
+def test_a_field_with_the_symmetry_is_never_assembled(monkeypatch):
+    # its zero threshold comes from the links (wilson._norm_inf), so
+    # neither lattice_index nor verify_gap_bound assembles H: no link shift
+    # U_j is built, under whatever name assemble is called
+    calls = []
+    shift = wilson.link_shift
+    monkeypatch.setattr(wilson, "link_shift", lambda *a: calls.append(a) or shift(*a))
+    for f in (constant_flux_field(make_geometry(2, 6), _flux2(1)),
+              constant_flux_field(make_geometry(4, 4),
+                                  FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 2)]))):
+        assert symmetry_group(f)[0]
+        lattice_index(f, 1.0)
+        verify_gap_bound(f, 1.0, 2.0)
+    assert calls == []
 
 
 def test_d4_parity_blocks_take_the_factor_path(lapack_calls):

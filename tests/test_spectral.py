@@ -693,6 +693,31 @@ def test_factor_mutants_are_rejected(monkeypatch, mutate, reason):
         == (want.n_plus, want.n_minus, want.n_zero, want.gap)
 
 
+def test_a_small_block_whose_counts_are_not_the_oracles_is_rejected(monkeypatch):
+    # below 200 rows the gap is the dense oracle's, classified with the
+    # caller's tol, and its counts must be the factor's: a factor with one
+    # pivot sign flipped is rejected for the oracle's result, and so is a
+    # tol above the gap, under which the oracle sees zero eigenvalues
+    f = constant_flux_field(make_geometry(2, 6), FluxMatrix.from_entries(2, [(1, 2, 1)]))
+    H = assemble(f, clifford_rep(2), 1.0).matrix
+    want = inertia(H)
+    i = inertia_ldl(H, tol=2 * want.gap)
+    assert i.method.startswith("dense (ldl rejected: counts ")
+    assert (i.n_zero > 0, i.gap, i.tol) == (True, 0.0, 2 * want.gap)
+    ldl_factor = spectral._ldl_factor
+
+    def flipped(M, tol):
+        piv, solve, probe = ldl_factor(M, tol)
+        piv[0] = -piv[0]
+        return piv, solve, probe
+
+    monkeypatch.setattr(spectral, "_ldl_factor", flipped)
+    i = inertia_ldl(H)
+    assert H.shape[0] < 200 and i.method.startswith("dense (ldl rejected: counts ")
+    assert (i.n_plus, i.n_minus, i.n_zero, i.gap, i.tol) \
+        == (want.n_plus, want.n_minus, want.n_zero, want.gap, want.tol)
+
+
 def test_momentum_oracle_requires_trivial_field():
     f = constant_flux_field(make_geometry(2, 4), FluxMatrix.from_entries(2, [(1, 2, 1)]))
     with pytest.raises(ValueError, match="translation invariance"):

@@ -17,10 +17,11 @@ from wilsonindex import (
     symbol_gap,
     trivial_field,
 )
+from wilsonindex import spectral
 from wilsonindex.gauge import _site_map, link_shift, symmetry_group
 from wilsonindex.ktheory import clock_shift, gauge_tuple
 from wilsonindex.spectral import inertia
-from wilsonindex.wilson import (WilsonOperator, _blocks, _spinor, fourier_diagonalize,
+from wilsonindex.wilson import (WilsonOperator, _blocks, _norm_inf, _spinor, fourier_diagonalize,
                                 symmetry_blocks, wilson_matrix)
 
 
@@ -306,3 +307,30 @@ def test_a_field_without_the_symmetry_keeps_its_whole_operator():
     H = assemble(f, cl, 1.0).matrix
     (B,) = symmetry_blocks(f, cl, 1.0)
     assert B.dtype == np.complex128 and (B != H).nnz == 0
+
+
+def _norm_fields(d, N):
+    """Rank 1, a rank-2 direct sum and its U(2) gauge transform."""
+    geom = make_geometry(d, N)
+    K, K2 = ([(1, 2, 1)], [(1, 2, -2)]) if d == 2 else ([(1, 2, 1), (3, 4, 2)], [(1, 2, 1), (3, 4, 4)])
+    f = constant_flux_field(geom, FluxMatrix.from_entries(d, K))
+    rank2 = direct_sum_field(f, constant_flux_field(geom, FluxMatrix.from_entries(d, K2)))
+    rng = np.random.default_rng(N)
+    u2 = np.linalg.qr(rng.standard_normal((geom.n_sites, 2, 2))
+                      + 1j * rng.standard_normal((geom.n_sites, 2, 2)))[0]
+    return [f, rank2, gauge_transform(rank2, u2)]
+
+
+@pytest.mark.parametrize("d, N", [(d, N) for d in (2, 4) for N in (2, 3, 4, 5, 6)])
+def test_the_norm_from_the_links_is_the_assembled_norm_bit_for_bit(d, N):
+    # ||scale H||_inf read off the links, and so the zero threshold, is the
+    # assembled H's bit for bit: at N = 2, where the hops to x + e_j and
+    # x - e_j add, at rank 1 and 2, after a U(2) transform, at mu = d (no
+    # on-site entry) and with the scale that verify_gap_bound applies
+    cl = clifford_rep(d)
+    for f in _norm_fields(d, N):
+        for mu in (0.5, 1.0, 1.5, 3.0, float(d)):
+            for scale in (1.0, 1.7):
+                H = scale * assemble(f, cl, mu).matrix
+                assert _norm_inf(f, cl, mu, scale) == spectral._norm_inf(H)
+                assert spectral._tol(_norm_inf(f, cl, mu, scale)) == spectral._tol(H)
