@@ -16,12 +16,11 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .clifford import clifford_rep
-from .gauge import (FluxMatrix, GaugeField, _translations, _unitarity_defect,
-                    estimate_curvature_norm, link_shift, symmetry_group)
+from .gauge import FluxMatrix, GaugeField, _unitarity_defect, estimate_curvature_norm, link_shift
 # min_abs_eigenvalue is unused here; perfbench's tracer looks it up by name
 from .spectral import (Inertia, _dense_inertia, _tol, half_signature, inertia,  # noqa: F401
                        inertia_bunch_kaufman, min_abs_eigenvalue)
-from .wilson import _blocks, _norm_inf, symbol_gap, wilson_matrix
+from .wilson import _norm_inf, symbol_gap, symmetry_blocks, wilson_matrix
 
 # Global orientation sign relating the lattice invariant to the Pfaffian
 # index, calibrated once from the d=2, N=16, K_12=1, m=1 instance under
@@ -148,19 +147,15 @@ def _pfaffian(K: np.ndarray, idx) -> int:
     return total
 
 
-def _block_inertia(f: GaugeField, cl, mu: float, scale: float = 1.0) -> tuple:
-    """(inertia, block dimensions) of H = scale * assemble(f, cl, mu).matrix,
-    solved as scale times its `symmetry_blocks`, each classified with the
-    whole operator's zero threshold `_tol(H)`: from ||H||_inf, which
-    `wilson._norm_inf` reads off the links with no H, if the field has a
-    symmetry, else from the one block, H itself.  Of the blocks that the
-    field's translations (`gauge._translations`) make equivalent, one is
-    built and solved for all; the dimensions are every character's, in
-    character order."""
-    gens, rf = symmetry_group(f)
-    tol = _tol(_norm_inf(f, cl, mu, scale)) if gens else None
-    blocks, owner = _blocks(f, cl, mu, gens, rf, _translations(f, gens))
-    blocks = [scale * B for B in blocks]
+def _block_inertia(f: GaugeField, cl, mu: float) -> tuple:
+    """(inertia, block dimensions) of H = assemble(f, cl, mu).matrix, solved
+    as its `symmetry_blocks`, each block counted once per character it
+    stands for and classified with the whole operator's zero threshold:
+    `_tol` of ||H||_inf, which `wilson._norm_inf` reads off the links with
+    no H, if the field has a symmetry, else of the one block, H itself.
+    The dimensions are every character's, in character order."""
+    blocks, owner = symmetry_blocks(f, cl, mu)
+    tol = _tol(_norm_inf(f, cl, mu)) if len(owner) > 1 else None
     return (inertia(*blocks, tol=tol, mult=np.bincount(owner).tolist()),
             tuple(blocks[i].shape[0] for i in owner))
 
@@ -257,15 +252,16 @@ def corner_count_degree(d: int, mu: float) -> int:
 
 
 def verify_gap_bound(f: GaugeField, m: float, kappa: float) -> BoundReport:
-    """Check lambda_min((kappa pi(D_W) + m gamma)^2) >= m^2 - 4 d^2 ||R||,
-    with kappa pi(D_W) + m gamma assembled as kappa (pi(D_W) + (m/kappa) gamma)."""
+    """Check lambda_min((kappa pi(D_W) + m gamma)^2) >= m^2 - 4 d^2 ||R||.
+    kappa pi(D_W) + m gamma is kappa H(m/kappa), whose smallest |eigenvalue|
+    is kappa times H(m/kappa)'s gap, so H(m/kappa) is what is solved."""
     N = f.geometry.N
     # negated, so nan is rejected too; 0 < m <= kappa <= N keeps both finite
     if not 0 < m <= kappa <= N:
         raise ParameterRangeError("kappa must lie in [m, N], with m > 0")
     d = f.geometry.d
-    inert, _ = _block_inertia(f, clifford_rep(d), m / kappa, kappa)
-    lam = inert.gap
+    inert, _ = _block_inertia(f, clifford_rep(d), m / kappa)
+    lam = kappa * inert.gap
     curvature = estimate_curvature_norm(f)
     # curvature error terms total 4 d^2 ||R|| a^2 kappa^2 <= 4 d^2 ||R||
     rhs = m ** 2 - 4 * d ** 2 * curvature * f.geometry.spacing ** 2 * kappa ** 2

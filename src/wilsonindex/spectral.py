@@ -179,12 +179,15 @@ def _available_memory() -> int | None:
 
 def _lapack(f, *args, **kwargs):
     """f(*args, **kwargs), a dense LAPACK call, setting `_blas_mapped` if
-    VmSize grew over it by at least half of `_BLAS_MARGIN`."""
+    VmSize grew over it by at least half of `_BLAS_MARGIN`; once it is set,
+    f alone, with no read of VmSize."""
     global _blas_mapped
+    if _blas_mapped:
+        return f(*args, **kwargs)
     before = _proc_bytes("/proc/self/status", "VmSize")
     out = f(*args, **kwargs)
     after = _proc_bytes("/proc/self/status", "VmSize")
-    _blas_mapped |= None not in (before, after) and after - before >= _BLAS_MARGIN // 2
+    _blas_mapped = None not in (before, after) and after - before >= _BLAS_MARGIN // 2
     return out
 
 
@@ -238,10 +241,10 @@ def _norm_inf(A) -> float:
     return float(abs(A).sum(axis=1).max()) if A.shape[0] else 0.0
 
 
-def _tol(A) -> float:
-    """The zero-classification threshold 1e-8 * max(||A||_inf, 1), of a
-    matrix A or of ||A||_inf given as a number."""
-    return 1e-8 * max(A if np.isscalar(A) else _norm_inf(A), 1.0)
+def _tol(norm: float) -> float:
+    """The zero-classification threshold 1e-8 * max(||A||_inf, 1) of a
+    matrix A, from norm = ||A||_inf (`_norm_inf(A)`)."""
+    return 1e-8 * max(norm, 1.0)
 
 
 def _eigenvalues(H) -> np.ndarray:
@@ -276,9 +279,9 @@ def _eigenvalues(H) -> np.ndarray:
 
 def _dense_inertia(H, tol: float | None = None) -> Inertia:
     """Dense oracle: every eigenvalue from `_eigenvalues`, classified as
-    below -tol, at or above tol, or zero; tol is `_tol(H)` unless given."""
+    below -tol, at or above tol, or zero; tol is H's `_tol` unless given."""
     w = _eigenvalues(H)
-    tol = _tol(H) if tol is None else tol
+    tol = _tol(_norm_inf(H)) if tol is None else tol
     n_minus = int(np.sum(w < -tol))
     n_plus = int(np.sum(w >= tol))
     n_zero = len(w) - n_plus - n_minus
@@ -303,7 +306,7 @@ def inertia(*blocks, tol: float | None = None, mult=None) -> Inertia:
     mult = [1] * len(blocks) if mult is None else mult
     n = sum(m * np.shape(B)[0] for m, B in zip(mult, blocks))
     if tol is None and len(blocks) > 1:
-        tol = max(_tol(B) for B in blocks)
+        tol = max(_tol(_norm_inf(B)) for B in blocks)
     parts = []
     for i, B in enumerate(blocks):
         try:
@@ -494,54 +497,49 @@ def _ldl_factor(M: sp.csr_matrix, tol: float):
     return piv, solve, b
 
 
-def _ldl_gap(M: sp.csr_matrix, piv: np.ndarray, solve, probe: np.ndarray, tol: float) -> float:
-    """Gap of M from `_ldl_factor`'s pivots, solve and probe: ARPACK on
-    solve from probe, or below 200 rows, where ARPACK starts to pay on d=4
-    and d=6 symmetry blocks, the dense oracle's, classified with the
-    caller's tol.  Where the oracle runs its counts must be the pivots'
-    (RuntimeError, which rejects the factor, if not)."""
-    if M.shape[0] >= 200:
-        return _shift_invert_gap(M, solve, probe)
-    oracle, n_plus = _dense_inertia(M, tol), int(np.sum(piv > 0))
-    if (oracle.n_plus, oracle.n_minus) != (n_plus, len(piv) - n_plus):
-        raise RuntimeError(f"counts ({n_plus}, {len(piv) - n_plus}) are not the oracle's "
-                           f"({oracle.n_plus}, {oracle.n_minus}, {oracle.n_zero})")
-    return oracle.gap
-
-
 def _from_factor(H, gap: bool, tol: float | None = None) -> Inertia:
     """Counts from the signs of `_ldl_factor`'s pivots (an accepted factor
-    is of a nonsingular matrix, so n_zero is 0) and, with `gap`, the
-    `_ldl_gap`, which also rejects the factor where its dense oracle counts
-    otherwise; if either is rejected, the dense oracle's result with the
-    reason in method.  tol is `_tol(H)` unless given; a float64 or
-    complex128 CSR H is factored as it is."""
+    is of a nonsingular matrix, so n_zero is 0) and, with `gap`, the gap:
+    ARPACK on the factor's solve from its probe, or below 200 rows, where
+    ARPACK starts to pay on d=4 and d=6 symmetry blocks, the dense
+    oracle's, whose counts must then be the pivots' (the factor is
+    rejected if not).  If the factor or its gap is rejected, the result is
+    the dense oracle's, with the reason in method: below 200 rows the one
+    eigensolve already made.  tol is `_tol` of H's norm unless given; a
+    float64 or complex128 CSR H is factored as it is."""
     M = _real_if_real(sp.csr_matrix(H, dtype=np.result_type(H.dtype, float)))
     _check_hermitian(M)
-    tol = _tol(M) if tol is None else tol
+    tol = _tol(_norm_inf(M)) if tol is None else tol
+    oracle = None
     try:
         piv, solve, probe = _ldl_factor(M, tol)
-        lam = _ldl_gap(M, piv, solve, probe, tol) if gap else float("nan")
+        n_plus = int(np.sum(piv > 0))
+        if gap and M.shape[0] < 200:
+            oracle = _dense_inertia(M, tol)
+            if (oracle.n_plus, oracle.n_minus) != (n_plus, len(piv) - n_plus):
+                raise RuntimeError(f"counts ({n_plus}, {len(piv) - n_plus}) are not the oracle's "
+                                   f"({oracle.n_plus}, {oracle.n_minus}, {oracle.n_zero})")
+        lam = oracle.gap if oracle else _shift_invert_gap(M, solve, probe) if gap else float("nan")
     except RuntimeError as exc:
         # a rejected factor or an unconverged gap; MemoryError propagates
         reason = str(exc)
     else:
-        n_plus = int(np.sum(piv > 0))
         return Inertia(n_plus, len(piv) - n_plus, 0, lam, tol,
                        "ldl" if gap else "bunch-kaufman")
     # outside the handler, so the traceback no longer holds the factor;
     # nor does solve, if the gap was rejected
     solve = None
-    return replace(_dense_inertia(M, tol), method=f"dense (ldl rejected: {reason})")
+    return replace(oracle or _dense_inertia(M, tol), method=f"dense (ldl rejected: {reason})")
 
 
 def inertia_ldl(H, tol: float | None = None) -> Inertia:
     """Inertia and gap of a sparse Hermitian matrix from one block LDL*
     factor: the factor step (`_ldl_factor`), which densifies only the Schur
-    complement, then the gap step (`_ldl_gap`), ARPACK in shift-invert
-    mode on the same factor.  If the factor is rejected or the gap does
-    not converge, the result is the dense oracle's, with the reason in
-    method.  tol is `_tol(H)` unless given."""
+    complement, then the gap step, ARPACK in shift-invert mode on the same
+    factor (the dense oracle below 200 rows; `_from_factor`).  If the
+    factor is rejected or the gap does not converge, the result is the
+    dense oracle's, with the reason in method.  tol is `_tol` of H's norm
+    unless given."""
     return _from_factor(H, True, tol)
 
 

@@ -9,19 +9,20 @@ where U_j is the link-times-shift unitary of the gauge field
 (`gauge.link_shift`) or, for an almost-commuting tuple, the tuple's own
 unitaries; `wilson_matrix` builds it for both.  H equals
 a * (D_W + (mu/a) gamma), and positive scaling preserves inertia, so the
-cutoff-mass regime is mu = m and the constant-mass regime is mu = a*m.
+cutoff-mass regime is mu = m, the constant-mass regime is mu = a*m, and
+the gap bound's kappa H(m/kappa) is solved as H(m/kappa), its gap times
+kappa: no scaled copy of H or its blocks is made.
 
 For a field that is its own image by signed axis permutations P in some
 gauge (`gauge.symmetry_group`), H commutes with each R = W (x) S, W the
-gauge-covariant site map x -> Px and S its spinor, and `symmetry_blocks`
-returns H's blocks on the joint eigenspaces of the R's, one per character
-of the group (16 at d=4, 4 at d=2, else 2), real where the field has the
-antiunitary T, which `spectral.inertia` takes in place of H.  Of the
-blocks that a translation makes equivalent (`gauge._translations`), `_blocks`
-builds one, for `spectral.inertia` to count once per block it stands for.
-The zero threshold of those blocks needs ||H||_inf, which `_norm_inf`
-reads off the links, bit for bit as from H, so a field with the symmetry
-is never assembled.
+gauge-covariant site map x -> Px and S its spinor; H's blocks on the
+joint eigenspaces of the R's, one per character of the group (16 at d=4,
+4 at d=2, else 2), are real where the field has the antiunitary T.
+`symmetry_blocks` returns those that are solved, one of each set that a
+translation makes equivalent (`gauge._translations`), and which block
+each character has, for `spectral.inertia` to count.  Their zero
+threshold needs ||H||_inf, which `_norm_inf` reads off the links, bit
+for bit as from H, so a field with the symmetry is never assembled.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .clifford import CliffordRep
-from .gauge import GaugeField, _dag, _neighbour, _site_map, link_shift, symmetry_group
+from .gauge import GaugeField, _dag, _neighbour, _site_map, _translations, link_shift, symmetry_group
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,14 +83,13 @@ def _hops(f: GaugeField, gamma, gens, mu: float, x) -> tuple:
     return sites, links, spins
 
 
-def _norm_inf(f: GaugeField, cl: CliffordRep, mu: float, scale: float = 1.0) -> float:
-    """`spectral._norm_inf(scale * assemble(f, cl, mu).matrix)`, bit for
-    bit, from the links and with no H: each row's |entries| in the order H
-    stores them (ascending column: target site, then fibre and spin) and
-    summed as H's row sum sums them.  Hops to one site add before the
-    modulus, as in H (x + e_j = x - e_j at N = 2), entries that are 0
-    before the scale are left out, as H stores none, and scale multiplies
-    each entry before its modulus, as it does H's."""
+def _norm_inf(f: GaugeField, cl: CliffordRep, mu: float) -> float:
+    """`spectral._norm_inf(assemble(f, cl, mu).matrix)`, bit for bit, from
+    the links and with no H: each row's |entries| in the order H stores
+    them (ascending column: target site, then fibre and spin) and summed
+    as H's row sum sums them.  Hops to one site add before the modulus, as
+    in H (x + e_j = x - e_j at N = 2), and entries that are 0 are left
+    out, as H stores none."""
     n, rs = f.geometry.n_sites, f.rank * cl.dim_s
     sites, links, spins = _hops(f, cl.grading, cl.generators, mu, np.arange(n))
     # the hops grouped by target site, the same grouping at every site
@@ -103,7 +103,7 @@ def _norm_inf(f: GaugeField, cl: CliffordRep, mu: float, scale: float = 1.0) -> 
         E = sum(L[:, :, None, :, None] * S[:, None, :]
                 for L, S, h in zip(links, spins, group) if h == g).reshape(-1, rs, rs)
         place = at + (slot[:, g] * rs)[:, None, None]
-        size[place], stored[place] = np.abs(scale * E), E != 0
+        size[place], stored[place] = np.abs(E), E != 0
     stored = stored.reshape(n * rs, -1)
     count = np.count_nonzero(stored, axis=1)
     start = (np.cumsum(count) - count)[count > 0]
@@ -124,10 +124,14 @@ def _spinor(cl: CliffordRep, P: np.ndarray) -> tuple:
 
 
 def symmetry_blocks(f: GaugeField, cl: CliffordRep, mu: float) -> tuple:
-    """The diagonal blocks of H = assemble(f, cl, mu).matrix, one per
-    character chi of the field's group G (`gauge.symmetry_group`), which
-    commutes with H; (H,) if G is trivial.  They are real symmetric where
-    the field also has the antiunitary T, else complex Hermitian.
+    """(blocks, owner): the diagonal blocks of H = assemble(f, cl, mu).matrix
+    that are solved, one per character chi of the field's group G
+    (`gauge.symmetry_group`), which commutes with H, but one for each set
+    of characters that its translations (`gauge._translations`) make
+    equivalent (8 of 16 at d=4 for K = e12 + 2 e34); owner[chi] is the
+    index of chi's block.  ((H,), [0]) if G is trivial.  The blocks are
+    real symmetric where the field also has the antiunitary T, else
+    complex Hermitian.
 
     Block chi is H where every R_g = W_g (x) S_g is chi(g).  There a vector
     is fixed by its value v at each orbit's least site x0, psi(P_g x0) =
@@ -147,14 +151,15 @@ def symmetry_blocks(f: GaugeField, cl: CliffordRep, mu: float) -> tuple:
     lesser of an orbit o and T(o), a T-fixed basis where T(o) = o.  The
     block's imaginary part, rounding, must be below 1e-12 max |B|
     (ArithmeticError if not); it is dropped, and so are entries below it."""
-    return _blocks(f, cl, mu, *symmetry_group(f))[0]
+    gens, rf = symmetry_group(f)
+    return _blocks(f, cl, mu, gens, rf, _translations(f, gens))
 
 
 def _blocks(f: GaugeField, cl: CliffordRep, mu: float, gens: list, rf, shifts=()) -> tuple:
-    """(blocks, owner): `symmetry_blocks` for the field's (gens, T) =
-    symmetry_group(f), one per orbit k -> k + span(shifts) mod orders of
-    the characters k, its least k's (`gauge._translations` makes an orbit's
-    blocks equivalent), and owner[chi] the index of chi's block.
+    """(blocks, owner) of `symmetry_blocks` for the field's (gens, T) =
+    symmetry_group(f), one block per orbit k -> k + span(shifts) mod orders
+    of the characters k, built for its least k, and owner[chi] the index
+    of chi's block; with no shifts, one block per character.
 
     What does not depend on the character is formed once: the hops, the
     merged pattern of M (H on the orbit basis) and T's map of the orbits.

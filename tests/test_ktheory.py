@@ -920,7 +920,7 @@ def _every_block(f, mu=1.0):
     gens, rf = symmetry_group(f)
     blocks, owner = _blocks(f, cl, mu, gens, rf)
     assert len(blocks) == len(owner) == 2 ** f.geometry.d
-    return inertia(*blocks, tol=spectral._tol(assemble(f, cl, mu).matrix))
+    return inertia(*blocks, tol=spectral._tol(spectral._norm_inf(assemble(f, cl, mu).matrix)))
 
 
 def _paired_fields():
@@ -948,8 +948,7 @@ def test_the_blocks_a_translation_pairs_are_solved_once(f, solved):
     # equivalent, its counts taken once per character of the class: the
     # counts of every block, and the gap to 1e-12 relative
     cl = clifford_rep(f.geometry.d)
-    gens, rf = symmetry_group(f)
-    blocks, owner = _blocks(f, cl, 1.0, gens, rf, _translations(f, gens))
+    blocks, owner = symmetry_blocks(f, cl, 1.0)
     assert len(blocks) == solved and len(owner) == 2 ** f.geometry.d
     want, r = _every_block(f), lattice_index(f, 1.0)
     got = r.inertia
@@ -957,7 +956,8 @@ def test_the_blocks_a_translation_pairs_are_solved_once(f, solved):
         == (want.n_plus, want.n_minus, 0, want.tol)
     assert abs(got.gap - want.gap) <= 1e-12 * want.gap
     # every character's dimension, in character order
-    assert r.blocks == tuple(B.shape[0] for B in symmetry_blocks(f, cl, 1.0))
+    assert r.blocks == tuple(blocks[i].shape[0] for i in owner) \
+        == tuple(B.shape[0] for B in _blocks(f, cl, 1.0, *symmetry_group(f))[0])
 
 
 @pytest.mark.parametrize("N, entries", [
@@ -987,7 +987,15 @@ def test_d2_parity_blocks_take_the_dense_path(lapack_calls, monkeypatch):
 
 
 def test_gap_bound_solves_the_parity_blocks():
-    f = constant_flux_field(make_geometry(2, 8), _flux2(1))
-    rep = verify_gap_bound(f, 1.0, 2.0)
-    want = spectral._dense_inertia(2.0 * assemble(f, clifford_rep(2), 0.5).matrix).gap
-    assert rep.method == "dense" and abs(rep.lambda_min - want) <= 1e-12 * want
+    # lambda_min of kappa H(m/kappa) is kappa times the gap of H(m/kappa),
+    # which the dense oracle gives: of H at d=2 (the dense path), of every
+    # character block at d=4 (the factor path), where a dense copy of H
+    # (dim 5184) would take minutes
+    d2 = constant_flux_field(make_geometry(2, 8), _flux2(1))
+    d4 = constant_flux_field(make_geometry(4, 6), FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 2)]))
+    for f, blocks, method in (
+            (d2, [assemble(d2, clifford_rep(2), 0.5).matrix], "dense"),
+            (d4, _blocks(d4, clifford_rep(4), 0.5, *symmetry_group(d4))[0], "ldl")):
+        rep = verify_gap_bound(f, 1.0, 2.0)
+        want = 2.0 * min(spectral._dense_inertia(B).gap for B in blocks)
+        assert rep.method == method and abs(rep.lambda_min - want) <= 1e-12 * want

@@ -280,7 +280,7 @@ def test_a_real_sparse_matrix_is_factored_as_it_is(monkeypatch):
     # input's own float64 CSR, no complex copy of it, and the Inertia is
     # that of its complex128 copy
     f = _flux_field(4, 6, [(1, 2, 1), (3, 4, 2)])
-    B = symmetry_blocks(f, clifford_rep(4), 1.0)[0]
+    B = symmetry_blocks(f, clifford_rep(4), 1.0)[0][0]
     assert B.format == "csr" and B.dtype == np.float64
     seen, ldl_factor = [], spectral._ldl_factor
     monkeypatch.setattr(spectral, "_ldl_factor", lambda M, tol: seen.append(M) or ldl_factor(M, tol))
@@ -697,23 +697,28 @@ def test_a_small_block_whose_counts_are_not_the_oracles_is_rejected(monkeypatch)
     # below 200 rows the gap is the dense oracle's, classified with the
     # caller's tol, and its counts must be the factor's: a factor with one
     # pivot sign flipped is rejected for the oracle's result, and so is a
-    # tol above the gap, under which the oracle sees zero eigenvalues
+    # tol above the gap, under which the oracle sees zero eigenvalues; the
+    # one eigensolve serves the gap, the check and the result
     f = constant_flux_field(make_geometry(2, 6), FluxMatrix.from_entries(2, [(1, 2, 1)]))
     H = assemble(f, clifford_rep(2), 1.0).matrix
     want = inertia(H)
+    calls, dense_inertia = [], spectral._dense_inertia
+    monkeypatch.setattr(spectral, "_dense_inertia", lambda *a: calls.append(a) or dense_inertia(*a))
+    assert inertia_ldl(H).method == "ldl" and len(calls) == 1
     i = inertia_ldl(H, tol=2 * want.gap)
-    assert i.method.startswith("dense (ldl rejected: counts ")
+    assert i.method.startswith("dense (ldl rejected: counts ") and len(calls) == 2
     assert (i.n_zero > 0, i.gap, i.tol) == (True, 0.0, 2 * want.gap)
-    ldl_factor = spectral._ldl_factor
+    bunch_kaufman = spectral._bunch_kaufman
 
-    def flipped(M, tol):
-        piv, solve, probe = ldl_factor(M, tol)
-        piv[0] = -piv[0]
-        return piv, solve, probe
+    def flipped(S):
+        eigs, solve = bunch_kaufman(S)
+        eigs[0] = -eigs[0]
+        return eigs, solve
 
-    monkeypatch.setattr(spectral, "_ldl_factor", flipped)
+    monkeypatch.setattr(spectral, "_bunch_kaufman", flipped)
     i = inertia_ldl(H)
-    assert H.shape[0] < 200 and i.method.startswith("dense (ldl rejected: counts ")
+    assert H.shape[0] == 72 and i.method.startswith("dense (ldl rejected: counts ")
+    assert len(calls) == 3
     assert (i.n_plus, i.n_minus, i.n_zero, i.gap, i.tol) \
         == (want.n_plus, want.n_minus, want.n_zero, want.gap, want.tol)
 
@@ -848,3 +853,12 @@ def test_a_dense_call_that_grows_vmsize_marks_the_buffer_mapped(monkeypatch):
         monkeypatch.setattr(spectral, "_blas_mapped", False)
         assert spectral._lapack(lambda a, b=0: a + b, 1, b=2) == 3
         assert spectral._blas_mapped is want
+
+
+def test_a_dense_call_reads_no_vmsize_once_the_buffer_is_mapped(monkeypatch):
+    # the flag never clears, so once it is set there is nothing to measure
+    reads = []
+    monkeypatch.setattr(spectral, "_proc_bytes", lambda path, key: reads.append(key))
+    monkeypatch.setattr(spectral, "_blas_mapped", True)
+    assert spectral._lapack(lambda a, b=0: a + b, 1, b=2) == 3
+    assert reads == [] and spectral._blas_mapped is True
