@@ -20,7 +20,7 @@ from .gauge import FluxMatrix, GaugeField, _unitarity_defect, estimate_curvature
 # min_abs_eigenvalue is unused here; perfbench's tracer looks it up by name
 from .spectral import (Inertia, _dense_inertia, _tol, half_signature, inertia,  # noqa: F401
                        inertia_bunch_kaufman, min_abs_eigenvalue)
-from .wilson import _norm_inf, symbol_gap, symmetry_blocks, wilson_matrix
+from .wilson import _norm_bound, symbol_gap, symmetry_blocks, wilson_matrix
 
 # Global orientation sign relating the lattice invariant to the Pfaffian
 # index, calibrated once from the d=2, N=16, K_12=1, m=1 instance under
@@ -149,14 +149,13 @@ def _pfaffian(K: np.ndarray, idx) -> int:
 
 def _block_inertia(f: GaugeField, cl, mu: float) -> tuple:
     """(inertia, block dimensions) of H = assemble(f, cl, mu).matrix, solved
-    as its `symmetry_blocks`, each block counted once per character it
-    stands for and classified with the whole operator's zero threshold:
-    `_tol` of ||H||_inf, which `wilson._norm_inf` reads off the links with
-    no H, if the field has a symmetry, else of the one block, H itself.
-    The dimensions are every character's, in character order."""
+    as its `symmetry_blocks` (H itself if the field has no symmetry), each
+    block counted once per character it stands for and every field's
+    blocks classified with one zero threshold: `_tol` of ||H||_inf, which
+    `wilson._norm_bound` sums off the links.  The dimensions are every
+    character's, in character order."""
     blocks, owner = symmetry_blocks(f, cl, mu)
-    tol = _tol(_norm_inf(f, cl, mu)) if len(owner) > 1 else None
-    return (inertia(*blocks, tol=tol, mult=np.bincount(owner).tolist()),
+    return (inertia(*blocks, tol=_tol(_norm_bound(f, mu)), mult=np.bincount(owner).tolist()),
             tuple(blocks[i].shape[0] for i in owner))
 
 

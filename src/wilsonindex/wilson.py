@@ -21,8 +21,9 @@ joint eigenspaces of the R's, one per character of the group (16 at d=4,
 `symmetry_blocks` returns those that are solved, one of each set that a
 translation makes equivalent (`gauge._translations`), and which block
 each character has, for `spectral.inertia` to count.  Their zero
-threshold needs ||H||_inf, which `_norm_inf` reads off the links, bit
-for bit as from H, so a field with the symmetry is never assembled.
+threshold is that of ||H||_inf, which `_norm_bound` sums off the links
+(an upper bound at N = 2), so a field with the symmetry is never
+assembled.
 """
 
 from __future__ import annotations
@@ -83,31 +84,18 @@ def _hops(f: GaugeField, gamma, gens, mu: float, x) -> tuple:
     return sites, links, spins
 
 
-def _norm_inf(f: GaugeField, cl: CliffordRep, mu: float) -> float:
-    """`spectral._norm_inf(assemble(f, cl, mu).matrix)`, bit for bit, from
-    the links and with no H: each row's |entries| in the order H stores
-    them (ascending column: target site, then fibre and spin) and summed
-    as H's row sum sums them.  Hops to one site add before the modulus, as
-    in H (x + e_j = x - e_j at N = 2), and entries that are 0 are left
-    out, as H stores none."""
-    n, rs = f.geometry.n_sites, f.rank * cl.dim_s
-    sites, links, spins = _hops(f, cl.grading, cl.generators, mu, np.arange(n))
-    # the hops grouped by target site, the same grouping at every site
-    _, first, group = np.unique([x[0] for x in sites], return_index=True, return_inverse=True)
-    targets = np.stack([sites[k] for k in first], axis=1)
-    slot = (targets[:, :, None] > targets[:, None, :]).sum(axis=2)
-    # entry (y, a; b) of group g is entry slot[y, g] rs + b of row y rs + a
-    at = ((np.arange(n)[:, None, None] * rs + np.arange(rs)[:, None]) * len(first)) * rs + np.arange(rs)
-    size, stored = np.empty(at.size * len(first)), np.empty(at.size * len(first), dtype=bool)
-    for g in range(len(first)):
-        E = sum(L[:, :, None, :, None] * S[:, None, :]
-                for L, S, h in zip(links, spins, group) if h == g).reshape(-1, rs, rs)
-        place = at + (slot[:, g] * rs)[:, None, None]
-        size[place], stored[place] = np.abs(E), E != 0
-    stored = stored.reshape(n * rs, -1)
-    count = np.count_nonzero(stored, axis=1)
-    start = (np.cumsum(count) - count)[count > 0]
-    return float(np.add.reduceat(size.reshape(n * rs, -1)[stored], start).max())
+def _norm_bound(f: GaugeField, mu: float) -> float:
+    """||H||_inf of H = assemble(f, clifford_rep(d), mu).matrix from the
+    links, as the largest row sum |mu - d| + sum_j [sum_b |U_j(x)_ba| +
+    sum_b |U_j(x - e_j)_ab|] over sites x and fibre rows a.  In
+    `clifford_rep`'s basis gamma is diagonal +-1 and each c_j is monomial
+    off the diagonal, so every row of (gamma +- c_j)/2 has two entries of
+    modulus 1/2, a sum of 1 whatever the spinor row.  For N >= 3 it is
+    ||H||_inf in exact arithmetic; at N = 2, where x + e_j = x - e_j and
+    the two hops add before the modulus, an upper bound."""
+    A, geom = np.abs(f.links), f.geometry
+    rows = sum(A[:, j].sum(axis=1) + A[_neighbour(geom, j, -1), j].sum(axis=2) for j in range(geom.d))
+    return float(abs(mu - geom.d) + rows.max())
 
 
 def _spinor(cl: CliffordRep, P: np.ndarray) -> tuple:

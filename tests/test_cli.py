@@ -240,7 +240,7 @@ def test_acm_cross_check_that_does_not_fit_the_limit_is_skipped(tmp_path):
     write_unitary_tuple(gauge_tuple(constant_flux_field(
         make_geometry(4, 5), FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 1)]))), path)
     rc, out, err = run_limited(["acm", "--input", str(path), "--cross-check"])
-    assert rc == 0
+    assert rc == 0, err
     assert out.startswith("I = 1  (epsilon = ") and out.count("\n") == 1
     assert err.startswith("note: the Bott cross-check does not fit; skipped: "
                           "dense dim-2500 operator needs 0.09 GiB (2500^2 complex128), ")

@@ -887,7 +887,7 @@ def test_a_field_without_the_symmetry_is_solved_whole(monkeypatch):
 
 
 def test_a_field_with_the_symmetry_is_never_assembled(monkeypatch):
-    # its zero threshold comes from the links (wilson._norm_inf), so
+    # its zero threshold comes from the links (wilson._norm_bound), so
     # neither lattice_index nor verify_gap_bound assembles H: no link shift
     # U_j is built, under whatever name assemble is called
     calls = []
@@ -900,6 +900,16 @@ def test_a_field_with_the_symmetry_is_never_assembled(monkeypatch):
         lattice_index(f, 1.0)
         verify_gap_bound(f, 1.0, 2.0)
     assert calls == []
+
+
+def test_every_field_has_one_zero_threshold():
+    # with the symmetry or without it, the tol is that of the norm summed
+    # off the links, which at N = 2 is above the assembled H's
+    for f in (constant_flux_field(make_geometry(4, 4), FluxMatrix.from_entries(4, [(1, 2, 1), (3, 4, 2)])),
+              perturb_field(constant_flux_field(make_geometry(2, 5), _flux2(1)), 0.05, 2),
+              perturb_field(constant_flux_field(make_geometry(2, 2), _flux2(1)), 0.05, 2)):
+        assert bool(symmetry_group(f)[0]) == (f.geometry.d == 4)
+        assert lattice_index(f, 1.0).inertia.tol == spectral._tol(wilson._norm_bound(f, 1.0))
 
 
 def test_d4_parity_blocks_take_the_factor_path(lapack_calls):

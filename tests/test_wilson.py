@@ -21,7 +21,7 @@ from wilsonindex import spectral
 from wilsonindex.gauge import _site_map, link_shift, symmetry_group
 from wilsonindex.ktheory import clock_shift, gauge_tuple
 from wilsonindex.spectral import inertia
-from wilsonindex.wilson import (WilsonOperator, _blocks, _norm_inf, _spinor, fourier_diagonalize,
+from wilsonindex.wilson import (WilsonOperator, _blocks, _norm_bound, _spinor, fourier_diagonalize,
                                 symmetry_blocks, wilson_matrix)
 
 
@@ -312,25 +312,37 @@ def test_a_field_without_the_symmetry_keeps_its_whole_operator():
 
 
 def _norm_fields(d, N):
-    """Rank 1, a rank-2 direct sum and its U(2) gauge transform."""
+    """Rank 1, a rank-2 direct sum, its U(2) gauge transform and a U(3)
+    transform of a rank-3 sum, whose links' moduli have row sums that are
+    not their column sums (a 2 x 2 unitary's are)."""
     geom = make_geometry(d, N)
     K, K2 = ([(1, 2, 1)], [(1, 2, -2)]) if d == 2 else ([(1, 2, 1), (3, 4, 2)], [(1, 2, 1), (3, 4, 4)])
     f = constant_flux_field(geom, FluxMatrix.from_entries(d, K))
     rank2 = direct_sum_field(f, constant_flux_field(geom, FluxMatrix.from_entries(d, K2)))
     rng = np.random.default_rng(N)
-    u2 = np.linalg.qr(rng.standard_normal((geom.n_sites, 2, 2))
-                      + 1j * rng.standard_normal((geom.n_sites, 2, 2)))[0]
-    return [f, rank2, gauge_transform(rank2, u2)]
+
+    def unitaries(r):
+        return np.linalg.qr(rng.standard_normal((geom.n_sites, r, r))
+                            + 1j * rng.standard_normal((geom.n_sites, r, r)))[0]
+
+    rank3 = gauge_transform(direct_sum_field(f, rank2), unitaries(3))
+    return [f, rank2, gauge_transform(rank2, unitaries(2)), rank3]
 
 
 @pytest.mark.parametrize("d, N", [(d, N) for d in (2, 4) for N in (2, 3, 4, 5, 6)])
 def test_the_norm_from_the_links_is_the_assembled_norm_bit_for_bit(d, N):
-    # ||H||_inf read off the links, and so the zero threshold, is the
-    # assembled H's bit for bit: at N = 2, where the hops to x + e_j and
-    # x - e_j add, at rank 1 and 2, after a U(2) transform and at mu = d
-    # (no on-site entry)
+    # ||H||_inf summed off the links is the assembled H's: bit for bit at
+    # rank 1, to rounding at rank 2 and 3 (after a U(r) transform too),
+    # and at N = 2, where the hops to x + e_j and x - e_j add, an upper
+    # bound; at mu = d there is no on-site entry
     cl = clifford_rep(d)
-    for f in _norm_fields(d, N):
+    fields = _norm_fields(d, N)
+    for f in fields + [perturb_field(g, 0.3, 7) for g in fields]:
         for mu in (0.5, 1.0, 1.5, 3.0, float(d)):
-            H = assemble(f, cl, mu).matrix
-            assert _norm_inf(f, cl, mu) == spectral._norm_inf(H)
+            bound, norm = _norm_bound(f, mu), spectral._norm_inf(assemble(f, cl, mu).matrix)
+            if N == 2:
+                assert bound >= norm
+            elif f.rank == 1:
+                assert bound == norm
+            else:
+                assert bound == pytest.approx(norm, rel=1e-15, abs=0)
