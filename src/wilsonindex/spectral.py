@@ -2,15 +2,15 @@
 
 `inertia` is the one entry point.  It takes a matrix whole or as the
 diagonal blocks of a block-diagonal one (the symmetry blocks of
-`wilson.symmetry_blocks`, each standing for `mult` equal ones), picks the
-path by the total dimension and runs each block through it alone, with all
-of its checks:
+`wilson.symmetry_blocks`, each standing for `mult` equal ones), picks
+each block's path once and runs the block through it alone, with all of
+its checks:
 
-* up to `_DENSE_LIMIT` (the oracle): one backward-stable LAPACK
-  Hermitian eigensolve (`heevr`: Householder tridiagonalization, or
-  `hbevd` on a narrow band: band reduction; then `sterf`), whose
-  eigenvalues give the sign counts and the gap;
-* above it (`inertia_ldl`): an exact block elimination, then one dense
+* a total dimension up to `_DENSE_LIMIT`, or a block under `_FACTOR_MIN`
+  rows (the oracle): one backward-stable LAPACK Hermitian eigensolve
+  (`heevr`: Householder tridiagonalization, or `hbevd` on a narrow band:
+  band reduction; then `sterf`), whose eigenvalues give the counts and gap;
+* any other block (`inertia_ldl`): an exact block elimination, then one dense
   Bunch-Kaufman LDL* of what is left.  One greedy scan in index order
   picks rows I with large real diagonal h_I, no two coupled, and they are
   eliminated first: by Haynsworth's inertia additivity
@@ -89,8 +89,11 @@ try:
 except ImportError:  # not Unix: no address-space limit to read
     resource = None
 
-# largest dimension `inertia` handles on the dense path
+# largest total dimension `inertia` sends to the dense path
 _DENSE_LIMIT = 4096
+# fewest rows of a block `inertia` sends to the factor above _DENSE_LIMIT:
+# smaller d=4 and d=6 symmetry blocks eigensolve faster than ARPACK's gap
+_FACTOR_MIN = 200
 # the oracle takes the band when _BAND_RATIO * w <= dim; the band solver
 # measured slower than the dense one below dim/w ~ 16-20, so 32 keeps a margin
 _BAND_RATIO = 32
@@ -292,25 +295,28 @@ def _dense_inertia(H, tol: float | None = None) -> Inertia:
 def inertia(*blocks, tol: float | None = None, mult=None) -> Inertia:
     """Inertia and gap of a Hermitian matrix, given whole or as the
     diagonal blocks of a block-diagonal one, block i standing for mult[i]
-    equal blocks (default 1): the dense oracle if the total dimension
-    sum(mult[i] dim_i) is at most `_DENSE_LIMIT`, else one block LDL* factor
-    (`inertia_ldl`), for every block alike and with all of its checks.
+    equal blocks (default 1).  Block i goes to the dense oracle if the
+    total dimension sum(mult[i] dim_i) is at most `_DENSE_LIMIT` or dim_i
+    is under `_FACTOR_MIN`, else to one block LDL* factor (`inertia_ldl`),
+    with all of its checks.
 
     tol, the zero threshold, is given by a caller that knows the norm of
     the matrix the blocks came from (`ktheory.lattice_index` passes its
     operator's); else it is `_tol` of the block-diagonal matrix, whose
-    ||.||_inf is its largest block's.  Every block is classified with it.
+    ||.||_inf is its largest block's.  Every block is classified with it,
+    and it is the result's tol.
     The counts add up, block i's mult[i] times, and the gap is the least
     block gap; method is the blocks' common method, else each block's.  A
     block's ResourceError names the block."""
     mult = [1] * len(blocks) if mult is None else mult
     n = sum(m * np.shape(B)[0] for m, B in zip(mult, blocks))
-    if tol is None and len(blocks) > 1:
+    if tol is None:
         tol = max(_tol(_norm_inf(B)) for B in blocks)
     parts = []
     for i, B in enumerate(blocks):
+        small = n <= _DENSE_LIMIT or np.shape(B)[0] < _FACTOR_MIN
         try:
-            parts.append(_dense_inertia(B, tol) if n <= _DENSE_LIMIT else inertia_ldl(B, tol))
+            parts.append((_dense_inertia if small else inertia_ldl)(B, tol))
         except ResourceError as exc:
             if len(blocks) == 1:
                 raise
@@ -319,7 +325,7 @@ def inertia(*blocks, tol: float | None = None, mult=None) -> Inertia:
     return Inertia(
         sum(m * p.n_plus for m, p in zip(mult, parts)),
         sum(m * p.n_minus for m, p in zip(mult, parts)),
-        sum(m * p.n_zero for m, p in zip(mult, parts)), min(p.gap for p in parts), parts[0].tol,
+        sum(m * p.n_zero for m, p in zip(mult, parts)), min(p.gap for p in parts), tol,
         methods[0] if len(set(methods)) == 1
         else "; ".join(f"block {i}: {m}" for i, m in enumerate(methods)))
 
@@ -500,26 +506,17 @@ def _ldl_factor(M: sp.csr_matrix, tol: float):
 def _from_factor(H, gap: bool, tol: float | None = None) -> Inertia:
     """Counts from the signs of `_ldl_factor`'s pivots (an accepted factor
     is of a nonsingular matrix, so n_zero is 0) and, with `gap`, the gap:
-    ARPACK on the factor's solve from its probe, or below 200 rows, where
-    ARPACK starts to pay on d=4 and d=6 symmetry blocks, the dense
-    oracle's, whose counts must then be the pivots' (the factor is
-    rejected if not).  If the factor or its gap is rejected, the result is
-    the dense oracle's, with the reason in method: below 200 rows the one
-    eigensolve already made.  tol is `_tol` of H's norm unless given; a
-    float64 or complex128 CSR H is factored as it is."""
+    ARPACK on the factor's solve from its probe.  If the factor or its gap
+    is rejected, the result is the dense oracle's, with the reason in
+    method.  tol is `_tol` of H's norm unless given; a float64 or
+    complex128 CSR H is factored as it is."""
     M = _real_if_real(sp.csr_matrix(H, dtype=np.result_type(H.dtype, float)))
     _check_hermitian(M)
     tol = _tol(_norm_inf(M)) if tol is None else tol
-    oracle = None
     try:
         piv, solve, probe = _ldl_factor(M, tol)
         n_plus = int(np.sum(piv > 0))
-        if gap and M.shape[0] < 200:
-            oracle = _dense_inertia(M, tol)
-            if (oracle.n_plus, oracle.n_minus) != (n_plus, len(piv) - n_plus):
-                raise RuntimeError(f"counts ({n_plus}, {len(piv) - n_plus}) are not the oracle's "
-                                   f"({oracle.n_plus}, {oracle.n_minus}, {oracle.n_zero})")
-        lam = oracle.gap if oracle else _shift_invert_gap(M, solve, probe) if gap else float("nan")
+        lam = _shift_invert_gap(M, solve, probe) if gap else float("nan")
     except RuntimeError as exc:
         # a rejected factor or an unconverged gap; MemoryError propagates
         reason = str(exc)
@@ -529,17 +526,16 @@ def _from_factor(H, gap: bool, tol: float | None = None) -> Inertia:
     # outside the handler, so the traceback no longer holds the factor;
     # nor does solve, if the gap was rejected
     solve = None
-    return replace(oracle or _dense_inertia(M, tol), method=f"dense (ldl rejected: {reason})")
+    return replace(_dense_inertia(M, tol), method=f"dense (ldl rejected: {reason})")
 
 
 def inertia_ldl(H, tol: float | None = None) -> Inertia:
     """Inertia and gap of a sparse Hermitian matrix from one block LDL*
     factor: the factor step (`_ldl_factor`), which densifies only the Schur
     complement, then the gap step, ARPACK in shift-invert mode on the same
-    factor (the dense oracle below 200 rows; `_from_factor`).  If the
-    factor is rejected or the gap does not converge, the result is the
-    dense oracle's, with the reason in method.  tol is `_tol` of H's norm
-    unless given."""
+    factor (`_from_factor`), at any size.  If the factor is rejected or the
+    gap does not converge, the result is the dense oracle's, with the
+    reason in method.  tol is `_tol` of H's norm unless given."""
     return _from_factor(H, True, tol)
 
 

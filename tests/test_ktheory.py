@@ -140,13 +140,14 @@ def test_second_window_index_at_d4():
 
 
 def test_index_at_d6():
-    # dim 5832 on the factor path; N is odd, so the torus is not bipartite
-    # and the eliminated rows are not a parity class.  (At N=2 the index is
-    # 0, too coarse to show the flux.)
+    # dim 5832, above _DENSE_LIMIT, but every one of its 64 symmetry blocks
+    # has 64-125 rows, under _FACTOR_MIN, so each goes to the dense oracle.
+    # (At N=2 the index is 0, too coarse to show the flux.)
     K = FluxMatrix.from_entries(6, [(1, 2, 1), (3, 4, 1), (5, 6, 1)])
     r = lattice_index(constant_flux_field(make_geometry(6, 3), K), 1.0)
     assert r.invariant == 1 == continuum_index(K) and r.agrees
-    assert r.inertia.method == "ldl"
+    assert r.inertia.method == "dense"
+    assert (r.inertia.n_plus, r.inertia.n_minus) == (2917, 2915)
 
 
 def test_index_is_half_signature_identity():

@@ -222,7 +222,7 @@ def test_ldl_rejects_the_zero_matrix_without_dividing_by_zero(zero):
 @pytest.mark.parametrize("seed", range(5))
 def test_ldl_reads_runs_of_2x2_pivots(seed):
     # a zero diagonal leaves all rows to hetrf, which then takes many 2x2
-    # pivots, some of them adjacent: n = 240 >= 200, so the gap is iterative
+    # pivots, some of them adjacent
     rng = np.random.default_rng(seed)
     A = sp.random(240, 240, density=0.02, random_state=rng) * (1 + 1j)
     A = A + A.conj().T
@@ -259,7 +259,7 @@ def test_bunch_kaufman_solve_undoes_interchanges_of_both_pivot_kinds(real):
 
 
 def test_real_symmetric_matrix_runs_on_the_real_path(lapack_calls):
-    # dim 240 >= 200, so the gap is ARPACK's, here its real Lanczos on the
+    # the gap is ARPACK's, here its real Lanczos on the
     # sytrf factor; a complex copy with zero imaginary parts is taken real
     # too, so its result is identical to the last bit
     A = _random_hermitian(240, 5).real.copy()
@@ -511,7 +511,7 @@ def test_oracle_takes_the_band_only_on_a_narrow_sparse_matrix(lapack_calls):
 
 
 def test_dense_paths_refuse_what_does_not_fit(monkeypatch):
-    # dim 200: the factor's gap is ARPACK's, with no dense copy
+    # the factor's gap is ARPACK's, with no dense copy
     f = _flux_field(2, 10, [(1, 2, 1)])
     H = assemble(f, clifford_rep(2), 1.0).matrix
     want = inertia(H)
@@ -575,7 +575,7 @@ def test_non_hermitian_rejected(monkeypatch):
         inertia_bunch_kaufman(A)
     with pytest.raises(ValueError, match="not Hermitian"):
         inertia_ldl(sp.csr_matrix(A))
-    # real pivots and dim >= 200: the factor is accepted and the gap needs
+    # real pivots: the factor is accepted and the gap needs
     # no dense copy, so only the sparse check can reject it
     B = sp.diags(np.where(np.arange(200) % 2, 1.0, -2.0)).tolil()
     B[0, 5] = 0.5
@@ -621,7 +621,7 @@ def test_gap_matches_smallest_abs_eigenvalue():
 
 
 def test_iterative_gap_falls_back_only_on_arpack_failures(monkeypatch):
-    # dim 200: the gap is ARPACK's
+    # the factor's gap is ARPACK's
     f = constant_flux_field(make_geometry(2, 10), FluxMatrix.from_entries(2, [(1, 2, 1)]))
     H = assemble(f, clifford_rep(2), 1.0).matrix
     want = inertia(H)
@@ -682,7 +682,7 @@ def test_factor_mutants_are_rejected(monkeypatch, mutate, reason):
     # a factor whose solve is off by 10% fails the contraction guard, one
     # that refinement cannot correct fails the solve residual, and an
     # eigenpair that is not one fails the gap residual; each gives the
-    # dense oracle (dim 200, so the gap is ARPACK's)
+    # dense oracle
     f = constant_flux_field(make_geometry(2, 10), FluxMatrix.from_entries(2, [(1, 2, 1)]))
     H = assemble(f, clifford_rep(2), 1.0).matrix
     want = inertia(H)
@@ -693,34 +693,34 @@ def test_factor_mutants_are_rejected(monkeypatch, mutate, reason):
         == (want.n_plus, want.n_minus, want.n_zero, want.gap)
 
 
-def test_a_small_block_whose_counts_are_not_the_oracles_is_rejected(monkeypatch):
-    # below 200 rows the gap is the dense oracle's, classified with the
-    # caller's tol, and its counts must be the factor's: a factor with one
-    # pivot sign flipped is rejected for the oracle's result, and so is a
-    # tol above the gap, under which the oracle sees zero eigenvalues; the
-    # one eigensolve serves the gap, the check and the result
-    f = constant_flux_field(make_geometry(2, 6), FluxMatrix.from_entries(2, [(1, 2, 1)]))
-    H = assemble(f, clifford_rep(2), 1.0).matrix
-    want = inertia(H)
-    calls, dense_inertia = [], spectral._dense_inertia
-    monkeypatch.setattr(spectral, "_dense_inertia", lambda *a: calls.append(a) or dense_inertia(*a))
-    assert inertia_ldl(H).method == "ldl" and len(calls) == 1
-    i = inertia_ldl(H, tol=2 * want.gap)
-    assert i.method.startswith("dense (ldl rejected: counts ") and len(calls) == 2
-    assert (i.n_zero > 0, i.gap, i.tol) == (True, 0.0, 2 * want.gap)
-    bunch_kaufman = spectral._bunch_kaufman
+def test_a_block_under_the_factor_minimum_goes_only_to_the_oracle(monkeypatch):
+    # above _DENSE_LIMIT a block of 199 rows goes to the dense oracle and
+    # one of 200 rows to the factor, which, accepted, eigensolves nothing;
+    # inertia_ldl called directly factors a block of any size, and its
+    # ARPACK gap is the oracle's
+    H = assemble(_flux_field(2, 10, [(1, 2, 1)]), clifford_rep(2), 1.0).matrix
+    A, B = H[:199, :199], H
+    assert 11 * (199 + 200) > spectral._DENSE_LIMIT
+    seen = []
 
-    def flipped(S):
-        eigs, solve = bunch_kaufman(S)
-        eigs[0] = -eigs[0]
-        return eigs, solve
+    def spy(name, f):
+        return lambda M, tol=None: seen.append((name, M.shape[0])) or f(M, tol)
 
-    monkeypatch.setattr(spectral, "_bunch_kaufman", flipped)
-    i = inertia_ldl(H)
-    assert H.shape[0] == 72 and i.method.startswith("dense (ldl rejected: counts ")
-    assert len(calls) == 3
-    assert (i.n_plus, i.n_minus, i.n_zero, i.gap, i.tol) \
-        == (want.n_plus, want.n_minus, want.n_zero, want.gap, want.tol)
+    dense_inertia = spectral._dense_inertia
+    for name in ("_dense_inertia", "inertia_ldl"):
+        monkeypatch.setattr(spectral, name, spy(name, getattr(spectral, name)))
+    got = inertia(A, B, mult=[11, 11])
+    assert seen == [("_dense_inertia", 199), ("inertia_ldl", 200)]
+    assert got.method == "block 0: dense; block 1: ldl"
+    a, b = dense_inertia(A, got.tol), dense_inertia(B, got.tol)
+    assert (got.n_plus, got.n_minus, got.n_zero) \
+        == (11 * (a.n_plus + b.n_plus), 11 * (a.n_minus + b.n_minus), 0)
+    seen.clear()
+    small = assemble(_flux_field(2, 6, [(1, 2, 1)]), clifford_rep(2), 1.0).matrix
+    i, want = spectral.inertia_ldl(small), dense_inertia(small)
+    assert small.shape[0] == 72 and i.method == "ldl" and seen == [("inertia_ldl", 72)]
+    assert (i.n_plus, i.n_minus, i.n_zero) == (want.n_plus, want.n_minus, want.n_zero)
+    assert abs(i.gap - want.gap) <= 1e-12 * want.gap
 
 
 def test_momentum_oracle_requires_trivial_field():
@@ -748,11 +748,13 @@ def test_blocks_add_counts_and_take_the_least_gap():
 def test_a_block_stands_for_its_multiplicity(monkeypatch):
     # block i taken mult[i] times: its counts scale, the gap is the least,
     # as if each block were repeated; the path follows the whole
-    # dimension, 2 * 30 + 3 * 20 = 120 rows
+    # dimension, 2 * 30 + 3 * 20 = 120 rows (with blocks of 20 rows and
+    # more allowed on the factor)
     (A, B), _ = _blocks(_random_hermitian(30, 1), 5 * _random_hermitian(20, 2))
     assert inertia(A, B, mult=[2, 3]) == inertia(A, A, B, B, B)
     assert inertia(A, B, mult=[2, 3]).method == "dense"
     monkeypatch.setattr(spectral, "_DENSE_LIMIT", 119)
+    monkeypatch.setattr(spectral, "_FACTOR_MIN", 16)
     got, want = inertia(A, B, mult=[2, 3]), inertia(A, A, B, B, B)
     assert got.method == "ldl" and (got.n_plus, got.n_minus) == (want.n_plus, want.n_minus)
 
@@ -760,8 +762,9 @@ def test_a_block_stands_for_its_multiplicity(monkeypatch):
 @pytest.mark.parametrize("limit, engine", [(128, "_dense_inertia"), (127, "inertia_ldl")])
 def test_block_path_follows_the_total_dimension(monkeypatch, limit, engine):
     # two blocks of 64 rows: the dense oracle for both while the total is
-    # at most the limit, the factor for both above it, never one of each
-    # (the factor's own dense gap below 200 rows is not counted)
+    # at most the limit, the factor for both above it (blocks of 64 rows
+    # allowed on it), never one of each (a rejected factor's fallback to the
+    # oracle would not be counted)
     A, B = (assemble(constant_flux_field(make_geometry(2, 8), FluxMatrix.from_entries(
         2, [(1, 2, k)])), clifford_rep(2), 0.5).matrix[:64, :64] for k in (1, -2))
     seen, inside = [], []
@@ -780,6 +783,7 @@ def test_block_path_follows_the_total_dimension(monkeypatch, limit, engine):
     for name in ("_dense_inertia", "inertia_ldl"):
         monkeypatch.setattr(spectral, name, spy(name, getattr(spectral, name)))
     monkeypatch.setattr(spectral, "_DENSE_LIMIT", limit)
+    monkeypatch.setattr(spectral, "_FACTOR_MIN", 32)
     got = inertia(A, B)
     assert seen == [(engine, 64), (engine, 64)]
     want = spectral._dense_inertia(sp.block_diag((A, B), format="csr"))
@@ -793,6 +797,7 @@ def test_a_rejected_block_is_named(monkeypatch):
     bad = assemble(trivial_field(make_geometry(2, 4)), clifford_rep(2), 0.0).matrix
     good = _random_hermitian(70, 3)
     monkeypatch.setattr(spectral, "_DENSE_LIMIT", 50)
+    monkeypatch.setattr(spectral, "_FACTOR_MIN", 16)
     got = inertia(good, bad)
     assert got.method.startswith("block 0: ldl; block 1: dense (ldl rejected: contraction ")
     assert got.n_zero == inertia(bad).n_zero > 0 and got.gap == 0
